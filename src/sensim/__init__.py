@@ -6,28 +6,19 @@ and shadow memory, cache bandwidth through a set-associative PLRU hierarchy,
 and optional branch prediction.  Rerunning the model with resources
 accelerated by a weight yields per-resource speedups: the resources whose
 acceleration actually helps are the program's bottlenecks.
+
+The top level exports only what the README's library example and the
+benchmark use; everything else is imported from its submodule.
 """
 
-from .branch import BranchConfig, Prediction, PredictorState, misprediction_delay
-from .caches import CacheHierarchy, line_accesses, plru_touch, plru_victim
-from .corpus import (KernelSpec, gen_jacobi_like, gen_latency_chain,
-                     gen_port_block, gen_stream, generate)
-from .engine import (InstructionWindow, PcStats, SimResult, ZeroTimeTrace,
-                     build_schedule, occupancy_report, run_schedule, simulate,
-                     window_push)
-from .machine import (INST_LAT, INST_WINDOW, CacheLevelConfig, ConfigError,
-                      InstructionKind, InvalidWeight, MachineConfig, Resource,
-                      UnknownKind, UnknownParameter, UnknownResource,
-                      accelerable_parameters, apply_weights, builtin_config,
-                      dump_config, load_config)
-from .report import (InstructionRow, emit_heatmap, format_instruction_table,
-                     format_run_report, render_instruction_table, run_report,
-                     run_report_json)
-from .sensitivity import (BottleneckVerdict, SensitivityPoint, SensitivityReport,
-                          classify, power_subsets, speedup, sweep_single,
-                          sweep_subsets)
-from .trace import (BranchInfo, InstructionEvent, MalformedRecord, MemAccess,
-                    NegativeLatency, OverflowingAccess, ResolvedEvent, TraceError,
-                    parse_trace, resolve_event, write_trace)
+from .branch import PredictorState, misprediction_delay
+from .caches import CacheHierarchy, line_accesses
+from .corpus import gen_jacobi_like
+from .engine import build_schedule, run_schedule, simulate
+from .machine import (MachineConfig, accelerable_parameters, apply_weights,
+                      builtin_config, dump_config, load_config)
+from .report import emit_heatmap, render_instruction_table, run_report_json
+from .sensitivity import classify, sweep_single
+from .trace import BranchInfo, InstructionEvent, MemAccess, parse_trace, write_trace
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ driven once per trace and its verdicts reused across accelerated reruns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 _TAG_BITS = 12
 
@@ -34,12 +35,14 @@ class BranchConfig:
             raise ValueError("BTB geometry must be at least 1 set and 1 way")
         if self.tage_entries_log2 < 1:
             raise ValueError("tage_entries_log2 must be >= 1")
+        if not self.history_lengths or self.history_lengths[0] < 1:
+            raise ValueError("history_lengths must be non-empty and start at >= 1")
         if self.tage_tables != len(self.history_lengths):
             raise ValueError("tage_tables must match len(history_lengths)")
         if any(b <= a for a, b in zip(self.history_lengths, self.history_lengths[1:])):
             raise ValueError("history_lengths must be strictly increasing")
-        if self.misprediction_penalty < 0:
-            raise ValueError("misprediction_penalty must be >= 0")
+        if not 0 <= self.misprediction_penalty < inf:
+            raise ValueError("misprediction_penalty must be finite and >= 0")
 
 
 @dataclass(frozen=True)

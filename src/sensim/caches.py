@@ -2,8 +2,8 @@
 
 Lookups walk the levels nearest-first; a miss at every configured level hits
 the memory backstop (a geometry-less last level, or an implicit free one).
-Bandwidth is consumed on the path from L2 down to the hit level: transfers
-between the core and L1 are not modeled, so L1 hits are free.
+The engine charges bandwidth on the path from L2 down to the hit level:
+transfers between the core and L1 are not modeled, so L1 hits are free.
 """
 
 from __future__ import annotations
@@ -39,16 +39,13 @@ def plru_touch(bits: int, associativity: int, way: int) -> int:
 
 
 class CacheLevelState:
-    """Tag arrays, PLRU bits, bandwidth availability and counters for one level."""
+    """Tag arrays, PLRU bits and hit/miss counters for one level."""
 
     def __init__(self, config: CacheLevelConfig):
         self.config = config
         self.name = config.name
-        self.gap = config.gap
-        self.t_avail = 0.0
         self.hits = 0
         self.misses = 0
-        self.transfers = 0
         if config.is_backstop:
             self.n_sets = 0
             self.ways = 0
@@ -115,23 +112,3 @@ class CacheHierarchy:
         for j in range(hit if hit < len(self.levels) else len(self.levels)):
             self.levels[j].fill(line)
         return hit
-
-    def consume_bandwidth(self, hit_level: int, direction: str = "load") -> float:
-        """Availability of the L2..hit path, then one gap consumed per level.
-
-        Returns 0 with no state change when the path is empty (an L1 hit).
-        Stores travel the same path as loads; `direction` only labels the use.
-        """
-        end = min(hit_level, len(self.levels) - 1)
-        if end < 1:
-            return 0.0
-        avail = 0.0
-        for i in range(1, end + 1):
-            t = self.levels[i].t_avail
-            if t > avail:
-                avail = t
-        for i in range(1, end + 1):
-            level = self.levels[i]
-            level.t_avail += level.gap
-            level.transfers += 1
-        return avail

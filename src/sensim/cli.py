@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from math import inf
 
 from . import corpus
 from .engine import simulate
@@ -101,8 +102,8 @@ def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
 def _cmd_sensitivity(args) -> int:
     trace, config = _load_inputs(args)
     weights = [float(w) for w in args.weights.split(",") if w.strip()]
-    if not weights or any(w < 1 for w in weights):
-        raise ConfigError("weights must be numbers >= 1")
+    if not weights or any(not 1 <= w < inf for w in weights):
+        raise ConfigError("weights must be finite numbers >= 1")
     if args.resources == "all":
         parameters = accelerable_parameters(config)
     else:

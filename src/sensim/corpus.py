@@ -5,8 +5,6 @@ bandwidth) used by tests, demos and the gen-kernel CLI subcommand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .branch import BranchConfig
 from .machine import (CacheLevelConfig, MachineConfig, Resource, builtin_config,
                       load_config)
@@ -18,18 +16,6 @@ _REG_XMM0 = 2
 _REG_XMM1 = 3
 _REG_FLAGS = 4
 _REG_RDX = 5
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Name plus parameters identifying one deterministic kernel instance."""
-
-    name: str
-    iters: int | None = None
-    footprint: int | None = None
-
-    def build(self) -> tuple[list[InstructionEvent], MachineConfig]:
-        return generate(self.name, iters=self.iters, footprint=self.footprint)
 
 
 def gen_port_block() -> tuple[list[InstructionEvent], MachineConfig]:

@@ -9,11 +9,15 @@ consumed; written locations get the end time (registers are renamed, so
 their shadow is set; memory shadow is max-merged); the end time enters the
 instruction window.  The total is the max end time over the trace.
 
-Two phases keep reruns cheap: everything timing-independent (resolution,
-cache hit levels, branch prediction verdicts, use counts) is computed once
-into a Schedule; the timing recurrence then runs per configuration.  This is
-exact, not an approximation: cache replacement and branch prediction depend
-only on the event stream, never on simulated time.
+Two phases keep reruns cheap.  `build_schedule` resolves the trace once and
+computes everything timing-independent into a Schedule: the cache hit level
+and branch verdict of each event, and the finished per-pc, per-resource,
+cache and branch counts.  `run_schedule` then computes only what a weight
+changes: the total, the IPC, busy time per resource and cache level, and
+optionally each event's end time; every result built from one schedule
+shares its counts.  This is exact, not an approximation: cache replacement
+and branch prediction depend only on the event stream, never on simulated
+time.
 """
 
 from __future__ import annotations
@@ -25,54 +29,17 @@ from typing import Iterable
 from .branch import PredictorState, misprediction_delay
 from .caches import CacheHierarchy, line_accesses
 from .machine import MachineConfig
-from .trace import InstructionEvent, bind_semantics, validate_event
+from .trace import InstructionEvent, bind_semantics
 
 
 class ZeroTimeTrace(ValueError):
     """Raised when a per-cycle report is asked of a zero-cycle result."""
 
 
-class InstructionWindow:
-    """Bounded FIFO of in-flight end times modeling the reorder buffer.
-
-    An instruction needing a slot in a full window first forces the oldest
-    entry out; that entry's end time max-merges into `t_min`, the floor on
-    every later start time.  `t_min` stays 0 until the window has been full.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("window capacity must be >= 1")
-        self.capacity = capacity
-        self.t_min = 0.0
-        self._slots: deque[float] = deque()
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._slots)
-
-    def make_room(self) -> float:
-        """Evict the oldest entry if full; returns the t_min now in force."""
-        if len(self._slots) == self.capacity:
-            evicted = self._slots.popleft()
-            if evicted > self.t_min:
-                self.t_min = evicted
-        return self.t_min
-
-    def insert(self, t_end: float) -> None:
-        self._slots.append(t_end)
-
-
-def window_push(window: InstructionWindow, t_end: float) -> float:
-    """Reserve a slot (evicting if full) and insert t_end; returns t_min."""
-    t_min = window.make_room()
-    window.insert(t_end)
-    return t_min
-
-
 @dataclass(frozen=True)
 class PcStats:
-    """Per-static-pc accounting accumulated over a run."""
+    """Per-static-pc accounting over a trace; label, latency and resources
+    are those of the pc's first event."""
 
     pc: int
     label: str
@@ -91,7 +58,11 @@ class LevelCounters:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Counts and timing estimated for one run."""
+    """Counts and timing estimated for one run.
+
+    `resource_uses`, `per_pc` and `cache_stats` are the schedule's own
+    objects, shared with every other run of that schedule: do not mutate them.
+    """
 
     total_cycles: float
     instruction_count: int
@@ -106,38 +77,21 @@ class SimResult:
     event_end_times: tuple[float, ...] | None = None
 
 
-class _PcAccum:
-    __slots__ = ("label", "latency", "resources", "count", "res_uses", "cache_uses")
-
-    def __init__(self, label, latency, resources, n_res, n_levels):
-        self.label = label
-        self.latency = latency
-        self.resources = resources
-        self.count = 0
-        self.res_uses = [0] * n_res
-        self.cache_uses = [0] * n_levels
-
-
 # Step layout (plain tuples keep the timing loop lean):
 #   (resources, latency, reg_reads, reg_writes, read_keys, write_keys,
 #    loads, stores, penalty)
 # where loads/stores are tuples of (path_end, fold_keys) per line access.
+@dataclass(frozen=True)
 class Schedule:
-    """Timing-independent digest of a trace resolved against a config."""
+    """Timing-independent digest of a trace resolved against a config: the
+    steps the timing recurrence walks, plus every count no weight changes."""
 
-    def __init__(self, config: MachineConfig):
-        self.n_resources = len(config.resources)
-        self.n_levels = len(config.cache_levels)
-        self.steps: list[tuple] = []
-        self.resource_uses = [0] * self.n_resources
-        self.level_hits = [0] * self.n_levels
-        self.level_misses = [0] * self.n_levels
-        self.level_transfers = [0] * self.n_levels
-        self.branch_predicted = 0
-        self.branch_mispredicted = 0
-        self.per_pc: dict[int, _PcAccum] = {}
-        self.resource_names = tuple(r.name for r in config.resources)
-        self.level_names = tuple(l.name for l in config.cache_levels)
+    steps: list[tuple]
+    resource_uses: dict[str, int]
+    per_pc: dict[int, PcStats]
+    cache_stats: dict[str, LevelCounters]
+    branch_predicted: int
+    branch_mispredicted: int
 
 
 def _shadow_keys(addr: int, size: int, shift: int | None) -> tuple[int, ...]:
@@ -148,7 +102,6 @@ def _shadow_keys(addr: int, size: int, shift: int | None) -> tuple[int, ...]:
 
 def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) -> Schedule:
     """Resolve a trace and precompute everything timing does not change."""
-    schedule = Schedule(config)
     hierarchy = CacheHierarchy(config.cache_levels) if config.cache_levels else None
     predictor = PredictorState(config.branch) if config.branch.enabled else None
     shift = None
@@ -156,10 +109,14 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         shift = config.line_size.bit_length() - 1
     line_size = config.line_size
     last_path = len(config.cache_levels) - 1
+    resource_names = tuple(r.name for r in config.resources)
+    columns = resource_names + tuple(l.name for l in config.cache_levels)
+    n_res = len(resource_names)
+    uses = [0] * n_res
+    transfers = [0] * len(config.cache_levels)
     key_memo: dict[tuple[int, int], tuple] = {}
-    uses = schedule.resource_uses
 
-    def access_plan(accesses, count_per_pc):
+    def access_plan(accesses, pc_row):
         """Per access: shadow keys plus (path_end, keys-in-line) bandwidth ops."""
         all_keys = []
         ops = []
@@ -183,34 +140,38 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                 if end >= 1:
                     ops.append((end, line_keys))
                     for i in range(1, end + 1):
-                        schedule.level_transfers[i] += 1
-                        count_per_pc[i] += 1
+                        transfers[i] += 1
+                        pc_row[n_res + i] += 1
         return tuple(all_keys), tuple(ops)
 
     frontend_appended = config.frontend_id is not None
     semantics_memo: dict[tuple, tuple] = {}
+    # pc -> (label, latency, explicit resource names) of its first event, and
+    # a row of uses per column (resources, then cache levels) plus its count
+    pcs: dict[int, tuple[str, float, tuple[str, ...], list[int]]] = {}
+    steps = []
+    predicted = mispredicted = 0
     for event in events:
-        validate_event(event)
         sem_key = (event.kind, event.resources, event.latency)
         sem = semantics_memo.get(sem_key)
         if sem is None:
             sem = semantics_memo[sem_key] = bind_semantics(event, config)
         resources, latency, label = sem
 
-        accum = schedule.per_pc.get(event.pc)
-        if accum is None:
+        entry = pcs.get(event.pc)
+        if entry is None:
             explicit = resources[:-1] if frontend_appended else resources
-            names = tuple(schedule.resource_names[i] for i in explicit)
-            accum = _PcAccum(label, latency, names,
-                             schedule.n_resources, schedule.n_levels)
-            schedule.per_pc[event.pc] = accum
-        accum.count += 1
+            entry = pcs[event.pc] = (label, latency,
+                                     tuple(resource_names[i] for i in explicit),
+                                     [0] * (len(columns) + 1))
+        pc_row = entry[3]
+        pc_row[-1] += 1
         for rid in resources:
             uses[rid] += 1
-            accum.res_uses[rid] += 1
+            pc_row[rid] += 1
 
-        read_keys, loads = access_plan(event.mem_reads, accum.cache_uses)
-        write_keys, stores = access_plan(event.mem_writes, accum.cache_uses)
+        read_keys, loads = access_plan(event.mem_reads, pc_row)
+        write_keys, stores = access_plan(event.mem_writes, pc_row)
 
         penalty = 0.0
         if predictor is not None and event.branch.kind != "none":
@@ -218,30 +179,41 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
             penalty = misprediction_delay(prediction, event.branch.taken,
                                           event.branch.target, config.branch)
             predictor.update(event.pc, event.branch.taken, event.branch.target)
-            schedule.branch_predicted += 1
+            predicted += 1
             if penalty:
-                schedule.branch_mispredicted += 1
+                mispredicted += 1
 
-        schedule.steps.append((resources, latency, event.reg_reads,
-                               event.reg_writes, read_keys, write_keys,
-                               loads, stores, penalty))
+        steps.append((resources, latency, event.reg_reads, event.reg_writes,
+                      read_keys, write_keys, loads, stores, penalty))
 
-    if hierarchy is not None:
-        for i, level in enumerate(hierarchy.levels):
-            schedule.level_hits[i] = level.hits
-            schedule.level_misses[i] = level.misses
-    return schedule
+    levels = hierarchy.levels if hierarchy is not None else []
+    return Schedule(
+        steps=steps,
+        resource_uses=dict(zip(resource_names, uses)),
+        per_pc={pc: PcStats(pc=pc, label=label, count=row[-1], latency=latency,
+                            resources=names,
+                            resource_uses={c: n for c, n in zip(columns, row) if n})
+                for pc, (label, latency, names, row) in pcs.items()},
+        cache_stats={level.name: LevelCounters(hits=level.hits, misses=level.misses,
+                                               transfers=transfers[i])
+                     for i, level in enumerate(levels)},
+        branch_predicted=predicted,
+        branch_mispredicted=mispredicted)
 
 
 def run_schedule(schedule: Schedule, config: MachineConfig,
                  record_event_times: bool = False) -> SimResult:
-    """Run the timing recurrence for one (possibly weight-derived) config."""
-    if schedule.n_resources != len(config.resources):
+    """Run the timing recurrence for one (possibly weight-derived) config.
+
+    Only what a weight can change is computed here; the counts come from the
+    schedule and are shared by every result built from it.
+    """
+    if len(schedule.resource_uses) != len(config.resources):
         raise ValueError("schedule was built against a different machine")
     gaps = [r.gap for r in config.resources]
     cache_gaps = [l.gap for l in config.cache_levels]
-    cache_avail = [0.0] * schedule.n_levels
-    avail = [0.0] * schedule.n_resources
+    cache_avail = [0.0] * len(schedule.cache_stats)
+    avail = [0.0] * len(gaps)
     lat_scale = config.latency_scale
     capacity = config.window_capacity
     fe = config.frontend_id if config.frontend_id is not None else -1
@@ -316,35 +288,17 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
             t_ends.append(t_end)
 
     count = len(schedule.steps)
-    names = schedule.resource_names
-    resource_uses = {names[i]: schedule.resource_uses[i]
-                     for i in range(schedule.n_resources)}
-    resource_busy = {names[i]: schedule.resource_uses[i] * gaps[i]
-                     for i in range(schedule.n_resources)}
-    per_pc = {}
-    for pc, accum in schedule.per_pc.items():
-        pc_uses = {names[i]: n for i, n in enumerate(accum.res_uses) if n}
-        pc_uses.update({schedule.level_names[i]: n
-                        for i, n in enumerate(accum.cache_uses) if n})
-        per_pc[pc] = PcStats(pc=pc, label=accum.label, count=accum.count,
-                             latency=accum.latency, resources=accum.resources,
-                             resource_uses=pc_uses)
-    cache_stats = {
-        schedule.level_names[i]: LevelCounters(
-            hits=schedule.level_hits[i], misses=schedule.level_misses[i],
-            transfers=schedule.level_transfers[i])
-        for i in range(schedule.n_levels)}
-    cache_busy = {schedule.level_names[i]: schedule.level_transfers[i] * cache_gaps[i]
-                  for i in range(schedule.n_levels)}
     return SimResult(
         total_cycles=total,
         instruction_count=count,
         ipc=count / total if total > 0 else 0.0,
-        resource_uses=resource_uses,
-        resource_busy=resource_busy,
-        per_pc=per_pc,
-        cache_stats=cache_stats,
-        cache_busy=cache_busy,
+        resource_uses=schedule.resource_uses,
+        resource_busy={name: n * gap
+                       for (name, n), gap in zip(schedule.resource_uses.items(), gaps)},
+        per_pc=schedule.per_pc,
+        cache_stats=schedule.cache_stats,
+        cache_busy={name: c.transfers * gap
+                    for (name, c), gap in zip(schedule.cache_stats.items(), cache_gaps)},
         branch_predicted=schedule.branch_predicted,
         branch_mispredicted=schedule.branch_mispredicted,
         event_end_times=tuple(t_ends) if t_ends is not None else None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources as _importlib_resources
-from math import floor
+from math import floor, inf
 
 from .branch import BranchConfig
 
@@ -45,7 +45,7 @@ class UnknownParameter(LookupError):
 
 class InvalidWeight(ValueError):
     def __init__(self, name: str, weight: float):
-        super().__init__(f"weight for {name!r} must be >= 1, got {weight}")
+        super().__init__(f"weight for {name!r} must be a finite number >= 1, got {weight}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class CacheLevelConfig:
         return self.total_size is None
 
     def validate(self) -> None:
-        if self.gap <= 0:
-            raise ConfigError(f"cache level {self.name!r}: gap must be > 0")
+        if not 0 < self.gap < inf:
+            raise ConfigError(f"cache level {self.name!r}: gap must be finite and > 0")
         geometry = (self.total_size, self.associativity, self.line_size)
         if self.is_backstop:
             if any(v is not None for v in geometry):
@@ -137,8 +137,8 @@ class MachineConfig:
         for i, r in enumerate(self.resources):
             if r.id != i:
                 raise ConfigError("resource ids must be dense and in order")
-            if r.gap <= 0:
-                raise ConfigError(f"resource {r.name!r}: gap must be > 0")
+            if not 0 < r.gap < inf:
+                raise ConfigError(f"resource {r.name!r}: gap must be finite and > 0")
             if r.name in _RESERVED or r.name.endswith(_THR_SUFFIX):
                 raise ConfigError(f"resource name {r.name!r} is reserved")
         if self.window_capacity < 1:
@@ -153,8 +153,8 @@ class MachineConfig:
             for rname in kind.resources:
                 if rname not in self._by_name:
                     raise UnknownResource(rname)
-            if kind.latency < 0:
-                raise ConfigError(f"kind {kind.name!r}: latency must be >= 0")
+            if not 0 <= kind.latency < inf:
+                raise ConfigError(f"kind {kind.name!r}: latency must be finite and >= 0")
         level_names = [l.name for l in self.cache_levels]
         if len(set(level_names)) != len(level_names):
             raise ConfigError("cache level names must be unique")
@@ -218,7 +218,7 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
     for name, w in weights.items():
         if name not in valid:
             raise UnknownParameter(name)
-        if w < 1:
+        if not 1 <= w < inf:
             raise InvalidWeight(name, w)
 
     resources = tuple(
@@ -238,13 +238,28 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
                    latency_scale=latency_scale, window_capacity=capacity)
 
 
-def _require(mapping: dict, key: str, types, context: str):
+_MISSING = object()
+
+
+def _get(mapping: dict, key: str, types, context: str, default=_MISSING):
+    """mapping[key] checked against `types` (a bool only where `types` is
+    bool); `default` when the key is absent, which is an error without one."""
     if key not in mapping:
-        raise ConfigError(f"{context}: missing key {key!r}")
+        if default is _MISSING:
+            raise ConfigError(f"{context}: missing key {key!r}")
+        return default
     value = mapping[key]
-    if not isinstance(value, types) or isinstance(value, bool):
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise ConfigError(f"{context}: key {key!r} has the wrong type")
     return value
+
+
+def _number(mapping: dict, key: str, context: str, default=_MISSING) -> float:
+    """mapping[key] as a float; an integer too large for one is an error."""
+    try:
+        return float(_get(mapping, key, (int, float), context, default))
+    except OverflowError:
+        raise ConfigError(f"{context}: key {key!r} is out of range") from None
 
 
 def load_config(text: str) -> MachineConfig:
@@ -261,36 +276,36 @@ def load_config(text: str) -> MachineConfig:
         if key not in known:
             raise ConfigError(f"unknown top-level config key {key!r}")
 
-    raw_resources = _require(raw, "resources", list, "config")
+    raw_resources = _get(raw, "resources", list, "config")
     resources = []
     for i, entry in enumerate(raw_resources):
         if not isinstance(entry, dict):
             raise ConfigError(f"resources[{i}] must be an object")
-        name = _require(entry, "name", str, f"resources[{i}]")
-        gap = float(_require(entry, "gap", (int, float), f"resources[{i}]"))
+        name = _get(entry, "name", str, f"resources[{i}]")
+        gap = _number(entry, "gap", f"resources[{i}]")
         resources.append(Resource(id=i, name=name, gap=gap))
 
     kinds = {}
-    for name, entry in raw.get("kinds", {}).items():
+    for name, entry in _get(raw, "kinds", dict, "config", {}).items():
         if not isinstance(entry, dict):
             raise ConfigError(f"kind {name!r} must be an object")
-        res = _require(entry, "resources", list, f"kind {name!r}")
+        res = _get(entry, "resources", list, f"kind {name!r}")
         if not all(isinstance(r, str) for r in res):
             raise ConfigError(f"kind {name!r}: resources must be strings")
-        latency = float(_require(entry, "latency", (int, float), f"kind {name!r}"))
+        latency = _number(entry, "latency", f"kind {name!r}")
         kinds[name] = InstructionKind(name=name, resources=tuple(res), latency=latency)
 
     levels = []
-    for i, entry in enumerate(raw.get("caches", [])):
+    for i, entry in enumerate(_get(raw, "caches", list, "config", [])):
         if not isinstance(entry, dict):
             raise ConfigError(f"caches[{i}] must be an object")
-        name = _require(entry, "name", str, f"caches[{i}]")
-        gap = float(_require(entry, "gap", (int, float), f"caches[{i}]"))
+        name = _get(entry, "name", str, f"caches[{i}]")
+        gap = _number(entry, "gap", f"caches[{i}]")
         levels.append(CacheLevelConfig(
             name=name, gap=gap,
-            total_size=entry.get("size"),
-            associativity=entry.get("assoc"),
-            line_size=entry.get("line")))
+            total_size=_get(entry, "size", int, f"caches[{i}]", None),
+            associativity=_get(entry, "assoc", int, f"caches[{i}]", None),
+            line_size=_get(entry, "line", int, f"caches[{i}]", None)))
 
     branch = BranchConfig()
     if "branch" in raw:
@@ -298,26 +313,29 @@ def load_config(text: str) -> MachineConfig:
         if not isinstance(entry, dict):
             raise ConfigError("branch must be an object")
         fields = {
-            "enabled": bool(entry.get("enabled", False)),
-            "btb_sets": entry.get("btb_sets", 64),
-            "btb_ways": entry.get("btb_ways", 4),
-            "tage_entries_log2": entry.get("tage_entries_log2", 10),
-            "misprediction_penalty": float(entry.get("misprediction_penalty", 15.0)),
+            "enabled": _get(entry, "enabled", bool, "branch", False),
+            "btb_sets": _get(entry, "btb_sets", int, "branch", 64),
+            "btb_ways": _get(entry, "btb_ways", int, "branch", 4),
+            "tage_entries_log2": _get(entry, "tage_entries_log2", int, "branch", 10),
+            "misprediction_penalty": _number(entry, "misprediction_penalty", "branch", 15.0),
         }
         if "history_lengths" in entry:
-            fields["history_lengths"] = tuple(entry["history_lengths"])
-            fields["tage_tables"] = entry.get("tage_tables", len(fields["history_lengths"]))
+            lengths = _get(entry, "history_lengths", list, "branch")
+            if not all(isinstance(n, int) and not isinstance(n, bool) for n in lengths):
+                raise ConfigError("branch: history_lengths must be integers")
+            fields["history_lengths"] = tuple(lengths)
+            fields["tage_tables"] = _get(entry, "tage_tables", int, "branch", len(lengths))
         elif "tage_tables" in entry:
             raise ConfigError("branch: tage_tables given without history_lengths")
         branch = BranchConfig(**fields)
 
-    window = _require(raw, "window", int, "config")
+    window = _get(raw, "window", int, "config")
     try:
         return MachineConfig(
             resources=tuple(resources),
             kinds=kinds,
             window_capacity=window,
-            frontend_resource=raw.get("frontend"),
+            frontend_resource=_get(raw, "frontend", str, "config", None),
             cache_levels=tuple(levels),
             branch=branch,
             shadow_granularity=raw.get("shadow_granularity", "byte"),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from concurrent import futures
 from dataclasses import dataclass, field
+from math import inf
 from typing import Iterable, Sequence
 
 from .engine import Schedule, build_schedule, run_schedule
@@ -99,7 +100,7 @@ def sweep_single(trace: Iterable[InstructionEvent], config: MachineConfig,
                  workers: int | None = None) -> SensitivityReport:
     """One rerun per (parameter, weight), against one shared base run."""
     jobs = [((name,), float(w)) for name in parameters for w in weights]
-    return _sweep(list(trace), config, jobs, workers)
+    return _sweep(trace, config, jobs, workers)
 
 
 def sweep_subsets(trace: Iterable[InstructionEvent], config: MachineConfig,
@@ -107,13 +108,13 @@ def sweep_subsets(trace: Iterable[InstructionEvent], config: MachineConfig,
                   workers: int | None = None) -> SensitivityReport:
     """One rerun per subset, all members accelerated together by `weight`."""
     jobs = [(tuple(subset), float(weight)) for subset in subsets]
-    return _sweep(list(trace), config, jobs, workers)
+    return _sweep(trace, config, jobs, workers)
 
 
 def classify(report: SensitivityReport, threshold: float = 0.01) -> list[BottleneckVerdict]:
     """One verdict per parameter set, sorted by descending best speedup."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    if not 0 <= threshold < inf:
+        raise ValueError("threshold must be a finite number >= 0")
     best: dict[tuple[str, ...], float] = {}
     for point in report.points:
         cur = best.get(point.parameters)
@@ -127,7 +128,6 @@ def classify(report: SensitivityReport, threshold: float = 0.01) -> list[Bottlen
 
 
 DEFAULT_WEIGHTS = (1.01, 1.05, 1.10, 1.15)
-HEADROOM_WEIGHTS = (1.25, 1.5, 2.0)
 DEFAULT_THRESHOLD = 0.01
 SUBSET_RUN_CAP = 1000
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Iterator
 
 from .machine import MachineConfig, UnknownKind
@@ -64,7 +65,11 @@ NO_BRANCH = BranchInfo()
 
 @dataclass(frozen=True)
 class InstructionEvent:
-    """One dynamic instruction occurrence."""
+    """One dynamic instruction occurrence.
+
+    Construction checks the record's structural invariants and raises a
+    TraceError naming the first one that fails.
+    """
 
     seq: int
     pc: int
@@ -77,75 +82,119 @@ class InstructionEvent:
     mem_writes: tuple[MemAccess, ...] = ()
     branch: BranchInfo = NO_BRANCH
 
-
-@dataclass(frozen=True, slots=True)
-class ResolvedEvent:
-    """An event with execution semantics bound to a config.
-
-    `resources` holds dense resource ids, with the config's frontend resource
-    appended once beyond whatever the event listed explicitly.
-    """
-
-    seq: int
-    pc: int
-    label: str
-    resources: tuple[int, ...]
-    latency: float
-    reg_reads: tuple[int, ...]
-    reg_writes: tuple[int, ...]
-    mem_reads: tuple[MemAccess, ...]
-    mem_writes: tuple[MemAccess, ...]
-    branch: BranchInfo
-
-
-def validate_event(event: InstructionEvent, line: int | None = None) -> None:
-    """Check the structural invariants of one event, raising a TraceError."""
-    if event.pc < 0:
-        raise MalformedRecord("pc must be >= 0", line)
-    has_inline = event.resources is not None or event.latency is not None
-    if has_inline and (event.resources is None or event.latency is None):
-        raise MalformedRecord("resources and latency must be given together", line)
-    if event.kind is None and not has_inline:
-        raise MalformedRecord("record needs a kind or inline resources+latency", line)
-    if event.latency is not None and event.latency < 0:
-        raise NegativeLatency(f"latency {event.latency} is negative", line)
-    for acc in (*event.mem_reads, *event.mem_writes):
-        if acc.size < 1:
-            raise MalformedRecord("memory access size must be >= 1", line)
-        if acc.addr < 0 or acc.addr + acc.size > _ADDRESS_LIMIT:
-            raise OverflowingAccess(
-                f"access [{acc.addr}, +{acc.size}) leaves the {ADDRESS_BITS}-bit "
-                "address space", line)
-    b = event.branch
-    if b.kind not in BRANCH_KINDS:
-        raise MalformedRecord(f"unknown branch kind {b.kind!r}", line)
-    if b.kind == "none" and (b.taken or b.target != 0):
-        raise MalformedRecord("non-branch records cannot be taken or have a target", line)
-    if b.kind == "direct" and not b.taken:
-        raise MalformedRecord("direct branches are always taken", line)
+    def __post_init__(self):
+        if self.pc < 0:
+            raise MalformedRecord("pc must be >= 0")
+        has_inline = self.resources is not None or self.latency is not None
+        if has_inline and (self.resources is None or self.latency is None):
+            raise MalformedRecord("resources and latency must be given together")
+        if self.kind is None and not has_inline:
+            raise MalformedRecord("record needs a kind or inline resources+latency")
+        if self.latency is not None:
+            if not isfinite(self.latency):
+                raise MalformedRecord(f"latency {self.latency} is not a finite number")
+            if self.latency < 0:
+                raise NegativeLatency(f"latency {self.latency} is negative")
+        for acc in (*self.mem_reads, *self.mem_writes):
+            if acc.size < 1:
+                raise MalformedRecord("memory access size must be >= 1")
+            if acc.addr < 0 or acc.addr + acc.size > _ADDRESS_LIMIT:
+                raise OverflowingAccess(
+                    f"access [{acc.addr}, +{acc.size}) leaves the {ADDRESS_BITS}-bit "
+                    "address space")
+        b = self.branch
+        if b.kind not in BRANCH_KINDS:
+            raise MalformedRecord(f"unknown branch kind {b.kind!r}")
+        if b.kind == "none" and (b.taken or b.target != 0):
+            raise MalformedRecord("non-branch records cannot be taken or have a target")
+        if b.kind == "direct" and not b.taken:
+            raise MalformedRecord("direct branches are always taken")
 
 
 _RECORD_FIELDS = {"pc", "kind", "resources", "latency", "reg_reads", "reg_writes",
                   "mem_reads", "mem_writes", "branch", "seq"}
 
 
-def _int_list(raw, name: str, line: int) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in raw):
-        raise MalformedRecord(f"{name} must be an array of integers", line)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(raw, name: str) -> tuple[int, ...]:
+    if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
+        raise MalformedRecord(f"{name} must be an array of integers")
     return tuple(raw)
 
 
-def _accesses(raw, name: str, line: int) -> tuple[MemAccess, ...]:
+def _accesses(raw, name: str) -> tuple[MemAccess, ...]:
     if not isinstance(raw, list):
-        raise MalformedRecord(f"{name} must be an array", line)
+        raise MalformedRecord(f"{name} must be an array")
     out = []
     for entry in raw:
         if (not isinstance(entry, dict) or set(entry) != {"addr", "size"}
-                or not all(isinstance(entry[k], int) for k in ("addr", "size"))):
-            raise MalformedRecord(f'{name} entries must be {{"addr":int,"size":int}}', line)
+                or not all(_is_int(entry[k]) for k in ("addr", "size"))):
+            raise MalformedRecord(f'{name} entries must be {{"addr":int,"size":int}}')
         out.append(MemAccess(addr=entry["addr"], size=entry["size"]))
     return tuple(out)
+
+
+def _parse_record(raw_line: str, position: int) -> InstructionEvent:
+    """One record's event; `position` is its seq unless the record gives one."""
+    try:
+        raw = json.loads(raw_line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"invalid record: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise MalformedRecord("record must be an object")
+    unknown = set(raw) - _RECORD_FIELDS
+    if unknown:
+        raise MalformedRecord(f"unknown field {sorted(unknown)[0]!r}")
+    if not _is_int(raw.get("pc")):
+        raise MalformedRecord("pc is required and must be an integer")
+
+    kind = raw.get("kind")
+    if kind is not None and not isinstance(kind, str):
+        raise MalformedRecord("kind must be a string")
+    resources = raw.get("resources")
+    if resources is not None:
+        if not isinstance(resources, list) or not all(
+                isinstance(r, str) for r in resources):
+            raise MalformedRecord("resources must be an array of strings")
+        resources = tuple(resources)
+    latency = raw.get("latency")
+    if latency is not None:
+        if isinstance(latency, bool) or not isinstance(latency, (int, float)):
+            raise MalformedRecord("latency must be a number")
+        try:
+            latency = float(latency)
+        except OverflowError:
+            raise MalformedRecord("latency is out of range") from None
+
+    branch = NO_BRANCH
+    if "branch" in raw:
+        b = raw["branch"]
+        if not isinstance(b, dict) or not set(b) <= {"kind", "taken", "target"}:
+            raise MalformedRecord("branch must be {kind, taken, target}")
+        branch = BranchInfo(kind=b.get("kind", "none"), taken=b.get("taken", False),
+                            target=b.get("target", 0))
+        if not (isinstance(branch.kind, str) and isinstance(branch.taken, bool)
+                and _is_int(branch.target)):
+            raise MalformedRecord("branch kind must be a string, taken a boolean "
+                                  "and target an integer")
+
+    seq = raw.get("seq", position)
+    if not _is_int(seq):
+        raise MalformedRecord("seq must be an integer")
+    return InstructionEvent(
+        seq=seq,
+        pc=raw["pc"],
+        kind=kind,
+        resources=resources,
+        latency=latency,
+        reg_reads=_int_list(raw.get("reg_reads", []), "reg_reads"),
+        reg_writes=_int_list(raw.get("reg_writes", []), "reg_writes"),
+        mem_reads=_accesses(raw.get("mem_reads", []), "mem_reads"),
+        mem_writes=_accesses(raw.get("mem_writes", []), "mem_writes"),
+        branch=branch)
 
 
 def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
@@ -161,62 +210,13 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
         if not raw_line.strip():
             continue
         try:
-            raw = json.loads(raw_line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"invalid record: {exc.msg}", lineno) from None
-        if not isinstance(raw, dict):
-            raise MalformedRecord("record must be an object", lineno)
-        unknown = set(raw) - _RECORD_FIELDS
-        if unknown:
-            raise MalformedRecord(f"unknown field {sorted(unknown)[0]!r}", lineno)
-        if "pc" not in raw or not isinstance(raw["pc"], int) or isinstance(raw["pc"], bool):
-            raise MalformedRecord("pc is required and must be an integer", lineno)
-
-        kind = raw.get("kind")
-        if kind is not None and not isinstance(kind, str):
-            raise MalformedRecord("kind must be a string", lineno)
-        resources = raw.get("resources")
-        if resources is not None:
-            if not isinstance(resources, list) or not all(
-                    isinstance(r, str) for r in resources):
-                raise MalformedRecord("resources must be an array of strings", lineno)
-            resources = tuple(resources)
-        latency = raw.get("latency")
-        if latency is not None:
-            if isinstance(latency, bool) or not isinstance(latency, (int, float)):
-                raise MalformedRecord("latency must be a number", lineno)
-            latency = float(latency)
-
-        branch = NO_BRANCH
-        if "branch" in raw:
-            b = raw["branch"]
-            if not isinstance(b, dict) or not set(b) <= {"kind", "taken", "target"}:
-                raise MalformedRecord("branch must be {kind, taken, target}", lineno)
-            branch = BranchInfo(
-                kind=b.get("kind", "none"),
-                taken=bool(b.get("taken", False)),
-                target=b.get("target", 0))
-
-        seq = raw.get("seq", position)
-        if not isinstance(seq, int) or isinstance(seq, bool):
-            raise MalformedRecord("seq must be an integer", lineno)
-        if seq <= last_seq:
-            raise MalformedRecord(f"seq {seq} does not increase", lineno)
-
-        event = InstructionEvent(
-            seq=seq,
-            pc=raw["pc"],
-            kind=kind,
-            resources=resources,
-            latency=latency,
-            reg_reads=_int_list(raw.get("reg_reads", []), "reg_reads", lineno),
-            reg_writes=_int_list(raw.get("reg_writes", []), "reg_writes", lineno),
-            mem_reads=_accesses(raw.get("mem_reads", []), "mem_reads", lineno),
-            mem_writes=_accesses(raw.get("mem_writes", []), "mem_writes", lineno),
-            branch=branch)
-        validate_event(event, lineno)
-        last_seq = seq
-        position = max(position, seq) + 1
+            event = _parse_record(raw_line, position)
+            if event.seq <= last_seq:
+                raise MalformedRecord(f"seq {event.seq} does not increase")
+        except TraceError as exc:
+            raise type(exc)(str(exc), lineno) from None
+        last_seq = event.seq
+        position = max(position, event.seq) + 1
         yield event
 
 
@@ -273,15 +273,3 @@ def bind_semantics(event: InstructionEvent,
     if config.frontend_id is not None:
         ids.append(config.frontend_id)
     return tuple(ids), latency, label
-
-
-def resolve_event(event: InstructionEvent, config: MachineConfig) -> ResolvedEvent:
-    """Bind an event's execution semantics to a config."""
-    validate_event(event)
-    ids, latency, label = bind_semantics(event, config)
-    return ResolvedEvent(
-        seq=event.seq, pc=event.pc, label=label,
-        resources=ids, latency=latency,
-        reg_reads=event.reg_reads, reg_writes=event.reg_writes,
-        mem_reads=event.mem_reads, mem_writes=event.mem_writes,
-        branch=event.branch)

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from oracles import LruSet, RefHierarchy, TreePlruOracle
+from randcases import random_config, random_trace
 from sensim.caches import CacheHierarchy, CacheLevelState, line_accesses, plru_touch, plru_victim
-from sensim.machine import CacheLevelConfig
+from sensim.engine import simulate
+from sensim.machine import CacheLevelConfig, MachineConfig, Resource
+from sensim.trace import InstructionEvent, MemAccess
 
 
 def _level(size, assoc, line, gap=1.0, name="L1"):
@@ -113,45 +116,63 @@ def test_fill_path_installs_in_all_upper_levels():
     assert h.levels[1].probe(128)
 
 
-def test_consume_bandwidth_l1_hit_is_free():
-    h = _hierarchy(("L1", 2 * 64 * 4, 2, 1.0), ("L2", 4 * 64 * 8, 4, 2.0))
-    before = [l.t_avail for l in h.levels]
-    assert h.consume_bandwidth(0) == 0.0
-    assert [l.t_avail for l in h.levels] == before
+def _bandwidth_run(l2_gap, l3_gap, mem_gap, addrs):
+    """Simulate one 8-byte load per address through a one-line L1.
+
+    The loads have no other dependency, so each starts when its cache path
+    (L2 down to the hit level) is available and ends one cycle later.
+    """
+    levels = (_level(64, 1, 64, name="L1"), _level(512, 2, 64, gap=l2_gap, name="L2"),
+              _level(4096, 4, 64, gap=l3_gap, name="L3"),
+              CacheLevelConfig("MEM", gap=mem_gap))
+    config = MachineConfig(resources=(Resource(0, "p0", 1.0),), window_capacity=64,
+                           cache_levels=levels)
+    events = [InstructionEvent(seq=k, pc=4 * k, resources=(), latency=1.0,
+                               mem_reads=(MemAccess(addr, 8),))
+              for k, addr in enumerate(addrs)]
+    return simulate(events, config, record_event_times=True)
 
 
-def test_consume_bandwidth_single_level():
-    h = _hierarchy(("L1", 2 * 64 * 4, 2, 1.0), ("L2", 4 * 64 * 8, 4, 2.0))
-    h.levels[1].t_avail = 3.0
-    assert h.consume_bandwidth(1) == 3.0
-    assert h.levels[1].t_avail == 5.0
+def test_l1_hits_charge_no_bandwidth():
+    result = _bandwidth_run(2.0, 2.0, 4.0, (0, 8, 0))
+    assert list(result.event_end_times) == [1.0, 1.0, 1.0]
+    assert result.cache_stats["L1"].hits == 2
+    assert [c.transfers for c in result.cache_stats.values()] == [0, 1, 1, 1]
+    assert result.cache_busy == {"L1": 0.0, "L2": 2.0, "L3": 2.0, "MEM": 4.0}
 
 
-def test_consume_bandwidth_memory_hit_max_then_increment():
-    h = _hierarchy(("L1", 2 * 64 * 4, 2, 1.0), ("L2", 4 * 64 * 8, 4, 1.0),
-                   ("L3", 8 * 64 * 8, 8, 2.0), ("MEM", None, None, 4.0))
-    h.levels[1].t_avail = 1.0
-    h.levels[2].t_avail = 4.0
-    h.levels[3].t_avail = 9.0
-    assert h.consume_bandwidth(3) == 9.0
-    assert [h.levels[i].t_avail for i in (1, 2, 3)] == [2.0, 6.0, 13.0]
+def test_l2_hit_charges_only_l2():
+    # line 64 evicts line 0 from the one-line L1, so the third load hits L2:
+    # it waits for L2 alone (2), not for memory (10), and advances only L2,
+    # so the last miss waits for memory at 10
+    result = _bandwidth_run(1.0, 1.0, 5.0, (0, 64, 0, 128))
+    assert list(result.event_end_times) == [1.0, 6.0, 3.0, 11.0]
+    assert result.cache_stats["L2"].hits == 1
+    assert [c.transfers for c in result.cache_stats.values()] == [0, 4, 3, 3]
 
 
-def test_t_avail_nondecreasing_and_accounts_transfers():
+def test_memory_path_waits_for_its_busiest_level():
+    # after one miss L2 and MEM are free at 1 but L3 only at 8: the next
+    # miss waits for the max over its path, then each level advances by its gap
+    result = _bandwidth_run(1.0, 8.0, 1.0, (0, 64))
+    assert list(result.event_end_times) == [1.0, 9.0]
+    assert result.cache_busy == {"L1": 0.0, "L2": 2.0, "L3": 16.0, "MEM": 2.0}
+
+
+def test_transfers_are_misses_of_the_level_above():
     rng = random.Random(3)
-    h = _hierarchy(("L1", 2 * 64 * 2, 2, 1.0), ("L2", 4 * 64 * 4, 4, 1.5),
-                   ("MEM", None, None, 4.0))
-    last = [0.0] * 3
-    for _ in range(2000):
-        line = 64 * rng.randrange(256)
-        hit = h.lookup_and_fill(line)
-        h.consume_bandwidth(hit)
-        for i, level in enumerate(h.levels):
-            assert level.t_avail >= last[i]
-            last[i] = level.t_avail
-    for level in h.levels[1:]:
-        assert level.t_avail == pytest.approx(level.transfers * level.gap)
-    assert h.levels[0].transfers == 0  # L1 bandwidth is never consumed
+    for _ in range(20):
+        config = random_config(rng)
+        if not config.cache_levels:
+            continue
+        result = simulate(random_trace(rng, config), config)
+        stats = list(result.cache_stats.values())
+        assert stats[0].transfers == 0  # L1 bandwidth is never consumed
+        for above, level in zip(stats, stats[1:]):
+            assert level.transfers == above.misses
+        for level in config.cache_levels:
+            assert result.cache_busy[level.name] == \
+                result.cache_stats[level.name].transfers * level.gap
 
 
 @pytest.mark.parametrize("seed", range(10))

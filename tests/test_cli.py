@@ -112,3 +112,80 @@ def test_unknown_kind_exits_one(tmp_path, port_block_files, capsys):
     bad.write_text('{"pc":0,"kind":"nosuch"}\n')
     assert main(["simulate", str(bad), "--config", cfg]) == 1
     assert "nosuch" in capsys.readouterr().err
+
+
+def _files_with(tmp_path, edit_config=None, record=None):
+    """The chain kernel's trace and config, with the config edited in place
+    or the trace replaced by one record."""
+    trace = tmp_path / "c.trace"
+    assert main(["gen-kernel", "chain", "--iters", "5", "--out", str(trace)]) == 0
+    cfg = tmp_path / "c.cfg"
+    if edit_config is not None:
+        doc = json.loads(cfg.read_text())
+        edit_config(doc)
+        cfg.write_text(json.dumps(doc))  # writes nan/inf as NaN/Infinity
+    if record is not None:
+        trace.write_text(record + "\n")
+    return str(trace), str(cfg)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["resources"][1].update(gap=float("inf")),
+    lambda d: d["resources"][1].update(gap=float("nan")),
+    lambda d: d["caches"][1].update(gap=float("inf")),
+    lambda d: d.update(kinds={"k": {"resources": ["p0"], "latency": float("nan")}}),
+    lambda d: d["branch"].update(misprediction_penalty=float("inf")),
+    lambda d: d["caches"][0].update(size="x"),
+    lambda d: d["caches"][0].update(assoc=8.0),
+    lambda d: d["caches"][0].update(line=True),
+    lambda d: d["branch"].update(enabled="no"),
+    lambda d: d["branch"].update(btb_sets=64.0),
+    lambda d: d["branch"].update(btb_ways="4"),
+    lambda d: d["branch"].update(tage_entries_log2=None),
+    lambda d: d["branch"].update(tage_tables=4.5),
+    lambda d: d["branch"].update(history_lengths=[4, 8, 16, "32"]),
+    lambda d: d.update(kinds=[]),
+    lambda d: d["resources"][1].update(gap=10**400),
+    lambda d: d["branch"].update(history_lengths=[], tage_tables=0),
+    lambda d: d["branch"].update(history_lengths=[-1, 4, 8, 16]),
+], ids=["resource-gap-inf", "resource-gap-nan", "cache-gap-inf", "kind-latency-nan",
+        "penalty-inf", "size-str", "assoc-float", "line-bool", "enabled-str",
+        "btb-sets-float", "btb-ways-str", "entries-null", "tables-float",
+        "history-str", "kinds-array", "gap-huge-int", "history-empty",
+        "history-negative"])
+def test_bad_config_value_exits_one(tmp_path, capsys, edit):
+    trace, cfg = _files_with(tmp_path, edit_config=edit)
+    capsys.readouterr()
+    assert main(["simulate", trace, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("sensim: error: ")
+
+
+@pytest.mark.parametrize("record", [
+    '{"pc":0,"resources":["p0"],"latency":NaN}',
+    '{"pc":0,"resources":["p0"],"latency":Infinity}',
+    '{"pc":0,"resources":["p0"],"latency":1%s}' % ("0" * 400),
+    '{"pc":0,"kind":"k","branch":{"kind":"conditional","taken":"no","target":4}}',
+    '{"pc":0,"kind":"k","branch":{"kind":"conditional","taken":true,"target":"x"}}',
+    '{"pc":0,"kind":"k","branch":{"kind":1,"taken":true,"target":4}}',
+], ids=["latency-nan", "latency-inf", "latency-huge-int", "taken-str", "target-str", "kind-int"])
+def test_bad_trace_value_exits_one(tmp_path, capsys, record):
+    trace, cfg = _files_with(tmp_path, record=record)
+    capsys.readouterr()
+    assert main(["simulate", trace, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("sensim: error: line 1: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--weights", "nan"],
+    ["--weights", "1.05,inf"],
+    ["--threshold", "nan"],
+    ["--threshold", "inf"],
+], ids=["weights-nan", "weights-inf", "threshold-nan", "threshold-inf"])
+def test_non_finite_sensitivity_flag_exits_one(port_block_files, capsys, flags):
+    trace, cfg = port_block_files
+    capsys.readouterr()
+    assert main(["sensitivity", trace, "--config", cfg, "--resources", "p1",
+                 "--workers", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sensim: error: ")
+    assert "bottleneck" not in captured.out

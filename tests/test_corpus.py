@@ -1,6 +1,6 @@
 import pytest
 
-from sensim.corpus import (KernelSpec, gen_jacobi_like, gen_latency_chain,
+from sensim.corpus import (gen_jacobi_like, gen_latency_chain,
                            gen_port_block, gen_stream, generate)
 from sensim.engine import simulate
 from sensim.machine import accelerable_parameters
@@ -93,10 +93,11 @@ def test_jacobi_events_resolve_and_wrap():
             assert acc.addr < 0x20000 + footprint
 
 
-def test_generate_by_name_and_spec():
+def test_generate_by_name():
     trace, config = generate("chain", iters=10)
     assert len(trace) == 10
-    assert KernelSpec("chain", iters=10).build() == (trace, config)
+    assert (trace, config) == gen_latency_chain(10)
+    assert generate("stream", iters=30, footprint=4096) == gen_stream(30, footprint=4096)
     with pytest.raises(ValueError):
         generate("nosuch")
 

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from randcases import random_config, random_trace
-from sensim.corpus import gen_port_block
-from sensim.engine import (InstructionWindow, ZeroTimeTrace, build_schedule,
-                           occupancy_report, run_schedule, simulate, window_push)
+from sensim.corpus import gen_jacobi_like, gen_port_block
+from sensim.engine import (ZeroTimeTrace, build_schedule, occupancy_report,
+                           run_schedule, simulate)
 from sensim.machine import (INST_LAT, CacheLevelConfig, MachineConfig, Resource,
                             accelerable_parameters, apply_weights)
 from sensim.trace import BranchInfo, InstructionEvent, MemAccess
@@ -43,19 +43,36 @@ def test_three_event_register_chain():
     assert result.total_cycles == 12.0
 
 
-def test_window_push_never_full_keeps_floor_zero():
-    window = InstructionWindow(4)
-    for t_end in (1.0, 1.0, 1.0, 2.0):
-        assert window_push(window, t_end) == 0.0
-    assert window.t_min == 0.0
+def _window_end_times(capacity, latencies):
+    """End times of independent, resource-free events in a window."""
+    events = [InstructionEvent(seq=k, pc=4 * k, resources=(), latency=lat)
+              for k, lat in enumerate(latencies)]
+    result = simulate(events, _one_port_config(window=capacity),
+                      record_event_times=True)
+    return list(result.event_end_times)
 
 
-def test_window_push_fifth_evicts_oldest():
-    window = InstructionWindow(4)
-    for t_end in (1.0, 1.0, 1.0, 2.0):
-        window_push(window, t_end)
-    assert window_push(window, 2.0) == 1.0
-    assert window.t_min == 1.0
+@pytest.mark.parametrize("capacity,latencies,end_times", [
+    # never full: the floor stays 0, so every event starts at once
+    (4, (1.0, 1.0, 1.0, 2.0), [1.0, 1.0, 1.0, 2.0]),
+    # the fifth event evicts the oldest (end 1) and may not start before it
+    (4, (1.0, 1.0, 1.0, 2.0, 1.0), [1.0, 1.0, 1.0, 2.0, 2.0]),
+    # out-of-order completion: the floor max-merges evictions, so a late
+    # first instruction keeps it at 9 after an early one is evicted
+    (2, (9.0, 1.0, 1.0, 1.0), [9.0, 1.0, 10.0, 10.0]),
+])
+def test_window_floor(capacity, latencies, end_times):
+    assert _window_end_times(capacity, latencies) == end_times
+
+
+def test_window_holds_at_most_capacity_in_flight():
+    rng = random.Random(6)
+    for capacity in (1, 2, 3, 7):
+        latencies = [float(rng.randint(0, 9)) for _ in range(60)]
+        ends = _window_end_times(capacity, latencies)
+        starts = [end - lat for end, lat in zip(ends, latencies)]
+        for k in range(capacity, len(ends)):
+            assert starts[k] >= max(ends[:k - capacity + 1])
 
 
 def test_window_capacity_one_serializes():
@@ -64,24 +81,6 @@ def test_window_capacity_one_serializes():
     config = _one_port_config(window=1)
     result = simulate(events, config, record_event_times=True)
     assert list(result.event_end_times) == [3.0, 6.0, 9.0, 12.0, 15.0]
-
-
-def test_window_occupancy_bounded():
-    window = InstructionWindow(3)
-    for k in range(10):
-        window.make_room()
-        assert window.occupancy <= 3
-        window.insert(float(k))
-        assert window.occupancy <= 3
-
-
-def test_window_floor_is_max_merge_of_evictions():
-    # out-of-order completion: a late first instruction keeps the floor high
-    window = InstructionWindow(2)
-    window_push(window, 9.0)
-    window_push(window, 1.0)
-    assert window_push(window, 1.0) == 9.0
-    assert window_push(window, 1.0) == 9.0
 
 
 def test_occupancy_single_event_saturates():
@@ -273,6 +272,19 @@ def test_schedule_reuse_matches_fresh_simulation():
     for name in accelerable_parameters(config)[:4]:
         weighted = apply_weights(config, {name: 1.5})
         assert run_schedule(schedule, weighted) == simulate(trace, weighted)
+
+
+def test_reruns_share_the_schedule_counts():
+    # a rerun computes only what a weight changes: the per-pc, cache and use
+    # counts are built once with the schedule and handed to every result
+    trace, config = gen_jacobi_like(20)
+    schedule = build_schedule(trace, config)
+    base = run_schedule(schedule, config)
+    fast = run_schedule(schedule, apply_weights(config, {"p23": 2.0}))
+    assert fast.total_cycles < base.total_cycles
+    assert fast.per_pc is base.per_pc
+    assert fast.cache_stats is base.cache_stats
+    assert fast.resource_uses is base.resource_uses
 
 
 def test_shadow_memory_monotone_over_run():

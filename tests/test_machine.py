@@ -144,8 +144,9 @@ def test_apply_weights_rejects_bad_input():
     cfg = load_config(MINIMAL)
     with pytest.raises(UnknownParameter):
         apply_weights(cfg, {"nosuch": 2.0})
-    with pytest.raises(InvalidWeight):
-        apply_weights(cfg, {"p0": 0.5})
+    for bad in (0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidWeight):
+            apply_weights(cfg, {"p0": bad})
 
 
 def test_direct_construction_validates():

@@ -131,6 +131,14 @@ def test_classify_all_zero_finds_nothing():
     assert not any(v.is_bottleneck for v in classify(report, 0.01))
 
 
+@pytest.mark.parametrize("threshold", [-0.01, float("nan"), float("inf")])
+def test_classify_rejects_bad_threshold(threshold):
+    trace, config = gen_port_block()
+    report = sweep_single(trace, config, PORTS, [2.0])
+    with pytest.raises(ValueError):
+        classify(report, threshold)
+
+
 def test_worker_fanout_is_deterministic():
     trace, config = gen_port_block()
     serial = sweep_single(trace, config, PORTS, [1.5, 2.0], workers=1)

@@ -4,8 +4,8 @@ import pytest
 
 from sensim.machine import UnknownKind, UnknownResource, load_config
 from sensim.trace import (BranchInfo, InstructionEvent, MalformedRecord, MemAccess,
-                          NegativeLatency, OverflowingAccess, parse_trace,
-                          resolve_event, write_trace)
+                          NegativeLatency, OverflowingAccess, bind_semantics,
+                          parse_trace, write_trace)
 
 MINIMAL_CFG = """
 {"resources": [{"name": "p0", "gap": 1}], "window": 4}
@@ -55,10 +55,34 @@ def test_overflowing_access_rejected():
     '{"pc":0,"kind":"x","mem_reads":[{"addr":0,"size":0}]}',
     '{"pc":0,"kind":"x","branch":{"kind":"direct","taken":false,"target":4}}',
     '{"pc":0,"kind":"x","branch":{"kind":"none","taken":true,"target":0}}',
+    '{"pc":0,"resources":["p1"],"latency":NaN}',
+    '{"pc":0,"resources":["p1"],"latency":Infinity}',
+    '{"pc":0,"resources":["p1"],"latency":-Infinity}',
+    '{"pc":0,"kind":"x","branch":{"kind":"conditional","taken":"no","target":4}}',
+    '{"pc":0,"kind":"x","branch":{"kind":"conditional","taken":1,"target":4}}',
+    '{"pc":0,"kind":"x","branch":{"kind":"indirect","taken":true,"target":"x"}}',
+    '{"pc":0,"kind":"x","branch":{"kind":7,"taken":true,"target":4}}',
+    '{"pc":0,"kind":"x","mem_reads":[{"addr":true,"size":8}]}',
 ])
 def test_malformed_records(record):
     with pytest.raises(MalformedRecord):
         parse(record)
+
+
+@pytest.mark.parametrize("fields,error", [
+    ({"pc": -1, "kind": "x"}, MalformedRecord),
+    ({"pc": 0}, MalformedRecord),
+    ({"pc": 0, "resources": ("p0",)}, MalformedRecord),
+    ({"pc": 0, "resources": ("p0",), "latency": -1.0}, NegativeLatency),
+    ({"pc": 0, "resources": ("p0",), "latency": float("nan")}, MalformedRecord),
+    ({"pc": 0, "kind": "x", "mem_reads": (MemAccess(0, 0),)}, MalformedRecord),
+    ({"pc": 0, "kind": "x", "mem_writes": (MemAccess(2**64 - 4, 8),)}, OverflowingAccess),
+    ({"pc": 0, "kind": "x", "branch": BranchInfo(kind="direct")}, MalformedRecord),
+])
+def test_event_built_in_python_is_validated(fields, error):
+    with pytest.raises(error) as err:
+        InstructionEvent(seq=0, **fields)
+    assert err.value.line is None
 
 
 def test_error_names_offending_line():
@@ -144,10 +168,11 @@ def test_resolve_kind_lookup_appends_frontend():
                {"resources": ["p016", "p01", "p015", "p0156", "p23"], "latency": 4}}}
     """)
     ev = InstructionEvent(seq=0, pc=0, kind="vaddsd-load")
-    resolved = resolve_event(ev, cfg)
-    names = [cfg.resources[i].name for i in resolved.resources]
+    ids, latency, label = bind_semantics(ev, cfg)
+    names = [cfg.resources[i].name for i in ids]
     assert names == ["p016", "p01", "p015", "p0156", "p23", "FRONTEND"]
-    assert resolved.latency == 4.0
+    assert latency == 4.0
+    assert label == "vaddsd-load"
 
 
 def test_resolve_inline_with_frontend():
@@ -156,8 +181,9 @@ def test_resolve_inline_with_frontend():
      "frontend": "FRONTEND", "window": 8}
     """)
     ev = InstructionEvent(seq=0, pc=0, resources=("p4",), latency=4.0)
-    resolved = resolve_event(ev, cfg)
-    assert [cfg.resources[i].name for i in resolved.resources] == ["p4", "FRONTEND"]
+    ids, latency, label = bind_semantics(ev, cfg)
+    assert [cfg.resources[i].name for i in ids] == ["p4", "FRONTEND"]
+    assert (latency, label) == (4.0, "")
 
 
 def test_resolve_inline_overrides_kind():
@@ -166,20 +192,21 @@ def test_resolve_inline_overrides_kind():
      "kinds": {"mul": {"resources": ["p0", "p0"], "latency": 3}}}
     """)
     ev = InstructionEvent(seq=0, pc=0, kind="mul", resources=("p0",), latency=1.0)
-    resolved = resolve_event(ev, cfg)
-    assert len(resolved.resources) == 1
-    assert resolved.latency == 1.0
+    ids, latency, label = bind_semantics(ev, cfg)
+    assert len(ids) == 1
+    assert latency == 1.0
+    assert label == "mul"
 
 
 def test_resolve_unknown_kind_and_resource():
     cfg = load_config(MINIMAL_CFG)
     with pytest.raises(UnknownKind):
-        resolve_event(InstructionEvent(seq=0, pc=0, kind="nosuch"), cfg)
+        bind_semantics(InstructionEvent(seq=0, pc=0, kind="nosuch"), cfg)
     with pytest.raises(UnknownResource):
-        resolve_event(InstructionEvent(seq=0, pc=0, resources=("p9",), latency=1.0), cfg)
+        bind_semantics(InstructionEvent(seq=0, pc=0, resources=("p9",), latency=1.0), cfg)
 
 
 def test_resolve_is_deterministic():
     cfg = load_config(MINIMAL_CFG)
     ev = InstructionEvent(seq=0, pc=0, resources=("p0", "p0"), latency=2.0)
-    assert resolve_event(ev, cfg) == resolve_event(ev, cfg)
+    assert bind_semantics(ev, cfg) == bind_semantics(ev, cfg)
