@@ -18,6 +18,14 @@ from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, classify,
 from .trace import TraceError, parse_trace, write_trace
 
 
+def _default_workers() -> int:
+    """CPUs this process may run on (its affinity mask, which cpuset limits
+    narrow), at most 4."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
+    return min(4, os.cpu_count() or 1)
+
+
 class _Parser(argparse.ArgumentParser):
     # input mistakes exit 1, not argparse's default 2
     def error(self, message):
@@ -53,8 +61,9 @@ def _build_parser() -> _Parser:
     sens.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     sens.add_argument("--heatmap", default=None, metavar="OUT.csv|OUT.svg",
                       help="write the (parameter, weight) grid to a file")
-    sens.add_argument("--workers", type=int, default=min(4, os.cpu_count() or 1),
-                      help="worker processes for the sweep fan-out")
+    sens.add_argument("--workers", type=int, default=_default_workers(),
+                      help="worker processes for the sweep fan-out (>= 1; "
+                           "default: usable CPUs, at most 4)")
 
     gen = sub.add_parser("gen-kernel", help="write a built-in kernel trace + config")
     gen.add_argument("name", choices=sorted(corpus.KERNELS))
@@ -93,7 +102,10 @@ def _cmd_simulate(args) -> int:
 def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
     if raw.startswith("auto"):
         _, _, k = raw.partition(":")
-        return power_subsets(parameters, max_size=int(k) if k else 3)
+        max_size = int(k) if k else 3
+        if max_size < 1:
+            raise ValueError(f"--subsets auto:{k} needs a size >= 1")
+        return power_subsets(parameters, max_size=max_size)
     groups = [tuple(p.strip() for p in group.split(",") if p.strip())
               for group in raw.split(";")]
     return [g for g in groups if g]
@@ -104,6 +116,8 @@ def _cmd_sensitivity(args) -> int:
     weights = [float(w) for w in args.weights.split(",") if w.strip()]
     if not weights or any(not 1 <= w < inf for w in weights):
         raise ConfigError("weights must be finite numbers >= 1")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if args.resources == "all":
         parameters = accelerable_parameters(config)
     else:
@@ -111,9 +125,13 @@ def _cmd_sensitivity(args) -> int:
 
     if args.subsets:
         subsets = _parse_subsets(args.subsets, parameters)
+        if not subsets:
+            raise ValueError("--subsets names no parameter set to sweep")
         report = sweep_subsets(trace, config, subsets, max(weights),
                                workers=args.workers)
     else:
+        if not parameters:
+            raise ValueError("--resources names no parameter to sweep")
         report = sweep_single(trace, config, parameters, weights,
                               workers=args.workers)
     report.verdicts = classify(report, args.threshold)

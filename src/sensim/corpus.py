@@ -127,10 +127,14 @@ def gen_stream(n: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[Instructi
 
     With the default footprint far beyond the last cache level every access
     walks the whole hierarchy, so memory bandwidth (MEM_THR) dominates.
-    Shrinking the footprint below L1 leaves only compulsory misses.
+    Shrinking the footprint below L1 leaves only compulsory misses.  The
+    footprint must be a positive multiple of the 64-byte stride.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if footprint < 64 or footprint % 64:
+        raise ValueError(
+            f"footprint must be a positive multiple of 64 bytes, got {footprint}")
     base = 0x100000
     events = [
         InstructionEvent(seq=k, pc=0x5000, resources=("p23",), latency=4.0,
@@ -159,8 +163,7 @@ KERNELS = {
     "portblock": lambda iters=None, footprint=None: gen_port_block(),
     "jacobi": lambda iters=1000, footprint=None: gen_jacobi_like(iters),
     "chain": lambda iters=1000, footprint=None: gen_latency_chain(iters),
-    "stream": lambda iters=10000, footprint=None: gen_stream(
-        iters, footprint if footprint else 4 * 1024 * 1024),
+    "stream": lambda iters=10000, footprint=4 * 1024 * 1024: gen_stream(iters, footprint),
 }
 
 

@@ -3,16 +3,32 @@ and rank the resulting speedups to find bottlenecks.
 
 A parameter set accelerated by weight w that yields base/accelerated - 1
 above the threshold is a bottleneck.  Every rerun shares one precomputed
-schedule, so a sweep costs one structural pass plus one timing pass per
-(parameters, weight) point; points are independent and may run on worker
+schedule, so a sweep costs one structural pass plus at most one timing pass
+per (parameters, weight) point; points are independent and may run on worker
 processes, with results merged by key so output never depends on completion
 order.
+
+Most points of a sweep need no rerun at all, because the model is monotone.
+Every piece of timing state (resource and cache-level availability, the
+window floor, the register and memory shadows) is built from the parameters
+by `max`, `+` and multiplication by a non-negative latency, and under IEEE
+round-to-nearest each of these is monotone in its operands.  A weight w >= 1
+can only lower a gap or the latency scale, or raise the window capacity, and
+a parameter left out of a set is at weight 1, which changes nothing.  So the
+total time T(S, w) of parameter set S accelerated by w is non-increasing in
+all weights jointly: if set(S) is a subset of set(S2) and w <= w2, then
+(S2, w2) dominates (S, w) and base >= T(S, w) >= T(S2, w2), exactly.  A
+sweep therefore runs in two phases over one worker pool.  Phase 1 reruns the
+maximal points, those no other requested point dominates.  Phase 2 reruns
+only the points no phase-1 point at exactly the base time dominates; every
+other point is squeezed to the base time and is settled without a run.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import inf
 from typing import Iterable, Sequence
@@ -53,31 +69,41 @@ def speedup(base: float, accelerated: float) -> float:
     return base / accelerated - 1
 
 
-_WORKER_STATE: tuple[Schedule, MachineConfig] | None = None
+_WORKER_STATE: tuple[Schedule, list[MachineConfig]] | None = None
 
 
-def _run_point(weights: dict[str, float]) -> float:
-    schedule, config = _WORKER_STATE
-    return run_schedule(schedule, apply_weights(config, weights)).total_cycles
+def _run_point(index: int) -> float:
+    schedule, configs = _WORKER_STATE
+    return run_schedule(schedule, configs[index]).total_cycles
 
 
-def _run_points(schedule: Schedule, config: MachineConfig,
-                jobs: list[dict[str, float]], workers: int | None) -> list[float]:
+@contextmanager
+def _point_runner(schedule: Schedule, configs: list[MachineConfig],
+                  workers: int | None):
+    """Yield run(indices) -> totals, one pool shared by every call."""
     global _WORKER_STATE
-    _WORKER_STATE = (schedule, config)
+    _WORKER_STATE = (schedule, configs)
     try:
-        if workers and workers > 1 and len(jobs) > 1 and hasattr(os, "fork"):
-            # fork workers inherit the schedule; only weights cross the pipe
+        if workers and workers > 1 and len(configs) > 1 and hasattr(os, "fork"):
+            # fork workers inherit the schedule and configs; only indices
+            # and totals cross the pipe
             import multiprocessing
 
             context = multiprocessing.get_context("fork")
             with futures.ProcessPoolExecutor(
-                    max_workers=min(workers, len(jobs)),
+                    max_workers=min(workers, len(configs)),
                     mp_context=context) as pool:
-                return list(pool.map(_run_point, jobs))
-        return [_run_point(job) for job in jobs]
+                yield lambda indices: list(pool.map(_run_point, indices))
+        else:
+            yield lambda indices: [_run_point(i) for i in indices]
     finally:
         _WORKER_STATE = None
+
+
+def _dominated(key: tuple[frozenset, float],
+               by: Iterable[tuple[frozenset, float]]) -> bool:
+    names, w = key
+    return any(names <= other and w <= w2 for other, w2 in by)
 
 
 def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
@@ -85,20 +111,39 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
            workers: int | None) -> SensitivityReport:
     schedule = build_schedule(trace, config)
     base_time = run_schedule(schedule, config).total_cycles
-    times = _run_points(schedule, config,
-                        [{name: w for name in params} for params, w in jobs],
-                        workers)
-    points = [
-        SensitivityPoint(parameters=params, weight=w, time=t,
-                         speedup=speedup(base_time, t))
-        for (params, w), t in zip(jobs, times)]
+    # one config per distinct point, built in job order so a bad name or
+    # weight raises before anything is settled
+    index: dict[tuple[frozenset, float], int] = {}
+    configs = []
+    slots = []
+    for params, w in jobs:
+        key = (frozenset(params), w)
+        if key not in index:
+            index[key] = len(configs)
+            configs.append(apply_weights(config, dict.fromkeys(params, w)))
+        slots.append(index[key])
+    keys = list(index)
+    maximal = [i for i, key in enumerate(keys)
+               if not _dominated(key, (k for k in keys if k is not key))]
+    with _point_runner(schedule, configs, workers) as run:
+        times = dict(zip(maximal, run(maximal)))
+        at_base = [keys[i] for i in maximal if times[i] == base_time]
+        rest = [i for i, key in enumerate(keys)
+                if i not in times and not _dominated(key, at_base)]
+        if rest:
+            times.update(zip(rest, run(rest)))
+    points = []
+    for (params, w), slot in zip(jobs, slots):
+        t = times.get(slot, base_time)
+        points.append(SensitivityPoint(parameters=params, weight=w, time=t,
+                                       speedup=speedup(base_time, t)))
     return SensitivityReport(base_time=base_time, points=points)
 
 
 def sweep_single(trace: Iterable[InstructionEvent], config: MachineConfig,
                  parameters: Sequence[str], weights: Sequence[float],
                  workers: int | None = None) -> SensitivityReport:
-    """One rerun per (parameter, weight), against one shared base run."""
+    """One point per (parameter, weight), against one shared base run."""
     jobs = [((name,), float(w)) for name in parameters for w in weights]
     return _sweep(trace, config, jobs, workers)
 
@@ -106,7 +151,7 @@ def sweep_single(trace: Iterable[InstructionEvent], config: MachineConfig,
 def sweep_subsets(trace: Iterable[InstructionEvent], config: MachineConfig,
                   subsets: Sequence[Sequence[str]], weight: float,
                   workers: int | None = None) -> SensitivityReport:
-    """One rerun per subset, all members accelerated together by `weight`."""
+    """One point per subset, all members accelerated together by `weight`."""
     jobs = [(tuple(subset), float(weight)) for subset in subsets]
     return _sweep(trace, config, jobs, workers)
 

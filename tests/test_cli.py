@@ -189,3 +189,55 @@ def test_non_finite_sensitivity_flag_exits_one(port_block_files, capsys, flags):
     captured = capsys.readouterr()
     assert captured.err.startswith("sensim: error: ")
     assert "bottleneck" not in captured.out
+
+
+@pytest.mark.parametrize("footprint", ["0", "-64", "4", "100"])
+def test_gen_stream_bad_footprint_exits_one(tmp_path, capsys, footprint):
+    rc = main(["gen-kernel", "stream", "--iters", "5", "--footprint", footprint,
+               "--out", str(tmp_path / "s.trace")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("sensim: error: ")
+    assert not (tmp_path / "s.trace").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--subsets", "auto:0"],
+    ["--subsets", "auto:-1"],
+    ["--subsets", ";"],
+    ["--resources", ""],
+    ["--resources", " , "],
+    ["--resources", "", "--subsets", "auto"],
+], ids=["auto-0", "auto-neg", "no-groups", "resources-empty", "resources-blank",
+        "auto-of-nothing"])
+def test_empty_sweep_exits_one(port_block_files, capsys, flags):
+    trace, cfg = port_block_files
+    capsys.readouterr()
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sensim: error: ")
+    assert "base time" not in captured.out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exits_one(port_block_files, capsys, workers):
+    trace, cfg = port_block_files
+    capsys.readouterr()
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sensim: error: --workers")
+    assert captured.out == ""
+
+
+def test_sensitivity_of_empty_trace_exits_one(tmp_path, port_block_files, capsys):
+    # every point of an empty trace is settled at the base time without a
+    # rerun, and each still goes through speedup(), which rejects a zero time
+    _, cfg = port_block_files
+    empty = tmp_path / "empty.trace"
+    empty.write_text("")
+    capsys.readouterr()
+    for workers in ("1", "2"):
+        assert main(["sensitivity", str(empty), "--config", cfg,
+                     "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "sensim: error: speedup needs positive times\n"
+        assert captured.out == ""

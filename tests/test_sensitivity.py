@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+import sensim.sensitivity
 from randcases import random_config, random_trace
-from sensim.corpus import gen_port_block
-from sensim.machine import MachineConfig, Resource, accelerable_parameters
-from sensim.sensitivity import (classify, power_subsets, speedup, sweep_single,
+from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block, gen_stream
+from sensim.engine import build_schedule, run_schedule
+from sensim.machine import MachineConfig, Resource, accelerable_parameters, apply_weights
+from sensim.sensitivity import (DEFAULT_WEIGHTS, SensitivityPoint, SensitivityReport,
+                                classify, power_subsets, speedup, sweep_single,
                                 sweep_subsets)
 from sensim.trace import InstructionEvent
 
@@ -152,3 +155,86 @@ def test_power_subsets_capped():
         ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c")]
     with pytest.raises(ValueError):
         power_subsets([f"p{i}" for i in range(30)], 3)
+
+
+def _brute_force(trace, config, jobs):
+    """The report a sweep must give: one rerun for every point, no settling."""
+    schedule = build_schedule(trace, config)
+    base = run_schedule(schedule, config).total_cycles
+    points = []
+    for params, w in jobs:
+        t = run_schedule(schedule, apply_weights(config, {n: w for n in params})).total_cycles
+        points.append(SensitivityPoint(parameters=params, weight=w, time=t,
+                                       speedup=speedup(base, t)))
+    return SensitivityReport(base_time=base, points=points)
+
+
+def _reference_cases():
+    yield "portblock", gen_port_block()
+    yield "jacobi", gen_jacobi_like(20)
+    yield "chain", gen_latency_chain(30)
+    yield "stream", gen_stream(300)
+    yield "stream-l1", gen_stream(300, footprint=8192)
+    rng = random.Random(41)
+    for k in range(6):
+        config = random_config(rng)
+        yield f"rand{k}", (random_trace(rng, config, max_events=60), config)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_settled_sweeps_equal_brute_force(workers):
+    weights = (1.01, 1.05, 1.10, 1.15, 2.0, 1.0)
+    for name, (trace, config) in _reference_cases():
+        params = accelerable_parameters(config)
+        single = sweep_single(trace, config, params, weights, workers=workers)
+        assert single == _brute_force(
+            trace, config, [((p,), w) for p in params for w in weights]), name
+        subsets = power_subsets(params, 3)
+        grouped = sweep_subsets(trace, config, subsets, 1.15, workers=workers)
+        assert grouped == _brute_force(
+            trace, config, [(s, 1.15) for s in subsets]), name
+
+
+@pytest.fixture()
+def run_calls(monkeypatch):
+    """A list that grows by one per timing run a sweep makes."""
+    calls = []
+
+    def counting_run_schedule(*args, **kwargs):
+        calls.append(None)
+        return run_schedule(*args, **kwargs)
+
+    monkeypatch.setattr(sensim.sensitivity, "run_schedule", counting_run_schedule)
+    return calls
+
+
+def test_sweep_reruns_only_points_that_can_differ(run_calls):
+    # one base run, one run per parameter at the largest weight, and the
+    # three smaller weights only for parameters that moved at the largest
+    trace, config = gen_jacobi_like(200)
+    params = accelerable_parameters(config)
+    top = max(DEFAULT_WEIGHTS)
+    reference = _brute_force(trace, config, [((p,), top) for p in params])
+    moved = sum(p.time != reference.base_time for p in reference.points)
+    assert 0 < moved < len(params)
+    report = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
+    assert len(run_calls) == 1 + len(params) + 3 * moved
+    assert len(report.points) == len(params) * len(DEFAULT_WEIGHTS)
+
+
+def test_duplicate_points_run_once_and_keep_their_places(run_calls):
+    trace, config = gen_port_block()
+    subsets = [("p1",), ("p1", "p0"), ("p0", "p1"), ("p1",)]
+    report = sweep_subsets(trace, config, subsets, 2.0, workers=1)
+    assert [p.parameters for p in report.points] == subsets
+    assert report.points[1].time == report.points[2].time
+    # the base run, then the one maximal set {p0, p1}, which moved, then {p1}
+    assert len(run_calls) == 3
+
+
+def test_bad_weight_raises_even_where_its_point_would_settle():
+    # (p0, 2.0) runs at the base time and dominates (p0, 0.5), but a weight
+    # below 1 breaks the monotonicity that settling rests on
+    trace, config = gen_port_block()
+    with pytest.raises(ValueError, match="weight for 'p0'"):
+        sweep_single(trace, config, ["p0"], [2.0, 0.5])
