@@ -115,3 +115,104 @@ class LruSet:
         self.slots[way] = tag
         self.stamp[way] = self.clock
         return False, way
+
+
+class RefTage:
+    """Naive BTB plus TAGE-style direction predictor.
+
+    Written from the branch unit's description: a bimodal base table of 2-bit
+    counters, and one tagged table of (12-bit tag, 3-bit counter, useful bit)
+    per history length, indexed by the pc hashed with that many of the latest
+    outcomes.  The history is kept as a list of outcomes and re-folded bit by
+    bit on every lookup.  The BTB is a list of sets, most recent entry first.
+    """
+
+    TAG_BITS = 12
+
+    def __init__(self, btb_sets: int, btb_ways: int, entries_log2: int,
+                 history_lengths: tuple[int, ...]):
+        self.btb_sets = btb_sets
+        self.btb_ways = btb_ways
+        self.entries_log2 = entries_log2
+        self.n = 2 ** entries_log2
+        self.lengths = list(history_lengths)
+        self.base = [0] * self.n
+        self.tags = [[-1] * self.n for _ in self.lengths]
+        self.ctrs = [[0] * self.n for _ in self.lengths]
+        self.useful = [[0] * self.n for _ in self.lengths]
+        self.outcomes: list[bool] = []  # oldest first
+        self.btb: list[list[tuple[int, int]]] = [[] for _ in range(btb_sets)]
+
+    def fold(self, length: int, width: int) -> int:
+        """The outcome i branches back lands on bit i mod width, XORed in."""
+        out = 0
+        for i in range(min(length, len(self.outcomes))):
+            if self.outcomes[-1 - i]:
+                out ^= 1 << (i % width)
+        return out
+
+    def slot(self, pc: int, table: int) -> tuple[int, int]:
+        length = self.lengths[table]
+        index = (pc ^ (pc // self.n) ^ self.fold(length, self.entries_log2)) % self.n
+        tag = (pc ^ self.fold(length, self.TAG_BITS)
+               ^ (self.fold(length, self.TAG_BITS - 1) * 2)) % 2 ** self.TAG_BITS
+        return index, tag
+
+    def hits(self, pc: int) -> list[tuple[int, int]]:
+        """(table, index) of every tagged hit, shortest history first."""
+        out = []
+        for table in range(len(self.lengths)):
+            index, tag = self.slot(pc, table)
+            if self.tags[table][index] == tag:
+                out.append((table, index))
+        return out
+
+    def direction(self, pc: int) -> bool:
+        hits = self.hits(pc)
+        if hits:
+            table, index = hits[-1]
+            return self.ctrs[table][index] >= 4
+        return self.base[pc % self.n] >= 2
+
+    def target(self, pc: int) -> int | None:
+        for tag, target in self.btb[pc % self.btb_sets]:
+            if tag == pc:
+                return target
+        return None
+
+    def predict(self, pc: int) -> tuple[bool, int | None]:
+        return self.direction(pc), self.target(pc)
+
+    def update(self, pc: int, taken: bool, target: int) -> None:
+        hits = self.hits(pc)
+        predicted = self.direction(pc)
+        if hits:
+            table, index = hits[-1]
+            if len(hits) > 1:
+                alt = self.ctrs[hits[-2][0]][hits[-2][1]] >= 4
+            else:
+                alt = self.base[pc % self.n] >= 2
+            if alt != predicted:
+                self.useful[table][index] = int(predicted == taken)
+            ctr = self.ctrs[table][index] + (1 if taken else -1)
+            self.ctrs[table][index] = min(7, max(0, ctr))
+        b = self.base[pc % self.n] + (1 if taken else -1)
+        self.base[pc % self.n] = min(3, max(0, b))
+
+        if predicted != taken:
+            longer = range(hits[-1][0] + 1 if hits else 0, len(self.lengths))
+            free = [t for t in longer if self.useful[t][self.slot(pc, t)[0]] == 0]
+            if free:
+                index, tag = self.slot(pc, free[0])
+                self.tags[free[0]][index] = tag
+                self.ctrs[free[0]][index] = 4 if taken else 3
+            else:
+                for t in longer:
+                    self.useful[t][self.slot(pc, t)[0]] = 0
+
+        self.outcomes.append(taken)
+        del self.outcomes[:-self.lengths[-1]]
+
+        if target != 0:
+            entries = [e for e in self.btb[pc % self.btb_sets] if e[0] != pc]
+            self.btb[pc % self.btb_sets] = [(pc, target)] + entries[:self.btb_ways - 1]

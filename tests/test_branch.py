@@ -1,8 +1,11 @@
+import json
 import random
 
 import pytest
 
+from oracles import RefTage
 from sensim.branch import BranchConfig, PredictorState, misprediction_delay
+from sensim.machine import load_config
 
 
 def drive(state, config, pc, outcomes, target=0x40):
@@ -133,3 +136,49 @@ def test_bad_geometry_rejected():
         PredictorState(BranchConfig(enabled=True, history_lengths=(8, 4, 16, 32)))
     with pytest.raises(ValueError):
         PredictorState(BranchConfig(enabled=True, tage_tables=2))
+
+
+def _loaded_branch(**branch):
+    """The branch unit of a one-resource config loaded from JSON."""
+    return load_config(json.dumps({"resources": [{"name": "FE", "gap": 1.0}],
+                                   "window": 1, "frontend": "FE",
+                                   "branch": branch})).branch
+
+
+def _random_geometry(rng):
+    return _loaded_branch(enabled=True, btb_sets=rng.choice((1, 2, 8, 64)),
+                          btb_ways=rng.choice((1, 2, 4)),
+                          tage_entries_log2=rng.randint(1, 4),
+                          history_lengths=sorted(rng.sample(range(1, 25),
+                                                            rng.randint(1, 5))))
+
+
+def test_predictor_matches_reference_tage():
+    rng = random.Random(41)
+    for _ in range(10):
+        config = _random_geometry(rng)
+        state = PredictorState(config)
+        ref = RefTage(config.btb_sets, config.btb_ways, config.tage_entries_log2,
+                      config.history_lengths)
+        # a few pcs in a mostly fixed order, each periodic or random, so tagged
+        # entries hit, collide and run out of room (every longer table's slot
+        # useful, so all of their useful bits are reset); target 0 is never
+        # inserted into the BTB
+        pcs = [rng.randrange(1 << 16) for _ in range(rng.randint(2, 8))]
+        periods = {pc: rng.randint(1, 6) for pc in pcs}
+        for step in range(1200):
+            pc = pcs[step % len(pcs)] if rng.random() < 0.8 else rng.choice(pcs)
+            if periods[pc] > 3:
+                taken = rng.random() < 0.5
+            else:
+                taken = step % (periods[pc] + 1) != 0
+            target = rng.choice((0, 0x40, 0x80, pc + 4))
+            prediction = state.predict(pc, "conditional")
+            assert (prediction.taken, prediction.target) == ref.predict(pc), step
+            state.update(pc, taken, target)
+            ref.update(pc, taken, target)
+        assert state.base == ref.base
+        assert state.tags == ref.tags
+        assert state.ctrs == ref.ctrs
+        assert state.useful == ref.useful
+        assert state.btb == ref.btb
