@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from math import inf
 
 _TAG_BITS = 12
+_TAG_MASK = (1 << _TAG_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,6 @@ class BranchConfig:
     enabled: bool = False
     btb_sets: int = 64
     btb_ways: int = 4
-    tage_tables: int = 4
     tage_entries_log2: int = 10
     history_lengths: tuple[int, ...] = (4, 8, 16, 32)
     misprediction_penalty: float = 15.0
@@ -37,8 +37,6 @@ class BranchConfig:
             raise ValueError("tage_entries_log2 must be >= 1")
         if not self.history_lengths or self.history_lengths[0] < 1:
             raise ValueError("history_lengths must be non-empty and start at >= 1")
-        if self.tage_tables != len(self.history_lengths):
-            raise ValueError("tage_tables must match len(history_lengths)")
         if any(b <= a for a, b in zip(self.history_lengths, self.history_lengths[1:])):
             raise ValueError("history_lengths must be strictly increasing")
         if not 0 <= self.misprediction_penalty < inf:
@@ -64,49 +62,54 @@ def _fold(value: int, length: int, width: int) -> int:
 class PredictorState:
     """Mutable predictor state, private to one simulation run.
 
-    The direction predictor keeps a bimodal base table of 2-bit counters and
-    `tage_tables` tagged tables of (tag, 3-bit counter, useful bit) indexed by
-    pc hashed with geometrically longer slices of the global history.  The
-    provider is the longest-history tag hit; the base table answers otherwise.
+    The direction predictor keeps a bimodal base table of 2-bit counters and,
+    per history length, a tagged table of (tag, 3-bit counter, useful bit)
+    indexed by pc hashed with that slice of the global history.  The provider
+    is the longest-history tag hit; the base table answers otherwise.  The
+    history is folded once per update, for every table's index and tag, so a
+    lookup only hashes the pc into those folds.
     """
 
     def __init__(self, config: BranchConfig):
         config.validate()
         self.config = config
         n = 1 << config.tage_entries_log2
+        tables = len(config.history_lengths)
         self._mask = n - 1
         self.base = [0] * n
-        self.tags = [[-1] * n for _ in range(config.tage_tables)]
-        self.ctrs = [[0] * n for _ in range(config.tage_tables)]
-        self.useful = [[0] * n for _ in range(config.tage_tables)]
-        self.ghr = 0
+        self.tags = [[-1] * n for _ in range(tables)]
+        self.ctrs = [[0] * n for _ in range(tables)]
+        self.useful = [[0] * n for _ in range(tables)]
         self._ghr_mask = (1 << config.history_lengths[-1]) - 1
         self.btb: list[list[tuple[int, int]]] = [[] for _ in range(config.btb_sets)]
+        self._set_history(0)
 
-    def _index(self, pc: int, table: int) -> int:
-        hist = _fold(self.ghr, self.config.history_lengths[table],
-                     self.config.tage_entries_log2)
-        return (pc ^ (pc >> self.config.tage_entries_log2) ^ hist) & self._mask
+    def _set_history(self, ghr: int) -> None:
+        self.ghr = ghr
+        bits = self.config.tage_entries_log2
+        self._folds = [(_fold(ghr, n, bits),
+                        _fold(ghr, n, _TAG_BITS) ^ (_fold(ghr, n, _TAG_BITS - 1) << 1))
+                       for n in self.config.history_lengths]
 
-    def _tag(self, pc: int, table: int) -> int:
-        hist = _fold(self.ghr, self.config.history_lengths[table], _TAG_BITS)
-        h2 = _fold(self.ghr, self.config.history_lengths[table], _TAG_BITS - 1)
-        return (pc ^ hist ^ (h2 << 1)) & ((1 << _TAG_BITS) - 1)
-
-    def _provider(self, pc: int) -> tuple[int, int] | None:
-        """Longest-history tagged hit as (table, index), or None."""
-        for table in range(self.config.tage_tables - 1, -1, -1):
-            idx = self._index(pc, table)
-            if self.tags[table][idx] == self._tag(pc, table):
-                return table, idx
-        return None
-
-    def _direction(self, pc: int) -> tuple[bool, tuple[int, int] | None]:
-        hit = self._provider(pc)
-        if hit is not None:
-            table, idx = hit
-            return self.ctrs[table][idx] >= 4, hit
-        return self.base[pc & self._mask] >= 2, None
+    def _lookup(self, pc: int) -> tuple[list[tuple[int, int]], int | None, int | None, bool]:
+        """The pc's (index, tag) in every tagged table; the provider and
+        alternate tables (the longest and next-longest tag hits, or None);
+        and the predicted direction."""
+        hashed = pc ^ (pc >> self.config.tage_entries_log2)
+        mask = self._mask
+        slots = [((hashed ^ f_index) & mask, (pc ^ f_tag) & _TAG_MASK)
+                 for f_index, f_tag in self._folds]
+        provider = alt = None
+        for table in range(len(slots) - 1, -1, -1):
+            idx, tag = slots[table]
+            if self.tags[table][idx] == tag:
+                if provider is not None:
+                    alt = table
+                    break
+                provider = table
+        if provider is None:
+            return slots, None, None, self.base[pc & mask] >= 2
+        return slots, provider, alt, self.ctrs[provider][slots[provider][0]] >= 4
 
     def btb_lookup(self, pc: int) -> int | None:
         ways = self.btb[pc % self.config.btb_sets]
@@ -117,47 +120,40 @@ class PredictorState:
 
     def predict(self, pc: int, kind: str) -> Prediction:
         """Predict direction and target for a branch at `pc`; state unchanged."""
-        taken, _ = self._direction(pc)
-        return Prediction(taken=taken, target=self.btb_lookup(pc))
+        return Prediction(taken=self._lookup(pc)[3], target=self.btb_lookup(pc))
 
     def update(self, pc: int, taken: bool, target: int) -> None:
         """Train tables with the actual outcome; must follow predict for this pc."""
-        predicted, hit = self._direction(pc)
+        slots, provider, alt, predicted = self._lookup(pc)
+        base_idx = pc & self._mask
 
-        if hit is not None:
-            table, idx = hit
-            # altpred = next longer... next shorter hit, else base table
-            alt = None
-            for t2 in range(table - 1, -1, -1):
-                i2 = self._index(pc, t2)
-                if self.tags[t2][i2] == self._tag(pc, t2):
-                    alt = self.ctrs[t2][i2] >= 4
-                    break
-            if alt is None:
-                alt = self.base[pc & self._mask] >= 2
-            if predicted != alt:
-                self.useful[table][idx] = 1 if predicted == taken else 0
-            ctr = self.ctrs[table][idx]
-            self.ctrs[table][idx] = min(7, ctr + 1) if taken else max(0, ctr - 1)
+        if provider is not None:
+            idx = slots[provider][0]
+            if alt is not None:
+                alt_taken = self.ctrs[alt][slots[alt][0]] >= 4
+            else:
+                alt_taken = self.base[base_idx] >= 2
+            if predicted != alt_taken:
+                self.useful[provider][idx] = 1 if predicted == taken else 0
+            ctr = self.ctrs[provider][idx]
+            self.ctrs[provider][idx] = min(7, ctr + 1) if taken else max(0, ctr - 1)
 
-        b = self.base[pc & self._mask]
-        self.base[pc & self._mask] = min(3, b + 1) if taken else max(0, b - 1)
+        b = self.base[base_idx]
+        self.base[base_idx] = min(3, b + 1) if taken else max(0, b - 1)
 
         if predicted != taken:
-            start = hit[0] + 1 if hit is not None else 0
-            allocated = False
-            for table in range(start, self.config.tage_tables):
-                idx = self._index(pc, table)
+            longer = range(0 if provider is None else provider + 1, len(slots))
+            for table in longer:
+                idx, tag = slots[table]
                 if self.useful[table][idx] == 0:
-                    self.tags[table][idx] = self._tag(pc, table)
+                    self.tags[table][idx] = tag
                     self.ctrs[table][idx] = 4 if taken else 3
-                    allocated = True
                     break
-            if not allocated:
-                for table in range(start, self.config.tage_tables):
-                    self.useful[table][self._index(pc, table)] = 0
+            else:
+                for table in longer:
+                    self.useful[table][slots[table][0]] = 0
 
-        self.ghr = ((self.ghr << 1) | int(taken)) & self._ghr_mask
+        self._set_history(((self.ghr << 1) | int(taken)) & self._ghr_mask)
 
         if target:
             ways = self.btb[pc % self.config.btb_sets]

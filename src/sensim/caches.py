@@ -62,8 +62,11 @@ class CacheLevelState:
     def is_backstop(self) -> bool:
         return self.config.is_backstop
 
-    def probe(self, line: int) -> bool:
-        """Hit test promoting the line's way in the PLRU tree on a hit."""
+    def access(self, line: int) -> bool:
+        """Hit test in one scan of the set: a hit promotes the line's way; a
+        miss installs the line in the first free way, else the PLRU victim.
+        Ways fill in order and are never emptied, so the free ways are the
+        set's tail and the scan stops at the first one."""
         if self.is_backstop:
             return True
         si = (line // self.line_size) % self.n_sets
@@ -72,22 +75,13 @@ class CacheLevelState:
             if tag == line:
                 self.plru[si] = plru_touch(self.plru[si], self.ways, w)
                 return True
-        return False
-
-    def fill(self, line: int) -> None:
-        """Install the line, evicting the PLRU victim if the set is full."""
-        if self.is_backstop:
-            return
-        si = (line // self.line_size) % self.n_sets
-        ways = self.sets[si]
-        for w, tag in enumerate(ways):
             if tag is None:
-                ways[w] = line
-                self.plru[si] = plru_touch(self.plru[si], self.ways, w)
-                return
-        w = plru_victim(self.plru[si], self.ways)
+                break
+        else:
+            w = plru_victim(self.plru[si], self.ways)
         ways[w] = line
         self.plru[si] = plru_touch(self.plru[si], self.ways, w)
+        return False
 
 
 class CacheHierarchy:
@@ -100,15 +94,13 @@ class CacheHierarchy:
         """Index of the nearest level holding the line; fills all levels above.
 
         Returns len(levels) when the line misses every configured level (the
-        implicit always-hit memory behind the last one).
+        implicit always-hit memory behind the last one).  Levels hold
+        independent state, so filling each missing level as the walk passes
+        it equals filling them all after the walk.
         """
-        hit = len(self.levels)
         for i, level in enumerate(self.levels):
-            if level.probe(line):
+            if level.access(line):
                 level.hits += 1
-                hit = i
-                break
+                return i
             level.misses += 1
-        for j in range(hit if hit < len(self.levels) else len(self.levels)):
-            self.levels[j].fill(line)
-        return hit
+        return len(self.levels)

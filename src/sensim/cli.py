@@ -123,7 +123,7 @@ def _cmd_sensitivity(args) -> int:
     else:
         parameters = [p.strip() for p in args.resources.split(",") if p.strip()]
 
-    if args.subsets:
+    if args.subsets is not None:
         subsets = _parse_subsets(args.subsets, parameters)
         if not subsets:
             raise ValueError("--subsets names no parameter set to sweep")

@@ -159,25 +159,28 @@ def _small_hierarchy():
     )
 
 
+# name -> (generator, the overrides it takes in argument order, with defaults)
 KERNELS = {
-    "portblock": lambda iters=None, footprint=None: gen_port_block(),
-    "jacobi": lambda iters=1000, footprint=None: gen_jacobi_like(iters),
-    "chain": lambda iters=1000, footprint=None: gen_latency_chain(iters),
-    "stream": lambda iters=10000, footprint=4 * 1024 * 1024: gen_stream(iters, footprint),
+    "portblock": (gen_port_block, {}),
+    "jacobi": (gen_jacobi_like, {"iters": 1000}),
+    "chain": (gen_latency_chain, {"iters": 1000}),
+    "stream": (gen_stream, {"iters": 10000, "footprint": 4 * 1024 * 1024}),
 }
 
 
 def generate(name: str, iters: int | None = None,
              footprint: int | None = None) -> tuple[list[InstructionEvent], MachineConfig]:
-    """Look up and run a named kernel generator with optional overrides."""
+    """Look up and run a named kernel generator with optional overrides; an
+    override the kernel does not take is an error."""
     try:
-        gen = KERNELS[name]
+        gen, defaults = KERNELS[name]
     except KeyError:
         raise ValueError(f"unknown kernel {name!r}; choose from "
                          f"{', '.join(sorted(KERNELS))}") from None
-    kwargs = {}
-    if iters is not None:
-        kwargs["iters"] = iters
-    if footprint is not None:
-        kwargs["footprint"] = footprint
-    return gen(**kwargs)
+    args = dict(defaults)
+    for key, value in (("iters", iters), ("footprint", footprint)):
+        if value is not None:
+            if key not in args:
+                raise ValueError(f"kernel {name!r} takes no {key} override")
+            args[key] = value
+    return gen(*args.values())

@@ -28,8 +28,8 @@ from typing import Iterable
 
 from .branch import PredictorState, misprediction_delay
 from .caches import CacheHierarchy, line_accesses
-from .machine import MachineConfig
-from .trace import InstructionEvent, bind_semantics
+from .machine import MachineConfig, UnknownKind
+from .trace import InstructionEvent
 
 
 class ZeroTimeTrace(ValueError):
@@ -94,26 +94,43 @@ class Schedule:
     branch_mispredicted: int
 
 
-def _shadow_keys(addr: int, size: int, shift: int | None) -> tuple[int, ...]:
-    if shift is None:
-        return tuple(range(addr, addr + size))
-    return tuple(range(addr >> shift, (addr + size - 1 >> shift) + 1))
+def bind_semantics(event: InstructionEvent,
+                   config: MachineConfig) -> tuple[tuple[int, ...], float, str]:
+    """Resource ids, latency and label for one event under a config.
+
+    Inline resources+latency take precedence over the kind table; the
+    frontend resource, when configured, is appended once to the multiset.
+    The result depends only on (kind, resources, latency), so callers may
+    memoize on that triple.
+    """
+    if event.resources is not None and event.latency is not None:
+        names = event.resources
+        latency = event.latency
+        label = event.kind or ""
+    else:
+        try:
+            kind = config.kinds[event.kind]
+        except KeyError:
+            raise UnknownKind(event.kind) from None
+        names = kind.resources
+        latency = kind.latency
+        label = kind.name
+    ids = [config.resource_id(n) for n in names]
+    if config.frontend_id is not None:
+        ids.append(config.frontend_id)
+    return tuple(ids), latency, label
 
 
 def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) -> Schedule:
     """Resolve a trace and precompute everything timing does not change."""
     hierarchy = CacheHierarchy(config.cache_levels) if config.cache_levels else None
     predictor = PredictorState(config.branch) if config.branch.enabled else None
-    shift = None
-    if config.shadow_granularity == "line":
-        shift = config.line_size.bit_length() - 1
     line_size = config.line_size
     last_path = len(config.cache_levels) - 1
     resource_names = tuple(r.name for r in config.resources)
     columns = resource_names + tuple(l.name for l in config.cache_levels)
     n_res = len(resource_names)
     uses = [0] * n_res
-    transfers = [0] * len(config.cache_levels)
     key_memo: dict[tuple[int, int], tuple] = {}
 
     def access_plan(accesses, pc_row):
@@ -121,27 +138,24 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         all_keys = []
         ops = []
         for acc in accesses:
-            memo = key_memo.get((acc.addr, acc.size))
+            addr, size = acc.addr, acc.size
+            memo = key_memo.get((addr, size))
             if memo is None:
-                keys = _shadow_keys(acc.addr, acc.size, shift)
-                per_line = tuple(
-                    (line, tuple(k for k in keys
-                                 if line <= (k if shift is None else k << shift) < line + line_size))
-                    for line in line_accesses(acc.addr, acc.size, line_size))
-                memo = (keys, per_line)
-                key_memo[(acc.addr, acc.size)] = memo
+                # one key per byte; a line's keys are a slice of the access's
+                keys = tuple(range(addr, addr + size))
+                memo = key_memo[(addr, size)] = (keys, tuple(
+                    (line, keys[max(line - addr, 0):line + line_size - addr])
+                    for line in line_accesses(addr, size, line_size)))
             keys, per_line = memo
             all_keys.extend(keys)
             if hierarchy is None:
                 continue
             for line, line_keys in per_line:
-                hit = hierarchy.lookup_and_fill(line)
-                end = min(hit, last_path)
+                end = min(hierarchy.lookup_and_fill(line), last_path)
                 if end >= 1:
                     ops.append((end, line_keys))
-                    for i in range(1, end + 1):
-                        transfers[i] += 1
-                        pc_row[n_res + i] += 1
+                    for i in range(n_res + 1, n_res + end + 1):
+                        pc_row[i] += 1
         return tuple(all_keys), tuple(ops)
 
     frontend_appended = config.frontend_id is not None
@@ -194,8 +208,9 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                             resources=names,
                             resource_uses={c: n for c, n in zip(columns, row) if n})
                 for pc, (label, latency, names, row) in pcs.items()},
+        # a line crosses level i (i >= 1) exactly when level i-1 missed it
         cache_stats={level.name: LevelCounters(hits=level.hits, misses=level.misses,
-                                               transfers=transfers[i])
+                                               transfers=levels[i - 1].misses if i else 0)
                      for i, level in enumerate(levels)},
         branch_predicted=predicted,
         branch_mispredicted=mispredicted)

@@ -123,7 +123,6 @@ class MachineConfig:
     latency_scale: float = 1.0
     cache_levels: tuple[CacheLevelConfig, ...] = ()
     branch: BranchConfig = field(default_factory=BranchConfig)
-    shadow_granularity: str = "byte"
     _by_name: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -147,8 +146,6 @@ class MachineConfig:
             raise ConfigError("latency_scale must be > 0")
         if self.frontend_resource is not None and self.frontend_resource not in self._by_name:
             raise UnknownResource(self.frontend_resource)
-        if self.shadow_granularity not in ("byte", "line"):
-            raise ConfigError("shadow_granularity must be 'byte' or 'line'")
         for kind in self.kinds.values():
             for rname in kind.resources:
                 if rname not in self._by_name:
@@ -270,8 +267,7 @@ def load_config(text: str) -> MachineConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"resources", "frontend", "window", "kinds", "caches", "branch",
-             "shadow_granularity"}
+    known = {"resources", "frontend", "window", "kinds", "caches", "branch"}
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown top-level config key {key!r}")
@@ -319,15 +315,14 @@ def load_config(text: str) -> MachineConfig:
             "tage_entries_log2": _get(entry, "tage_entries_log2", int, "branch", 10),
             "misprediction_penalty": _number(entry, "misprediction_penalty", "branch", 15.0),
         }
-        if "history_lengths" in entry:
-            lengths = _get(entry, "history_lengths", list, "branch")
-            if not all(isinstance(n, int) and not isinstance(n, bool) for n in lengths):
-                raise ConfigError("branch: history_lengths must be integers")
-            fields["history_lengths"] = tuple(lengths)
-            fields["tage_tables"] = _get(entry, "tage_tables", int, "branch", len(lengths))
-        elif "tage_tables" in entry:
-            raise ConfigError("branch: tage_tables given without history_lengths")
-        branch = BranchConfig(**fields)
+        lengths = _get(entry, "history_lengths", list, "branch",
+                       list(BranchConfig.history_lengths))
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in lengths):
+            raise ConfigError("branch: history_lengths must be integers")
+        # tage_tables is implied by history_lengths; a given one must agree
+        if _get(entry, "tage_tables", int, "branch", len(lengths)) != len(lengths):
+            raise ConfigError("branch: tage_tables must match len(history_lengths)")
+        branch = BranchConfig(history_lengths=tuple(lengths), **fields)
 
     window = _get(raw, "window", int, "config")
     try:
@@ -338,7 +333,6 @@ def load_config(text: str) -> MachineConfig:
             frontend_resource=_get(raw, "frontend", str, "config", None),
             cache_levels=tuple(levels),
             branch=branch,
-            shadow_granularity=raw.get("shadow_granularity", "byte"),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -367,12 +361,10 @@ def dump_config(config: MachineConfig) -> str:
     b = config.branch
     doc["branch"] = {
         "enabled": b.enabled, "btb_sets": b.btb_sets, "btb_ways": b.btb_ways,
-        "tage_tables": b.tage_tables, "tage_entries_log2": b.tage_entries_log2,
+        "tage_tables": len(b.history_lengths), "tage_entries_log2": b.tage_entries_log2,
         "history_lengths": list(b.history_lengths),
         "misprediction_penalty": b.misprediction_penalty,
     }
-    if config.shadow_granularity != "byte":
-        doc["shadow_granularity"] = config.shadow_granularity
     return json.dumps(doc, indent=2) + "\n"
 
 

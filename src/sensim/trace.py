@@ -1,11 +1,10 @@
-"""Instruction-event stream: record types, the newline-delimited file format,
-and resolution of events against a machine configuration.
+"""Instruction-event stream: record types and the newline-delimited file format.
 
 Each record carries observed truth for one dynamic instruction (actual branch
 outcome, actual addresses); the simulator never re-derives control flow or
-aliasing.  Execution semantics come either from a `kind` looked up in the
-config's kind table or from inline `resources` + `latency` (the inline pair
-wins when both are present, so small examples need no kind table).
+aliasing.  A record names its execution semantics by a `kind` or by inline
+`resources` + `latency`; `engine.bind_semantics` resolves them against a
+machine.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import json
 from dataclasses import dataclass
 from math import isfinite
 from typing import Iterable, Iterator
-
-from .machine import MachineConfig, UnknownKind
 
 ADDRESS_BITS = 64
 _ADDRESS_LIMIT = 1 << ADDRESS_BITS
@@ -247,29 +244,3 @@ def write_trace(events: Iterable[InstructionEvent]) -> str:
         out.append(json.dumps(record, separators=(",", ":")))
     return "".join(line + "\n" for line in out)
 
-
-def bind_semantics(event: InstructionEvent,
-                   config: MachineConfig) -> tuple[tuple[int, ...], float, str]:
-    """Resource ids, latency and label for one event under a config.
-
-    Inline resources+latency take precedence over the kind table; the
-    frontend resource, when configured, is appended once to the multiset.
-    The result depends only on (kind, resources, latency), so callers may
-    memoize on that triple.
-    """
-    if event.resources is not None and event.latency is not None:
-        names = event.resources
-        latency = event.latency
-        label = event.kind or ""
-    else:
-        try:
-            kind = config.kinds[event.kind]
-        except KeyError:
-            raise UnknownKind(event.kind) from None
-        names = kind.resources
-        latency = kind.latency
-        label = kind.name
-    ids = [config.resource_id(n) for n in names]
-    if config.frontend_id is not None:
-        ids.append(config.frontend_id)
-    return tuple(ids), latency, label

@@ -169,9 +169,7 @@ def test_criterion_7_cache_oracle():
             addr = 64 * rng.randrange(128)
             si = (addr // 64) % level.n_sets
             before = list(level.sets[si])
-            hit = level.probe(addr)
-            if not hit:
-                level.fill(addr)
+            hit = level.access(addr)
             ref_hit, ref_way = refs[si].access(addr)
             assert hit == ref_hit
             if not hit:

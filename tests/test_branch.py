@@ -5,7 +5,7 @@ import pytest
 
 from oracles import RefTage
 from sensim.branch import BranchConfig, PredictorState, misprediction_delay
-from sensim.machine import load_config
+from sensim.machine import ConfigError, load_config
 
 
 def drive(state, config, pc, outcomes, target=0x40):
@@ -93,7 +93,7 @@ def test_allocation_on_mispredict_without_tagged_hit():
     config = BranchConfig(enabled=True)
     state = PredictorState(config)
     pc = 0x4242
-    assert state._provider(pc) is None
+    assert state._lookup(pc)[1] is None  # no tagged hit
     state.update(pc, True, 0)  # base predicts not-taken: mispredict, allocate
     allocated = sum(tag != -1 for table in state.tags for tag in table)
     assert allocated == 1
@@ -134,8 +134,8 @@ def test_misprediction_delay_cases():
 def test_bad_geometry_rejected():
     with pytest.raises(ValueError):
         PredictorState(BranchConfig(enabled=True, history_lengths=(8, 4, 16, 32)))
-    with pytest.raises(ValueError):
-        PredictorState(BranchConfig(enabled=True, tage_tables=2))
+    with pytest.raises(ConfigError):
+        _loaded_branch(enabled=True, tage_tables=2)
 
 
 def _loaded_branch(**branch):

@@ -78,9 +78,7 @@ def test_two_way_plru_is_exactly_lru():
         line = 64 * rng.randrange(64)
         si = (line // 64) % level.n_sets
         before = list(level.sets[si])
-        hit = level.probe(line)
-        if not hit:
-            level.fill(line)
+        hit = level.access(line)
         ref_hit, ref_way = refs[si].access(line)
         assert hit == ref_hit
         if not hit:
@@ -112,8 +110,8 @@ def test_fill_path_installs_in_all_upper_levels():
                    ("MEM", None, None, 4.0))
     assert h.lookup_and_fill(128) == 2
     # present in both cache levels now
-    assert h.levels[0].probe(128)
-    assert h.levels[1].probe(128)
+    assert h.levels[0].access(128)
+    assert h.levels[1].access(128)
 
 
 def _bandwidth_run(l2_gap, l3_gap, mem_gap, addrs):

@@ -148,11 +148,12 @@ def _files_with(tmp_path, edit_config=None, record=None):
     lambda d: d["resources"][1].update(gap=10**400),
     lambda d: d["branch"].update(history_lengths=[], tage_tables=0),
     lambda d: d["branch"].update(history_lengths=[-1, 4, 8, 16]),
+    lambda d: d.update(shadow_granularity="byte"),
 ], ids=["resource-gap-inf", "resource-gap-nan", "cache-gap-inf", "kind-latency-nan",
         "penalty-inf", "size-str", "assoc-float", "line-bool", "enabled-str",
         "btb-sets-float", "btb-ways-str", "entries-null", "tables-float",
         "history-str", "kinds-array", "gap-huge-int", "history-empty",
-        "history-negative"])
+        "history-negative", "shadow-granularity"])
 def test_bad_config_value_exits_one(tmp_path, capsys, edit):
     trace, cfg = _files_with(tmp_path, edit_config=edit)
     capsys.readouterr()
@@ -200,6 +201,19 @@ def test_gen_stream_bad_footprint_exits_one(tmp_path, capsys, footprint):
     assert not (tmp_path / "s.trace").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["portblock", "--iters", "5"],
+    ["portblock", "--footprint", "64"],
+    ["jacobi", "--footprint", "64"],
+    ["chain", "--footprint", "4"],
+], ids=["portblock-iters", "portblock-footprint", "jacobi-footprint", "chain-footprint"])
+def test_gen_kernel_unused_override_exits_one(tmp_path, capsys, args):
+    rc = main(["gen-kernel", *args, "--out", str(tmp_path / "k.trace")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("sensim: error: kernel ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["--subsets", "auto:0"],
     ["--subsets", "auto:-1"],
@@ -207,8 +221,9 @@ def test_gen_stream_bad_footprint_exits_one(tmp_path, capsys, footprint):
     ["--resources", ""],
     ["--resources", " , "],
     ["--resources", "", "--subsets", "auto"],
+    ["--subsets", ""],
 ], ids=["auto-0", "auto-neg", "no-groups", "resources-empty", "resources-blank",
-        "auto-of-nothing"])
+        "auto-of-nothing", "subsets-empty"])
 def test_empty_sweep_exits_one(port_block_files, capsys, flags):
     trace, cfg = port_block_files
     capsys.readouterr()

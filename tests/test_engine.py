@@ -266,14 +266,11 @@ def test_monotone_under_single_accelerations():
 
 
 def _monotonicity_cases():
-    """Random machines as generated, with line-granular shadows, and with the
-    stream kernel's hierarchy plus an enabled branch unit on random branches."""
+    """Random machines as generated, and the stream kernel's hierarchy plus an
+    enabled branch unit on random branches."""
     rng = random.Random(31)
     for _ in range(12):
         config = random_config(rng)
-        yield config, random_trace(rng, config, max_events=80)
-    for _ in range(6):
-        config = replace(random_config(rng), shadow_granularity="line")
         yield config, random_trace(rng, config, max_events=80)
     _, stream = gen_stream(1)
     branchy = replace(stream, branch=replace(stream.branch, enabled=True))

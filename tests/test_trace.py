@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from sensim.engine import bind_semantics
 from sensim.machine import UnknownKind, UnknownResource, load_config
 from sensim.trace import (BranchInfo, InstructionEvent, MalformedRecord, MemAccess,
-                          NegativeLatency, OverflowingAccess, bind_semantics,
-                          parse_trace, write_trace)
+                          NegativeLatency, OverflowingAccess, parse_trace, write_trace)
 
 MINIMAL_CFG = """
 {"resources": [{"name": "p0", "gap": 1}], "window": 4}
