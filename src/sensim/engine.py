@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable
 
 from .branch import PredictorState, misprediction_delay
@@ -34,6 +35,10 @@ from .trace import InstructionEvent
 
 class ZeroTimeTrace(ValueError):
     """Raised when a per-cycle report is asked of a zero-cycle result."""
+
+
+class TimeOverflow(ValueError):
+    """Raised when a run's total or busy time exceeds the largest float."""
 
 
 @dataclass(frozen=True)
@@ -302,18 +307,25 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         if t_ends is not None:
             t_ends.append(t_end)
 
+    resource_busy = {name: n * gap
+                     for (name, n), gap in zip(schedule.resource_uses.items(), gaps)}
+    cache_busy = {name: c.transfers * gap
+                  for (name, c), gap in zip(schedule.cache_stats.items(), cache_gaps)}
+    # finite inputs overflow only to +inf (timing uses only max, + and *
+    # by non-negative numbers), and a weight can only lower every time, so
+    # a sweep whose base run passes this check never fails it on a rerun
+    if total == inf or inf in resource_busy.values() or inf in cache_busy.values():
+        raise TimeOverflow("simulated time overflowed")
     count = len(schedule.steps)
     return SimResult(
         total_cycles=total,
         instruction_count=count,
         ipc=count / total if total > 0 else 0.0,
         resource_uses=schedule.resource_uses,
-        resource_busy={name: n * gap
-                       for (name, n), gap in zip(schedule.resource_uses.items(), gaps)},
+        resource_busy=resource_busy,
         per_pc=schedule.per_pc,
         cache_stats=schedule.cache_stats,
-        cache_busy={name: c.transfers * gap
-                    for (name, c), gap in zip(schedule.cache_stats.items(), cache_gaps)},
+        cache_busy=cache_busy,
         branch_predicted=schedule.branch_predicted,
         branch_mispredicted=schedule.branch_mispredicted,
         event_end_times=tuple(t_ends) if t_ends is not None else None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from importlib import resources as _importlib_resources
 from math import floor, inf
 
 from .branch import BranchConfig
@@ -370,5 +369,9 @@ def dump_config(config: MachineConfig) -> str:
 
 def builtin_config(name: str) -> str:
     """Text of a configuration shipped with the package (e.g. 'skylake-like')."""
-    path = _importlib_resources.files(__package__) / "configs" / f"{name}.cfg"
+    # imported here: it loads pathlib, tempfile and more, which only
+    # set-up needs
+    from importlib import resources
+
+    path = resources.files(__package__) / "configs" / f"{name}.cfg"
     return path.read_text(encoding="utf-8")

@@ -8,9 +8,8 @@ byte-stable across runs and concurrency levels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from json.encoder import encode_basestring_ascii
 
 from .engine import SimResult, ZeroTimeTrace, occupancy_report
 from .sensitivity import SensitivityReport
@@ -133,7 +132,51 @@ def run_report_json(result: SimResult, instruction_rows: list[InstructionRow] | 
              "latency": r.latency, "resources": list(r.resources),
              "shares": {k: round(v, 1) for k, v in sorted(r.shares.items())}}
             for r in instruction_rows]
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    return _dumps(doc, "\n") + "\n"
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_str(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# keyed by exact type, so True is not written as an int
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(value, newline: str) -> str:
+    """`value` exactly as json.dumps(value, sort_keys=True, separators=(",",
+    ": "), indent=1) writes it; `newline` is a line break plus the indent of
+    the value's own line.  Dict keys must be strings.
+
+    Given an indent, json.dumps runs its pure-Python generator encoder and
+    yields one chunk per token; this builds each container with one join.
+    """
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + " "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def format_run_report(result: SimResult) -> str:
@@ -165,6 +208,12 @@ def _fmt(value: float) -> str:
     if value == int(value):
         return str(int(value))
     return repr(value)
+
+
+def _escape(text: str) -> str:
+    """Text safe in SVG character data and in a double-quoted attribute."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
 
 
 def _param_key(parameters: tuple[str, ...]) -> str:
@@ -218,7 +267,7 @@ def heatmap_svg(report: SensitivityReport) -> str:
                      f"w={_fmt(w)}</text>")
     for ki, key in enumerate(keys):
         x = left + ki * cell_w
-        parts.append(f'<g class="bar" id="bar-{escape(key)}">')
+        parts.append(f'<g class="bar" id="bar-{_escape(key)}">')
         for wi, w in enumerate(weights):
             s = by_cell.get((key, w))
             if s is None:
@@ -232,7 +281,7 @@ def heatmap_svg(report: SensitivityReport) -> str:
         parts.append(f'<text x="{x}" y="{top + cell_h * len(weights) + 16}" '
                      f'font-family="monospace" font-size="11" '
                      f'transform="rotate(35 {x} {top + cell_h * len(weights) + 16})">'
-                     f"{escape(key)}</text>")
+                     f"{_escape(key)}</text>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

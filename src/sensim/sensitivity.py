@@ -27,7 +27,6 @@ other point is squeezed to the base time and is settled without a run.
 from __future__ import annotations
 
 import os
-from concurrent import futures
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import inf
@@ -88,6 +87,7 @@ def _point_runner(schedule: Schedule, configs: list[MachineConfig],
             # fork workers inherit the schedule and configs; only indices
             # and totals cross the pipe
             import multiprocessing
+            from concurrent import futures
 
             context = multiprocessing.get_context("fork")
             with futures.ProcessPoolExecutor(

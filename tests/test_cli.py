@@ -256,3 +256,40 @@ def test_sensitivity_of_empty_trace_exits_one(tmp_path, port_block_files, capsys
         captured = capsys.readouterr()
         assert captured.err == "sensim: error: speedup needs positive times\n"
         assert captured.out == ""
+
+
+def _overflow_files(tmp_path):
+    """Two dependent records whose finite latencies sum past the largest float."""
+    trace = tmp_path / "o.trace"
+    trace.write_text('{"pc":0,"resources":["r"],"latency":1e308,"reg_writes":[1]}\n'
+                     '{"pc":4,"resources":["r"],"latency":1e308,"reg_reads":[1]}\n')
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text('{"resources": [{"name": "r", "gap": 1}], "window": 4}')
+    return str(trace), str(cfg)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate"],
+    ["simulate", "--per-instruction"],
+    ["simulate", "--report", "json"],
+    ["simulate", "--report", "json", "--per-instruction"],
+    ["sensitivity", "--workers", "1"],
+    ["sensitivity", "--workers", "2"],
+], ids=["simulate-table", "simulate-table-per-pc", "simulate-json",
+        "simulate-json-per-pc", "sensitivity", "sensitivity-pool"])
+def test_overflowed_total_exits_one(tmp_path, capsys, args):
+    trace, cfg = _overflow_files(tmp_path)
+    assert main([args[0], trace, "--config", cfg, *args[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sensim: error: simulated time overflowed\n"
+    assert captured.out == ""
+
+
+def test_overflowed_busy_time_exits_one(tmp_path, capsys):
+    # the total, about 1e308, is finite; two uses at gap 1e308 are not
+    trace = tmp_path / "b.trace"
+    trace.write_text('{"pc":0,"resources":["r"],"latency":1}\n' * 2)
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text('{"resources": [{"name": "r", "gap": 1e308}], "window": 4}')
+    assert main(["simulate", str(trace), "--config", str(cfg), "--report", "json"]) == 1
+    assert capsys.readouterr().err == "sensim: error: simulated time overflowed\n"

@@ -2,10 +2,15 @@
 
 The record format (`trace`) and the branch unit stand alone, the caches know
 only the machine description, nothing depends on the command line, and the
-graph has no cycle.
+graph has no cycle.  Importing the command line loads no networking, mail
+or XML module.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +73,22 @@ def test_import_graph_is_acyclic():
 
     for module in sorted(GRAPH):
         visit(module, [])
+
+
+# each costs milliseconds and megabytes on every command, for nothing the
+# commands do (xml.sax.saxutils, for one, loads urllib.request)
+HEAVY_MODULES = ("urllib.request", "http", "email", "ssl", "socket", "xml")
+
+
+def test_cli_imports_no_heavy_module():
+    # -S keeps site-packages .pth hooks, which may import anything, out of it
+    code = ("import json, sys; before = set(sys.modules); import sensim.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    assert "sensim.cli" in loaded
+    heavy = [m for m in loaded
+             if any(m == h or m.startswith(h + ".") for h in HEAVY_MODULES)]
+    assert heavy == []

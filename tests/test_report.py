@@ -1,13 +1,17 @@
+import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensim.corpus import gen_jacobi_like, gen_port_block
 from sensim.engine import ZeroTimeTrace, simulate
 from sensim.machine import MachineConfig, Resource
-from sensim.report import (emit_heatmap, format_instruction_table, format_run_report,
-                           render_instruction_table, run_report, run_report_json,
-                           table_columns)
+from sensim.report import (_dumps, emit_heatmap, format_instruction_table,
+                           format_run_report, render_instruction_table, run_report,
+                           run_report_json, table_columns)
 from sensim.sensitivity import SensitivityPoint, SensitivityReport, sweep_single
 from sensim.trace import InstructionEvent
 
@@ -104,6 +108,53 @@ def test_run_report_json_byte_stable():
     assert run_report_json(result).endswith("\n")
 
 
+def _reference_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+_LEAVES = st.one_of(
+    st.text(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-2**64),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.none(),
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40)
+
+
+@settings(deadline=None)
+@given(_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert _dumps(doc, "\n") == _reference_json(doc)
+
+
+@pytest.mark.parametrize("value", [object(), {1: 2}, [b"x"], {"a": {1.5}}])
+def test_json_writer_rejects_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        _dumps(value, "\n")
+
+
+def test_run_report_json_equals_json_dumps():
+    # string-sorted pc keys put 0x10 before 0x9; table rows stay in pc order
+    config = MachineConfig(resources=(Resource(0, "r", 1.0),), window_capacity=4)
+    events = [InstructionEvent(seq=i, pc=pc, kind="\u00e9\u0001", resources=("r",),
+                               latency=1.5)
+              for i, pc in enumerate([0x9, 0x10, 0x9])]
+    result = simulate(events, config)
+    text = run_report_json(result, render_instruction_table(result))
+    doc = json.loads(text)
+    assert text == _reference_json(doc) + "\n"
+    assert list(doc["per_pc"]) == ["0x10", "0x9"]
+    assert [row["pc"] for row in doc["instruction_table"]] == ["0x9", "0x10"]
+    assert doc["instruction_table"][0]["kind"] == "\u00e9\u0001"
+    assert '"kind": "\\u00e9\\u0001"' in text
+
+
 def test_format_run_report_smoke():
     trace, config = gen_jacobi_like(100)
     text = format_run_report(simulate(trace, config))
@@ -158,6 +209,17 @@ def test_heatmap_svg_intensity_tracks_speedup():
         fills[bar.get("id")] = rects[0].get("fill")
     assert fills["bar-b"] == "#ffffff"   # zero speedup stays white
     assert fills["bar-a"] == "#000000"   # the peak is fully saturated
+
+
+def test_heatmap_svg_escapes_parameter_names():
+    names = ['a"b', "c&d", "e<f", "g>h"]
+    report = SensitivityReport(base_time=4.0, points=[
+        SensitivityPoint((name,), 2.0, 3.0, 1 / 3) for name in names])
+    root = ET.fromstring(emit_heatmap(report, "svg"))
+    ids = [bar.get("id") for bar in root.iter("{http://www.w3.org/2000/svg}g")]
+    labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert sorted(ids) == sorted(f"bar-{name}" for name in names)
+    assert set(names) <= set(labels)
 
 
 def test_heatmap_rejects_unknown_format():
