@@ -32,8 +32,7 @@ def gen_port_block() -> tuple[list[InstructionEvent], MachineConfig]:
         InstructionEvent(seq=i, pc=0x1000 + 4 * i, resources=(port,), latency=1.0)
         for i, port in enumerate(ports)]
     config = MachineConfig(
-        resources=tuple(Resource(id=i, name=name, gap=1.0)
-                        for i, name in enumerate(["p0", "p1", "p2", "p3", "p5", "p6"])),
+        resources=tuple(Resource(name, 1.0) for name in ("p0", "p1", "p2", "p3", "p5", "p6")),
         window_capacity=4)
     return events, config
 
@@ -114,7 +113,7 @@ def gen_latency_chain(n: int) -> tuple[list[InstructionEvent], MachineConfig]:
                          reg_reads=(0,), reg_writes=(0,))
         for k in range(n)]
     config = MachineConfig(
-        resources=(Resource(0, "FRONTEND", 0.25), Resource(1, "p0", 1.0)),
+        resources=(Resource("FRONTEND", 0.25), Resource("p0", 1.0)),
         window_capacity=64,
         frontend_resource="FRONTEND",
         cache_levels=_small_hierarchy(),
@@ -142,7 +141,7 @@ def gen_stream(n: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[Instructi
                          reg_writes=(0,))
         for k in range(n)]
     config = MachineConfig(
-        resources=(Resource(0, "FRONTEND", 0.25), Resource(1, "p23", 0.5)),
+        resources=(Resource("FRONTEND", 0.25), Resource("p23", 0.5)),
         window_capacity=64,
         frontend_resource="FRONTEND",
         cache_levels=_small_hierarchy(),

@@ -222,11 +222,15 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
 
 
 def run_schedule(schedule: Schedule, config: MachineConfig,
-                 record_event_times: bool = False) -> SimResult:
+                 record_event_times: bool = False,
+                 critical: set[frozenset[int]] | None = None) -> SimResult:
     """Run the timing recurrence for one (possibly weight-derived) config.
 
     Only what a weight can change is computed here; the counts come from the
-    schedule and are shared by every result built from it.
+    schedule and are shared by every result built from it.  Given a set,
+    `critical` gets the ids of each distinct set of resources that alone
+    reached an event's start: their availability equals it and is strictly
+    above the window floor and every shadow the event reads.
     """
     if len(schedule.resource_uses) != len(config.resources):
         raise ValueError("schedule was built against a different machine")
@@ -275,10 +279,13 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
             v = sm_get(k, 0.0)
             if v > t:
                 t = v
+        ready = t
         for rid in resources:
             v = avail[rid]
             if v > t:
                 t = v
+        if critical is not None and t > ready:
+            critical.add(frozenset([rid for rid in resources if avail[rid] == t]))
         t_end = t + latency * lat_scale
         for rid in resources:
             a = avail[rid]

@@ -18,6 +18,9 @@ INST_LAT = "INST_LAT"
 INST_WINDOW = "INST_WINDOW"
 _THR_SUFFIX = "_THR"
 _RESERVED = (INST_LAT, INST_WINDOW)
+# characters the sweep and report syntax use: `--resources a,b`, subset keys
+# `a+b`, `--subsets a;b`, CSV fields and SVG attributes
+_UNSAFE = ',;+"'
 
 
 class ConfigError(ValueError):
@@ -49,9 +52,9 @@ class InvalidWeight(ValueError):
 
 @dataclass(frozen=True)
 class Resource:
-    """A named throughput-limited resource; `gap` is its inverse throughput."""
+    """A named throughput-limited resource; `gap` is its inverse throughput.
+    Its id is its index in `MachineConfig.resources`."""
 
-    id: int
     name: str
     gap: float
 
@@ -125,16 +128,17 @@ class MachineConfig:
     _by_name: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_name", {r.name: r.id for r in self.resources})
+        object.__setattr__(self, "_by_name", {r.name: i for i, r in enumerate(self.resources)})
         self._validate()
 
     def _validate(self) -> None:
         names = [r.name for r in self.resources]
         if len(set(names)) != len(names):
             raise ConfigError("resource names must be unique")
-        for i, r in enumerate(self.resources):
-            if r.id != i:
-                raise ConfigError("resource ids must be dense and in order")
+        for name in names + [l.name for l in self.cache_levels]:
+            if any(c in name for c in _UNSAFE):
+                raise ConfigError(f"name {name!r} may not contain any of , ; + \"")
+        for r in self.resources:
             if not 0 < r.gap < inf:
                 raise ConfigError(f"resource {r.name!r}: gap must be finite and > 0")
             if r.name in _RESERVED or r.name.endswith(_THR_SUFFIX):
@@ -278,7 +282,7 @@ def load_config(text: str) -> MachineConfig:
             raise ConfigError(f"resources[{i}] must be an object")
         name = _get(entry, "name", str, f"resources[{i}]")
         gap = _number(entry, "gap", f"resources[{i}]")
-        resources.append(Resource(id=i, name=name, gap=gap))
+        resources.append(Resource(name=name, gap=gap))
 
     kinds = {}
     for name, entry in _get(raw, "kinds", dict, "config", {}).items():

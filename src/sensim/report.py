@@ -31,13 +31,10 @@ class InstructionRow:
 
 def _gap_table(result: SimResult) -> dict[str, float]:
     """Per-unit cost of each column: gap recovered from busy/uses totals."""
-    gaps = {}
-    for name, uses in result.resource_uses.items():
-        if uses:
-            gaps[name] = result.resource_busy[name] / uses
-    for name, counters in result.cache_stats.items():
-        if counters.transfers:
-            gaps[name] = result.cache_busy[name] / counters.transfers
+    gaps = {name: result.resource_busy[name] / uses
+            for name, uses in result.resource_uses.items() if uses}
+    gaps.update((name, result.cache_busy[name] / c.transfers)
+                for name, c in result.cache_stats.items() if c.transfers)
     return gaps
 
 
@@ -91,7 +88,7 @@ def format_instruction_table(rows: list[InstructionRow]) -> str:
 
 def run_report(result: SimResult) -> dict:
     """The run report as a plain document (stable keys, JSON-serializable)."""
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "total_cycles": result.total_cycles,
         "instructions": result.instruction_count,
@@ -121,7 +118,6 @@ def run_report(result: SimResult) -> dict:
             "mispredicted": result.branch_mispredicted,
         },
     }
-    return doc
 
 
 def run_report_json(result: SimResult, instruction_rows: list[InstructionRow] | None = None) -> str:
@@ -193,14 +189,12 @@ def format_run_report(result: SimResult) -> str:
         lines.append(f"{name:<12} {result.resource_uses[name]:>8} "
                      f"{result.resource_busy[name]:>9.2f} {100 * occupancy[name]:>9.1f}%")
     if result.cache_stats:
-        lines.append("")
-        lines.append("cache level     hits    misses  transfers")
+        lines += ["", "cache level     hits    misses  transfers"]
         for name, c in result.cache_stats.items():
             lines.append(f"{name:<12} {c.hits:>8} {c.misses:>9} {c.transfers:>10}")
     if result.branch_predicted:
-        lines.append("")
-        lines.append(f"branches predicted {result.branch_predicted}, "
-                     f"mispredicted {result.branch_mispredicted}")
+        lines += ["", f"branches predicted {result.branch_predicted}, "
+                      f"mispredicted {result.branch_mispredicted}"]
     return "\n".join(lines) + "\n"
 
 
@@ -231,18 +225,8 @@ def heatmap_csv(report: SensitivityReport) -> str:
 
 
 # 16-step ramp, white through red to black
-def _ramp() -> list[str]:
-    colors = []
-    for i in range(8):
-        c = 255 - round(255 * i / 7)
-        colors.append(f"#ff{c:02x}{c:02x}")
-    for i in range(8):
-        r = 255 - round(255 * (i + 1) / 8)
-        colors.append(f"#{r:02x}0000")
-    return colors
-
-
-_RAMP = _ramp()
+_RAMP = ([f"#ff{c:02x}{c:02x}" for c in (255 - round(255 * i / 7) for i in range(8))]
+         + [f"#{255 - round(255 * i / 8):02x}0000" for i in range(1, 9)])
 
 
 def heatmap_svg(report: SensitivityReport) -> str:

@@ -22,6 +22,20 @@ sweep therefore runs in two phases over one worker pool.  Phase 1 reruns the
 maximal points, those no other requested point dominates.  Phase 2 reruns
 only the points no phase-1 point at exactly the base time dominates; every
 other point is squeezed to the base time and is settled without a run.
+
+Before both phases, the base run's critical resource sets settle more points
+(the slack view of Fields, Bodik & Hill, ISCA 2002).  The base run records
+each distinct set of resources that alone reached an instruction's start:
+those whose availability equals it, strictly above the window floor and the
+register and memory shadows.  A point whose parameters are all resources and
+contain no recorded set has every start time equal to the base run's, at any
+weight, by induction over instructions: while earlier times are equal, so
+are the window floor, both shadows (cache-bandwidth folds do not depend on
+time) and every resource outside the set, and resources inside it can only
+fall; at each instruction a term outside the set reached the start, so the
+max stays put.  `INST_LAT` is never settled this way, since it moves every
+end time; nor are `INST_WINDOW`, which moves the window floor, and `*_THR`,
+which moves the bandwidth folds into the memory shadow.
 """
 
 from __future__ import annotations
@@ -78,12 +92,13 @@ def _run_point(index: int) -> float:
 
 @contextmanager
 def _point_runner(schedule: Schedule, configs: list[MachineConfig],
-                  workers: int | None):
-    """Yield run(indices) -> totals, one pool shared by every call."""
+                  workers: int | None, runs: int):
+    """Yield run(indices) -> totals, one pool of up to `runs` workers shared
+    by every call; no pool starts for a single run."""
     global _WORKER_STATE
     _WORKER_STATE = (schedule, configs)
     try:
-        if workers and workers > 1 and len(configs) > 1 and hasattr(os, "fork"):
+        if workers and workers > 1 and runs > 1 and hasattr(os, "fork"):
             # fork workers inherit the schedule and configs; only indices
             # and totals cross the pipe
             import multiprocessing
@@ -91,7 +106,7 @@ def _point_runner(schedule: Schedule, configs: list[MachineConfig],
 
             context = multiprocessing.get_context("fork")
             with futures.ProcessPoolExecutor(
-                    max_workers=min(workers, len(configs)),
+                    max_workers=min(workers, runs),
                     mp_context=context) as pool:
                 yield lambda indices: list(pool.map(_run_point, indices))
         else:
@@ -110,7 +125,11 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
            jobs: list[tuple[tuple[str, ...], float]],
            workers: int | None) -> SensitivityReport:
     schedule = build_schedule(trace, config)
-    base_time = run_schedule(schedule, config).total_cycles
+    critical: set[frozenset[int]] = set()
+    base_time = run_schedule(schedule, config, critical=critical).total_cycles
+    names = [r.name for r in config.resources]
+    critical_names = [frozenset(names[i] for i in c) for c in critical]
+    resources = frozenset(names)
     # one config per distinct point, built in job order so a bad name or
     # weight raises before anything is settled
     index: dict[tuple[frozenset, float], int] = {}
@@ -123,13 +142,16 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
             configs.append(apply_weights(config, dict.fromkeys(params, w)))
         slots.append(index[key])
     keys = list(index)
-    maximal = [i for i, key in enumerate(keys)
-               if not _dominated(key, (k for k in keys if k is not key))]
-    with _point_runner(schedule, configs, workers) as run:
+    # points the critical sets settle are at the base time at any weight
+    live = [i for i, (params, _) in enumerate(keys)
+            if not params <= resources or any(c <= params for c in critical_names)]
+    maximal = [i for i in live
+               if not _dominated(keys[i], (keys[j] for j in live if j != i))]
+    with _point_runner(schedule, configs, workers, len(live)) as run:
         times = dict(zip(maximal, run(maximal)))
         at_base = [keys[i] for i in maximal if times[i] == base_time]
-        rest = [i for i, key in enumerate(keys)
-                if i not in times and not _dominated(key, at_base)]
+        rest = [i for i in live
+                if i not in times and not _dominated(keys[i], at_base)]
         if rest:
             times.update(zip(rest, run(rest)))
     points = []

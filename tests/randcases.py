@@ -10,7 +10,7 @@ from sensim.trace import BranchInfo, InstructionEvent, MemAccess
 
 def random_config(rng: random.Random, max_resources: int = 6) -> MachineConfig:
     n_res = rng.randint(1, max_resources)
-    resources = [Resource(i, f"r{i}", rng.choice((0.25, 0.5, 1.0, 2.0)))
+    resources = [Resource(f"r{i}", rng.choice((0.25, 0.5, 1.0, 2.0)))
                  for i in range(n_res)]
     frontend = None
     if rng.random() < 0.5:

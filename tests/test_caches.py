@@ -123,7 +123,7 @@ def _bandwidth_run(l2_gap, l3_gap, mem_gap, addrs):
     levels = (_level(64, 1, 64, name="L1"), _level(512, 2, 64, gap=l2_gap, name="L2"),
               _level(4096, 4, 64, gap=l3_gap, name="L3"),
               CacheLevelConfig("MEM", gap=mem_gap))
-    config = MachineConfig(resources=(Resource(0, "p0", 1.0),), window_capacity=64,
+    config = MachineConfig(resources=(Resource("p0", 1.0),), window_capacity=64,
                            cache_levels=levels)
     events = [InstructionEvent(seq=k, pc=4 * k, resources=(), latency=1.0,
                                mem_reads=(MemAccess(addr, 8),))

@@ -149,11 +149,14 @@ def _files_with(tmp_path, edit_config=None, record=None):
     lambda d: d["branch"].update(history_lengths=[], tage_tables=0),
     lambda d: d["branch"].update(history_lengths=[-1, 4, 8, 16]),
     lambda d: d.update(shadow_granularity="byte"),
+    lambda d: d["resources"].append({"name": "a,b", "gap": 1.0}),
+    lambda d: d["caches"][1].update(name='L"2'),
 ], ids=["resource-gap-inf", "resource-gap-nan", "cache-gap-inf", "kind-latency-nan",
         "penalty-inf", "size-str", "assoc-float", "line-bool", "enabled-str",
         "btb-sets-float", "btb-ways-str", "entries-null", "tables-float",
         "history-str", "kinds-array", "gap-huge-int", "history-empty",
-        "history-negative", "shadow-granularity"])
+        "history-negative", "shadow-granularity", "resource-name-comma",
+        "cache-name-quote"])
 def test_bad_config_value_exits_one(tmp_path, capsys, edit):
     trace, cfg = _files_with(tmp_path, edit_config=edit)
     capsys.readouterr()

@@ -15,7 +15,7 @@ PORT_BLOCK_END_TIMES = [1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4]
 
 
 def _one_port_config(window=64, gap=1.0, **kwargs):
-    return MachineConfig(resources=(Resource(0, "p0", gap),),
+    return MachineConfig(resources=(Resource("p0", gap),),
                          window_capacity=window, **kwargs)
 
 
@@ -101,7 +101,7 @@ def test_occupancy_port_block():
 
 
 def test_occupancy_unused_resource_is_zero():
-    config = MachineConfig(resources=(Resource(0, "p0", 1.0), Resource(1, "idle", 1.0)),
+    config = MachineConfig(resources=(Resource("p0", 1.0), Resource("idle", 1.0)),
                            window_capacity=4)
     events = [InstructionEvent(seq=0, pc=0, resources=("p0",), latency=1.0)]
     assert occupancy_report(simulate(events, config))["idle"] == 0.0
@@ -165,7 +165,7 @@ def test_cache_availability_stalls_later_loads():
         CacheLevelConfig("L2", gap=1.0, total_size=1024, associativity=2, line_size=64),
         CacheLevelConfig("MEM", gap=4.0),
     )
-    config = MachineConfig(resources=(Resource(0, "p0", 1.0),), window_capacity=64,
+    config = MachineConfig(resources=(Resource("p0", 1.0),), window_capacity=64,
                            cache_levels=levels)
     events = [
         InstructionEvent(seq=0, pc=0, resources=(), latency=1.0,
@@ -183,7 +183,7 @@ def test_cache_availability_stalls_later_loads():
 
 def test_frontend_charged_once_per_instruction():
     config = MachineConfig(
-        resources=(Resource(0, "FRONTEND", 0.25), Resource(1, "p0", 1.0)),
+        resources=(Resource("FRONTEND", 0.25), Resource("p0", 1.0)),
         window_capacity=16, frontend_resource="FRONTEND")
     events = [InstructionEvent(seq=k, pc=0, resources=("p0",), latency=1.0)
               for k in range(8)]
@@ -193,7 +193,7 @@ def test_frontend_charged_once_per_instruction():
 
 
 def test_frontend_gap_limits_issue_rate():
-    config = MachineConfig(resources=(Resource(0, "FRONTEND", 0.5),),
+    config = MachineConfig(resources=(Resource("FRONTEND", 0.5),),
                            window_capacity=64, frontend_resource="FRONTEND")
     events = [InstructionEvent(seq=k, pc=0, resources=(), latency=1.0)
               for k in range(10)]
@@ -206,7 +206,7 @@ def test_misprediction_penalty_advances_frontend():
 
     def run(enabled):
         config = MachineConfig(
-            resources=(Resource(0, "FRONTEND", 0.25),),
+            resources=(Resource("FRONTEND", 0.25),),
             window_capacity=16, frontend_resource="FRONTEND",
             branch=BranchConfig(enabled=enabled, misprediction_penalty=15.0))
         events = [

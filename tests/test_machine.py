@@ -137,7 +137,8 @@ def test_apply_weights_commutes_on_disjoint_keys():
 def test_apply_weights_preserves_resource_ids():
     cfg = load_config(builtin_config("skylake-like"))
     out = apply_weights(cfg, {"p23": 2.0})
-    assert [(r.id, r.name) for r in out.resources] == [(r.id, r.name) for r in cfg.resources]
+    assert [out.resource_id(r.name) for r in cfg.resources] == list(range(len(cfg.resources)))
+    assert [r.name for r in out.resources] == [r.name for r in cfg.resources]
 
 
 def test_apply_weights_rejects_bad_input():
@@ -151,10 +152,10 @@ def test_apply_weights_rejects_bad_input():
 
 def test_direct_construction_validates():
     with pytest.raises(ConfigError):
-        MachineConfig(resources=(Resource(0, "p0", 1.0),), window_capacity=0)
+        MachineConfig(resources=(Resource("p0", 1.0),), window_capacity=0)
     with pytest.raises(ConfigError):
         MachineConfig(
-            resources=(Resource(0, "L1", 1.0),),
+            resources=(Resource("L1", 1.0),),
             window_capacity=4,
             cache_levels=(CacheLevelConfig("L1", gap=1.0, total_size=64,
                                            associativity=2, line_size=16),))

@@ -17,7 +17,7 @@ from sensim.trace import InstructionEvent
 
 
 def _single_event_result():
-    config = MachineConfig(resources=(Resource(0, "r", 1.0), Resource(1, "idle", 1.0)),
+    config = MachineConfig(resources=(Resource("r", 1.0), Resource("idle", 1.0)),
                            window_capacity=4)
     events = [InstructionEvent(seq=0, pc=0x40, resources=("r",), latency=1.0)]
     return simulate(events, config)
@@ -35,7 +35,7 @@ def test_unused_resource_column_omitted():
 
 
 def test_zero_time_trace_rejected():
-    config = MachineConfig(resources=(Resource(0, "r", 1.0),), window_capacity=4)
+    config = MachineConfig(resources=(Resource("r", 1.0),), window_capacity=4)
     with pytest.raises(ZeroTimeTrace):
         render_instruction_table(simulate([], config))
 
@@ -141,7 +141,7 @@ def test_json_writer_rejects_what_it_cannot_write(value):
 
 def test_run_report_json_equals_json_dumps():
     # string-sorted pc keys put 0x10 before 0x9; table rows stay in pc order
-    config = MachineConfig(resources=(Resource(0, "r", 1.0),), window_capacity=4)
+    config = MachineConfig(resources=(Resource("r", 1.0),), window_capacity=4)
     events = [InstructionEvent(seq=i, pc=pc, kind="\u00e9\u0001", resources=("r",),
                                latency=1.5)
               for i, pc in enumerate([0x9, 0x10, 0x9])]

@@ -74,7 +74,7 @@ def test_empty_subset_list_reports_base_only():
 
 def test_balanced_pair_only_speeds_up_together():
     config = MachineConfig(
-        resources=(Resource(0, "r0", 1.0), Resource(1, "r1", 1.0)),
+        resources=(Resource("r0", 1.0), Resource("r1", 1.0)),
         window_capacity=64)
     events = [InstructionEvent(seq=k, pc=0, resources=("r0", "r1"), latency=1.0)
               for k in range(400)]
@@ -183,7 +183,7 @@ def _reference_cases():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_settled_sweeps_equal_brute_force(workers):
-    weights = (1.01, 1.05, 1.10, 1.15, 2.0, 1.0)
+    weights = (1.01, 1.05, 1.10, 1.15, 2.0, 1.0, 1e6)
     for name, (trace, config) in _reference_cases():
         params = accelerable_parameters(config)
         single = sweep_single(trace, config, params, weights, workers=workers)
@@ -208,18 +208,74 @@ def run_calls(monkeypatch):
     return calls
 
 
+def _critical_sets(schedule, config):
+    """The base run's critical resource sets, as sets of names."""
+    critical = set()
+    run_schedule(schedule, config, critical=critical)
+    names = [r.name for r in config.resources]
+    return [frozenset(names[i] for i in ids) for ids in critical]
+
+
+def _settled_by_critical_sets(config, critical, max_size):
+    """Resource-only subsets up to `max_size` that contain no critical set."""
+    return [s for s in power_subsets([r.name for r in config.resources], max_size)
+            if not any(c <= set(s) for c in critical)]
+
+
+def test_critical_set_rule_is_exact():
+    # every start time, not just the total, is the base run's at any weight
+    cases = [("portblock", gen_port_block()), ("jacobi", gen_jacobi_like(200)),
+             ("stream", gen_stream(500))]
+    rng = random.Random(43)
+    for k in range(10):
+        config = random_config(rng)
+        cases.append((f"rand{k}", (random_trace(rng, config, max_events=60), config)))
+    checked = 0
+    for name, (trace, config) in cases:
+        schedule = build_schedule(trace, config)
+        base = run_schedule(schedule, config, record_event_times=True).event_end_times
+        for subset in _settled_by_critical_sets(config, _critical_sets(schedule, config), 3):
+            for w in (1.01, 2.0, 1e6):
+                accelerated = apply_weights(config, dict.fromkeys(subset, w))
+                ends = run_schedule(schedule, accelerated, record_event_times=True)
+                assert ends.event_end_times == base, (name, subset, w)
+                checked += 1
+    assert checked > 300
+
+
 def test_sweep_reruns_only_points_that_can_differ(run_calls):
-    # one base run, one run per parameter at the largest weight, and the
-    # three smaller weights only for parameters that moved at the largest
+    # one base run, one run per parameter the critical sets leave live at the
+    # largest weight, and the three smaller weights only for parameters that
+    # moved at the largest
     trace, config = gen_jacobi_like(200)
     params = accelerable_parameters(config)
     top = max(DEFAULT_WEIGHTS)
     reference = _brute_force(trace, config, [((p,), top) for p in params])
     moved = sum(p.time != reference.base_time for p in reference.points)
     assert 0 < moved < len(params)
+    settled = len(_settled_by_critical_sets(
+        config, _critical_sets(build_schedule(trace, config), config), 1))
     report = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
-    assert len(run_calls) == 1 + len(params) + 3 * moved
+    assert len(run_calls) == 1 + len(params) - settled + 3 * moved == 14
     assert len(report.points) == len(params) * len(DEFAULT_WEIGHTS)
+
+
+@pytest.mark.parametrize("params, weights", [
+    (["p0", "p2", "p3"], [1.5, 2.0]),
+    (["p1", "p0"], [2.0]),
+], ids=["all-settle", "one-runs"])
+def test_no_pool_starts_for_at_most_one_run(monkeypatch, params, weights):
+    # on portblock only p1 and p6 ever alone set a start time
+    import multiprocessing
+
+    trace, config = gen_port_block()
+    serial = sweep_single(trace, config, params, weights, workers=1)
+
+    def no_pool(*args):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert sweep_single(trace, config, params, weights, workers=2) == serial
 
 
 def test_duplicate_points_run_once_and_keep_their_places(run_calls):
@@ -233,8 +289,8 @@ def test_duplicate_points_run_once_and_keep_their_places(run_calls):
 
 
 def test_bad_weight_raises_even_where_its_point_would_settle():
-    # (p0, 2.0) runs at the base time and dominates (p0, 0.5), but a weight
-    # below 1 breaks the monotonicity that settling rests on
+    # p0 never alone sets a start time, so both points would settle, but a
+    # weight below 1 breaks the monotonicity that settling rests on
     trace, config = gen_port_block()
     with pytest.raises(ValueError, match="weight for 'p0'"):
         sweep_single(trace, config, ["p0"], [2.0, 0.5])
