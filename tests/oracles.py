@@ -216,3 +216,91 @@ class RefTage:
         if target != 0:
             entries = [e for e in self.btb[pc % self.btb_sets] if e[0] != pc]
             self.btb[pc % self.btb_sets] = [(pc, target)] + entries[:self.btb_ways - 1]
+
+
+class RefTimingModel:
+    """Naive timing model written from "The model" in README.md.
+
+    State is plain dicts keyed by resource name, cache-level name, register
+    id and byte address; the caches and the branch unit are the references
+    above.  There is no schedule and no memoisation: each event is bound,
+    looked up, predicted and timed in one pass, in trace order.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.gap = {r.name: r.gap for r in config.resources}
+        self.avail = {r.name: 0.0 for r in config.resources}
+        self.levels = list(config.cache_levels)
+        self.level_avail = {level.name: 0.0 for level in self.levels}
+        geometric = [level for level in self.levels if level.total_size is not None]
+        self.caches = RefHierarchy([(level.total_size, level.associativity, level.line_size)
+                                    for level in geometric])
+        self.line = geometric[0].line_size if geometric else 64
+        b = config.branch
+        self.tage = (RefTage(b.btb_sets, b.btb_ways, b.tage_entries_log2, b.history_lengths)
+                     if b.enabled else None)
+        self.regs: dict[int, float] = {}
+        self.mem: dict[int, float] = {}
+        self.in_flight: list[float] = []  # end times, oldest first
+        self.floor = 0.0
+
+    def end_times(self, events) -> list[float]:
+        return [self.step(event) for event in events]
+
+    def charge_bandwidth(self, accesses) -> None:
+        """Per line: wait for every level on the path from L2 to the level
+        that hit, advance each by its gap, and make the access's bytes in
+        that line available no earlier than the wait."""
+        if not self.levels:
+            return
+        for acc in accesses:
+            line = acc.addr - acc.addr % self.line
+            while line < acc.addr + acc.size:
+                hit = min(self.caches.access(line), len(self.levels) - 1)
+                path = self.levels[1:hit + 1]
+                if path:
+                    ready = max(self.level_avail[level.name] for level in path)
+                    for level in path:
+                        self.level_avail[level.name] += level.gap
+                    for byte in range(max(line, acc.addr),
+                                      min(line + self.line, acc.addr + acc.size)):
+                        self.mem[byte] = max(self.mem.get(byte, 0.0), ready)
+                line += self.line
+
+    def step(self, event) -> float:
+        config = self.config
+        if event.resources is not None and event.latency is not None:
+            names, latency = list(event.resources), event.latency
+        else:
+            kind = config.kinds[event.kind]
+            names, latency = list(kind.resources), kind.latency
+        if config.frontend_resource is not None:
+            names.append(config.frontend_resource)
+
+        if len(self.in_flight) == config.window_capacity:
+            self.floor = max(self.floor, self.in_flight.pop(0))
+        self.charge_bandwidth(event.mem_reads)
+        start = max([self.floor]
+                    + [self.regs.get(r, 0.0) for r in event.reg_reads]
+                    + [self.mem.get(byte, 0.0) for acc in event.mem_reads
+                       for byte in range(acc.addr, acc.addr + acc.size)]
+                    + [self.avail[name] for name in names])
+        end = start + latency * config.latency_scale
+        for name in names:
+            self.avail[name] = max(self.avail[name], self.floor) + self.gap[name]
+        self.charge_bandwidth(event.mem_writes)
+        for r in event.reg_writes:
+            self.regs[r] = end
+        for acc in event.mem_writes:
+            for byte in range(acc.addr, acc.addr + acc.size):
+                self.mem[byte] = max(self.mem.get(byte, 0.0), end)
+
+        b = event.branch
+        if self.tage is not None and b.kind != "none":
+            taken, target = self.tage.predict(event.pc)
+            if taken != b.taken or (b.taken and target != b.target):
+                self.avail[config.frontend_resource] += config.branch.misprediction_penalty
+            self.tage.update(event.pc, b.taken, b.target)
+        self.in_flight.append(end)
+        return end

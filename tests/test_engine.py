@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import RefTimingModel
 from randcases import random_config, random_trace
+from sensim.branch import BranchConfig
 from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
 from sensim.engine import (ZeroTimeTrace, build_schedule, occupancy_report,
                            run_schedule, simulate)
@@ -338,3 +340,59 @@ def test_shadow_memory_monotone_over_run():
     result = simulate(events, _one_port_config(), record_event_times=True)
     read_times = list(result.event_end_times)[1::2]
     assert read_times == sorted(read_times)
+
+
+def _reference_cases():
+    """Corpus kernels and randcases machines, widened to reach every term of
+    the model: some events store the bytes they load, and on a machine with a
+    frontend the branch unit is on and some events branch."""
+    yield gen_port_block()
+    yield gen_jacobi_like(30)
+    yield gen_stream(60, footprint=4096)
+    rng = random.Random(41)
+    for _ in range(30):
+        config = random_config(rng)
+        if config.frontend_resource is not None and rng.random() < 0.6:
+            config = replace(config, branch=BranchConfig(
+                enabled=True, btb_sets=4, btb_ways=2, tage_entries_log2=4,
+                history_lengths=(2, 5), misprediction_penalty=rng.choice((1.5, 15.0))))
+        trace = []
+        for event in random_trace(rng, config, max_events=120):
+            if event.mem_reads and rng.random() < 0.5:
+                # the store hits L1 unless two lines of L1's set evict the
+                # load's line first, so half the time it stores those too
+                acc = event.mem_reads[0]
+                way = config.cache_levels[0].total_size // config.cache_levels[0].associativity
+                evict = tuple(MemAccess(acc.addr + k * way, 1) for k in (1, 2))
+                event = replace(event, mem_writes=rng.choice(((), evict)) + event.mem_reads)
+            if config.branch.enabled and rng.random() < 0.4:
+                kind = rng.choice(("conditional", "direct", "indirect"))
+                event = replace(event, branch=BranchInfo(
+                    kind=kind, taken=kind != "conditional" or rng.random() < 0.6,
+                    target=0x2000 + 4 * rng.randint(0, 3)))
+            trace.append(event)
+        yield trace, config
+
+
+def test_end_times_match_the_reference_model():
+    reached = set()
+    for trace, config in _reference_cases():
+        runs = [{}] + [{name: w} for name in accelerable_parameters(config)
+                       for w in (1.37, 2.0)]
+        for weights in runs:
+            weighted = apply_weights(config, weights)
+            result = simulate(trace, weighted, record_event_times=True)
+            assert list(result.event_end_times) == \
+                RefTimingModel(weighted).end_times(trace), weights
+        if config.frontend_resource is not None:
+            reached.add("frontend")
+        if any(c.transfers for c in result.cache_stats.values()):
+            reached.add("cache bandwidth")
+        if any(e.mem_reads and e.mem_writes[-1:] == e.mem_reads for e in trace):
+            reached.add("load and store of the same bytes")
+        if result.branch_mispredicted:
+            reached.add("branch penalty")
+        if config.kinds:
+            reached.add("kind table")
+    assert reached == {"frontend", "cache bandwidth", "load and store of the same bytes",
+                       "branch penalty", "kind table"}
