@@ -39,35 +39,27 @@ def plru_touch(bits: int, associativity: int, way: int) -> int:
 
 
 class CacheLevelState:
-    """Tag arrays, PLRU bits and hit/miss counters for one level."""
+    """Tag arrays, PLRU bits and hit/miss counters for one level; the memory
+    backstop has no sets (`n_sets == 0`) and always hits."""
 
     def __init__(self, config: CacheLevelConfig):
-        self.config = config
         self.name = config.name
         self.hits = 0
         self.misses = 0
-        if config.is_backstop:
-            self.n_sets = 0
-            self.ways = 0
-            self.sets: list[list[int | None]] = []
-            self.plru: list[int] = []
-        else:
+        self.n_sets = 0
+        if not config.is_backstop:
             self.ways = config.associativity
             self.line_size = config.line_size
             self.n_sets = config.total_size // (self.ways * self.line_size)
-            self.sets = [[None] * self.ways for _ in range(self.n_sets)]
+            self.sets: list[list[int | None]] = [[None] * self.ways for _ in range(self.n_sets)]
             self.plru = [0] * self.n_sets
-
-    @property
-    def is_backstop(self) -> bool:
-        return self.config.is_backstop
 
     def access(self, line: int) -> bool:
         """Hit test in one scan of the set: a hit promotes the line's way; a
         miss installs the line in the first free way, else the PLRU victim.
         Ways fill in order and are never emptied, so the free ways are the
         set's tail and the scan stops at the first one."""
-        if self.is_backstop:
+        if not self.n_sets:
             return True
         si = (line // self.line_size) % self.n_sets
         ways = self.sets[si]

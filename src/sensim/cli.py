@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from math import inf
 
 from . import corpus
@@ -15,7 +16,7 @@ from .report import (emit_heatmap, format_instruction_table, format_run_report,
                      format_sensitivity, render_instruction_table, run_report_json)
 from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, classify,
                           power_subsets, sweep_single, sweep_subsets)
-from .trace import TraceError, parse_trace, write_trace
+from .trace import parse_trace, write_trace
 
 
 def _default_workers() -> int:
@@ -76,20 +77,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextmanager
 def _load_inputs(args):
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        trace = list(parse_trace(fh))
+    """The config, then the trace's events streamed from the open file."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config = load_config(fh.read())
-    return trace, config
+    with open(args.trace, "r", encoding="utf-8") as fh:
+        yield parse_trace(fh), config
 
 
 def _cmd_simulate(args) -> int:
-    trace, config = _load_inputs(args)
-    result = simulate(trace, config)
-    rows = None
-    if args.per_instruction:
-        rows = render_instruction_table(result) if result.total_cycles > 0 else []
+    with _load_inputs(args) as (trace, config):
+        result = simulate(trace, config)
+    rows = render_instruction_table(result) if args.per_instruction else None
     if args.report == "json":
         sys.stdout.write(run_report_json(result, rows))
     else:
@@ -112,28 +112,28 @@ def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
 
 
 def _cmd_sensitivity(args) -> int:
-    trace, config = _load_inputs(args)
-    weights = [float(w) for w in args.weights.split(",") if w.strip()]
-    if not weights or any(not 1 <= w < inf for w in weights):
-        raise ConfigError("weights must be finite numbers >= 1")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    if args.resources == "all":
-        parameters = accelerable_parameters(config)
-    else:
-        parameters = [p.strip() for p in args.resources.split(",") if p.strip()]
+    with _load_inputs(args) as (trace, config):
+        weights = [float(w) for w in args.weights.split(",") if w.strip()]
+        if not weights or any(not 1 <= w < inf for w in weights):
+            raise ConfigError("weights must be finite numbers >= 1")
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        if args.resources == "all":
+            parameters = accelerable_parameters(config)
+        else:
+            parameters = [p.strip() for p in args.resources.split(",") if p.strip()]
 
-    if args.subsets is not None:
-        subsets = _parse_subsets(args.subsets, parameters)
-        if not subsets:
-            raise ValueError("--subsets names no parameter set to sweep")
-        report = sweep_subsets(trace, config, subsets, max(weights),
-                               workers=args.workers)
-    else:
-        if not parameters:
-            raise ValueError("--resources names no parameter to sweep")
-        report = sweep_single(trace, config, parameters, weights,
-                              workers=args.workers)
+        if args.subsets is not None:
+            subsets = _parse_subsets(args.subsets, parameters)
+            if not subsets:
+                raise ValueError("--subsets names no parameter set to sweep")
+            report = sweep_subsets(trace, config, subsets, max(weights),
+                                   workers=args.workers)
+        else:
+            if not parameters:
+                raise ValueError("--resources names no parameter to sweep")
+            report = sweep_single(trace, config, parameters, weights,
+                                  workers=args.workers)
     report.verdicts = classify(report, args.threshold)
     sys.stdout.write(format_sensitivity(report))
     if args.heatmap:
@@ -158,8 +158,7 @@ def _cmd_gen_kernel(args) -> int:
     return 0
 
 
-_INPUT_ERRORS = (TraceError, ConfigError, UnknownKind, UnknownResource,
-                 UnknownParameter, OSError, ValueError)
+_INPUT_ERRORS = (UnknownKind, UnknownResource, UnknownParameter, OSError, ValueError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,9 +177,6 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"sensim: error: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
-        print(f"sensim: internal invariant violated: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

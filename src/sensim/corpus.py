@@ -5,7 +5,6 @@ bandwidth) used by tests, demos and the gen-kernel CLI subcommand.
 
 from __future__ import annotations
 
-from .branch import BranchConfig
 from .machine import (CacheLevelConfig, MachineConfig, Resource, builtin_config,
                       load_config)
 from .trace import BranchInfo, InstructionEvent, MemAccess
@@ -116,8 +115,7 @@ def gen_latency_chain(n: int) -> tuple[list[InstructionEvent], MachineConfig]:
         resources=(Resource("FRONTEND", 0.25), Resource("p0", 1.0)),
         window_capacity=64,
         frontend_resource="FRONTEND",
-        cache_levels=_small_hierarchy(),
-        branch=BranchConfig())
+        cache_levels=_small_hierarchy())
     return events, config
 
 
@@ -144,8 +142,7 @@ def gen_stream(n: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[Instructi
         resources=(Resource("FRONTEND", 0.25), Resource("p23", 0.5)),
         window_capacity=64,
         frontend_resource="FRONTEND",
-        cache_levels=_small_hierarchy(),
-        branch=BranchConfig())
+        cache_levels=_small_hierarchy())
     return events, config
 
 

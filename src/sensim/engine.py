@@ -1,13 +1,14 @@
 """Core simulation: the per-instruction timing recurrence over resolved events.
 
-For each event, in order: load-side cache bandwidth is consumed and folded
-into the shadow memory of the read locations; the start time is the max of
-the window floor, the shadow of every read location and the availability of
-every used resource; the end time adds the (scaled) latency; each used
-resource's availability advances by its gap; store-side bandwidth is
-consumed; written locations get the end time (registers are renamed, so
-their shadow is set; memory shadow is max-merged); the end time enters the
-instruction window.  The total is the max end time over the trace.
+For each event, in order: the start time is the max of the window floor,
+the shadow of every read location, the bandwidth wait of every loaded cache
+line and the availability of every used resource; the end time adds the
+(scaled) latency; each used resource's availability advances by its gap;
+written locations get the end time (registers are renamed, so their shadow
+is set; memory shadow is max-merged); the end time enters the instruction
+window.  The total is the max end time over the trace.  Each line access
+also folds its wait into its bytes' shadow; no wait depends on a start
+time, so loads and stores are charged in one pass after the shadows are read.
 
 Two phases keep reruns cheap.  `build_schedule` resolves the trace once and
 computes everything timing-independent into a Schedule: the cache hit level
@@ -31,10 +32,6 @@ from .branch import PredictorState, misprediction_delay
 from .caches import CacheHierarchy, line_accesses
 from .machine import MachineConfig, UnknownKind
 from .trace import InstructionEvent
-
-
-class ZeroTimeTrace(ValueError):
-    """Raised when a per-cycle report is asked of a zero-cycle result."""
 
 
 class TimeOverflow(ValueError):
@@ -63,7 +60,7 @@ class LevelCounters:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Counts and timing estimated for one run.
+    """Counts, timing and the gap of every resource and cache level for one run.
 
     `resource_uses`, `per_pc` and `cache_stats` are the schedule's own
     objects, shared with every other run of that schedule: do not mutate them.
@@ -77,6 +74,7 @@ class SimResult:
     per_pc: dict[int, PcStats]
     cache_stats: dict[str, LevelCounters]
     cache_busy: dict[str, float]
+    gaps: dict[str, float]
     branch_predicted: int
     branch_mispredicted: int
     event_end_times: tuple[float, ...] | None = None
@@ -84,8 +82,9 @@ class SimResult:
 
 # Step layout (plain tuples keep the timing loop lean):
 #   (resources, latency, reg_reads, reg_writes, read_keys, write_keys,
-#    loads, stores, penalty)
-# where loads/stores are tuples of (path_end, fold_keys) per line access.
+#    mem_ops, penalty)
+# where mem_ops holds one (path_end, fold_keys, is_load) per line access,
+# loads first.
 @dataclass(frozen=True)
 class Schedule:
     """Timing-independent digest of a trace resolved against a config: the
@@ -138,8 +137,9 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     uses = [0] * n_res
     key_memo: dict[tuple[int, int], tuple] = {}
 
-    def access_plan(accesses, pc_row):
-        """Per access: shadow keys plus (path_end, keys-in-line) bandwidth ops."""
+    def access_plan(accesses, pc_row, is_load):
+        """Per access: shadow keys plus (path_end, keys-in-line, is_load)
+        bandwidth ops."""
         all_keys = []
         ops = []
         for acc in accesses:
@@ -158,7 +158,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
             for line, line_keys in per_line:
                 end = min(hierarchy.lookup_and_fill(line), last_path)
                 if end >= 1:
-                    ops.append((end, line_keys))
+                    ops.append((end, line_keys, is_load))
                     for i in range(n_res + 1, n_res + end + 1):
                         pc_row[i] += 1
         return tuple(all_keys), tuple(ops)
@@ -189,8 +189,8 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
             uses[rid] += 1
             pc_row[rid] += 1
 
-        read_keys, loads = access_plan(event.mem_reads, pc_row)
-        write_keys, stores = access_plan(event.mem_writes, pc_row)
+        read_keys, loads = access_plan(event.mem_reads, pc_row, True)
+        write_keys, stores = access_plan(event.mem_writes, pc_row, False)
 
         penalty = 0.0
         if predictor is not None and event.branch.kind != "none":
@@ -203,7 +203,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                 mispredicted += 1
 
         steps.append((resources, latency, event.reg_reads, event.reg_writes,
-                      read_keys, write_keys, loads, stores, penalty))
+                      read_keys, write_keys, loads + stores, penalty))
 
     levels = hierarchy.levels if hierarchy is not None else []
     return Schedule(
@@ -254,23 +254,12 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     t_ends: list[float] | None = [] if record_event_times else None
 
     for (resources, latency, reg_reads, reg_writes, read_keys, write_keys,
-         loads, stores, penalty) in schedule.steps:
+         mem_ops, penalty) in schedule.steps:
         if len(window) == capacity:
             evicted = window_pop()
             if evicted > t_min:
                 t_min = evicted
         t = t_min
-        for end, fold_keys in loads:
-            a = 0.0
-            for i in range(1, end + 1):
-                v = cache_avail[i]
-                if v > a:
-                    a = v
-                cache_avail[i] = v + cache_gaps[i]
-            if a > 0.0:
-                for k in fold_keys:
-                    if sm_get(k, 0.0) < a:
-                        shadow_mem[k] = a
         for r in reg_reads:
             v = sr_get(r, 0.0)
             if v > t:
@@ -279,6 +268,19 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
             v = sm_get(k, 0.0)
             if v > t:
                 t = v
+        for end, fold_keys, is_load in mem_ops:
+            a = 0.0
+            for i in range(1, end + 1):
+                v = cache_avail[i]
+                if v > a:
+                    a = v
+                cache_avail[i] = v + cache_gaps[i]
+            if a > 0.0:
+                if is_load and a > t:
+                    t = a
+                for k in fold_keys:
+                    if sm_get(k, 0.0) < a:
+                        shadow_mem[k] = a
         ready = t
         for rid in resources:
             v = avail[rid]
@@ -290,17 +292,6 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         for rid in resources:
             a = avail[rid]
             avail[rid] = (a if a > t_min else t_min) + gaps[rid]
-        for end, fold_keys in stores:
-            a = 0.0
-            for i in range(1, end + 1):
-                v = cache_avail[i]
-                if v > a:
-                    a = v
-                cache_avail[i] = v + cache_gaps[i]
-            if a > 0.0:
-                for k in fold_keys:
-                    if sm_get(k, 0.0) < a:
-                        shadow_mem[k] = a
         for r in reg_writes:
             shadow_reg[r] = t_end
         for k in write_keys:
@@ -333,6 +324,7 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         per_pc=schedule.per_pc,
         cache_stats=schedule.cache_stats,
         cache_busy=cache_busy,
+        gaps=dict(zip([*schedule.resource_uses, *schedule.cache_stats], gaps + cache_gaps)),
         branch_predicted=schedule.branch_predicted,
         branch_mispredicted=schedule.branch_mispredicted,
         event_end_times=tuple(t_ends) if t_ends is not None else None)
@@ -343,11 +335,3 @@ def simulate(trace: Iterable[InstructionEvent], config: MachineConfig,
     """Estimate the execution of a trace on the configured machine."""
     return run_schedule(build_schedule(trace, config), config,
                         record_event_times=record_event_times)
-
-
-def occupancy_report(result: SimResult) -> dict[str, float]:
-    """Fraction of total cycles each resource spent busy (uses x gap / total)."""
-    if result.total_cycles <= 0:
-        raise ZeroTimeTrace("occupancy is undefined on a zero-cycle run")
-    return {name: busy / result.total_cycles
-            for name, busy in result.resource_busy.items()}

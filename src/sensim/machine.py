@@ -138,6 +138,8 @@ class MachineConfig:
         for name in names + [l.name for l in self.cache_levels]:
             if any(c in name for c in _UNSAFE):
                 raise ConfigError(f"name {name!r} may not contain any of , ; + \"")
+            if not name or name != name.strip():
+                raise ConfigError(f"name {name!r} is empty or starts or ends with whitespace")
         for r in self.resources:
             if not 0 < r.gap < inf:
                 raise ConfigError(f"resource {r.name!r}: gap must be finite and > 0")

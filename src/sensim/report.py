@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .engine import SimResult, ZeroTimeTrace, occupancy_report
+from .engine import SimResult
 from .sensitivity import SensitivityReport
 
 FORMAT_VERSION = 1
@@ -29,13 +29,12 @@ class InstructionRow:
     shares: dict[str, float]
 
 
-def _gap_table(result: SimResult) -> dict[str, float]:
-    """Per-unit cost of each column: gap recovered from busy/uses totals."""
-    gaps = {name: result.resource_busy[name] / uses
-            for name, uses in result.resource_uses.items() if uses}
-    gaps.update((name, result.cache_busy[name] / c.transfers)
-                for name, c in result.cache_stats.items() if c.transfers)
-    return gaps
+def occupancy(result: SimResult) -> dict[str, float]:
+    """Fraction of total cycles each resource spent busy (uses x gap / total);
+    0.0 on a zero-cycle run."""
+    total = result.total_cycles
+    return {name: busy / total if total > 0 else 0.0
+            for name, busy in result.resource_busy.items()}
 
 
 def render_instruction_table(result: SimResult) -> list[InstructionRow]:
@@ -43,17 +42,16 @@ def render_instruction_table(result: SimResult) -> list[InstructionRow]:
 
     share(pc, r) = uses(pc, r) x gap(r) / total_cycles, as a percentage.
     Cache levels appear as columns too, weighted by their per-transfer gap.
+    A zero-cycle run has no rows.
     """
     if result.total_cycles <= 0:
-        raise ZeroTimeTrace("per-instruction shares need a positive total")
-    gaps = _gap_table(result)
+        return []
     rows = []
     for pc in sorted(result.per_pc):
         stats = result.per_pc[pc]
         shares = {}
         for name, uses in stats.resource_uses.items():
-            gap = gaps.get(name, 0.0)
-            shares[name] = 100.0 * uses * gap / result.total_cycles
+            shares[name] = 100.0 * uses * result.gaps[name] / result.total_cycles
         rows.append(InstructionRow(
             pc=pc, label=stats.label, count=stats.count, latency=stats.latency,
             resources=stats.resources, shares=shares))
@@ -97,10 +95,9 @@ def run_report(result: SimResult) -> dict:
             name: {
                 "uses": result.resource_uses[name],
                 "busy": result.resource_busy[name],
-                "occupancy": (result.resource_busy[name] / result.total_cycles
-                              if result.total_cycles > 0 else 0.0),
+                "occupancy": occ,
             }
-            for name in sorted(result.resource_uses)},
+            for name, occ in sorted(occupancy(result).items())},
         "per_pc": {
             f"0x{pc:x}": {
                 "kind": stats.label,
@@ -183,11 +180,9 @@ def format_run_report(result: SimResult) -> str:
         "",
         "resource        uses      busy  occupancy",
     ]
-    occupancy = (occupancy_report(result) if result.total_cycles > 0
-                 else {name: 0.0 for name in result.resource_uses})
-    for name in sorted(result.resource_uses):
+    for name, occ in sorted(occupancy(result).items()):
         lines.append(f"{name:<12} {result.resource_uses[name]:>8} "
-                     f"{result.resource_busy[name]:>9.2f} {100 * occupancy[name]:>9.1f}%")
+                     f"{result.resource_busy[name]:>9.2f} {100 * occ:>9.1f}%")
     if result.cache_stats:
         lines += ["", "cache level     hits    misses  transfers"]
         for name, c in result.cache_stats.items():

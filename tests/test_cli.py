@@ -100,10 +100,32 @@ def test_bad_weight_exits_one(port_block_files, capsys):
 def test_malformed_trace_names_line(tmp_path, port_block_files, capsys):
     _, cfg = port_block_files
     bad = tmp_path / "bad.trace"
-    bad.write_text('{"pc":0,"kind":"x"}\n{"pc":}\n')
+    bad.write_text('{"pc":0,"resources":["p1"],"latency":1}\n{"pc":}\n')
     rc = main(["simulate", str(bad), "--config", cfg])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate", "--per-instruction"],
+                                     ["sensitivity", "--workers", "2"]])
+def test_malformed_last_line_exits_one(tmp_path, capsys, command):
+    # the trace is streamed into the run, which fails only on reaching it
+    trace, cfg = _files_with(tmp_path)
+    with open(trace, "a", encoding="utf-8") as fh:
+        fh.write('{"pc":4,"latency":1}\n')
+    capsys.readouterr()
+    assert main([command[0], trace, "--config", cfg, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sensim: error: line 6: ")
+    assert captured.out == ""
+
+
+def test_config_error_is_reported_before_trace_error(tmp_path, capsys):
+    trace, cfg = _files_with(tmp_path, edit_config=lambda d: d.update(window=0),
+                             record='{"pc":}')
+    capsys.readouterr()
+    assert main(["simulate", trace, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "sensim: error: window capacity must be >= 1\n"
 
 
 def test_unknown_kind_exits_one(tmp_path, port_block_files, capsys):
@@ -151,12 +173,16 @@ def _files_with(tmp_path, edit_config=None, record=None):
     lambda d: d.update(shadow_granularity="byte"),
     lambda d: d["resources"].append({"name": "a,b", "gap": 1.0}),
     lambda d: d["caches"][1].update(name='L"2'),
+    lambda d: d["resources"].append({"name": "", "gap": 1.0}),
+    lambda d: d["resources"].append({"name": " a", "gap": 1.0}),
+    lambda d: d["caches"][1].update(name="L2 "),
 ], ids=["resource-gap-inf", "resource-gap-nan", "cache-gap-inf", "kind-latency-nan",
         "penalty-inf", "size-str", "assoc-float", "line-bool", "enabled-str",
         "btb-sets-float", "btb-ways-str", "entries-null", "tables-float",
         "history-str", "kinds-array", "gap-huge-int", "history-empty",
         "history-negative", "shadow-granularity", "resource-name-comma",
-        "cache-name-quote"])
+        "cache-name-quote", "resource-name-empty", "resource-name-padded",
+        "cache-name-padded"])
 def test_bad_config_value_exits_one(tmp_path, capsys, edit):
     trace, cfg = _files_with(tmp_path, edit_config=edit)
     capsys.readouterr()

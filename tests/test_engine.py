@@ -7,10 +7,10 @@ from oracles import RefTimingModel
 from randcases import random_config, random_trace
 from sensim.branch import BranchConfig
 from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
-from sensim.engine import (ZeroTimeTrace, build_schedule, occupancy_report,
-                           run_schedule, simulate)
+from sensim.engine import build_schedule, run_schedule, simulate
 from sensim.machine import (INST_LAT, CacheLevelConfig, MachineConfig, Resource,
                             accelerable_parameters, apply_weights)
+from sensim.report import occupancy
 from sensim.trace import BranchInfo, InstructionEvent, MemAccess
 
 PORT_BLOCK_END_TIMES = [1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4]
@@ -89,12 +89,12 @@ def test_window_capacity_one_serializes():
 def test_occupancy_single_event_saturates():
     events = [InstructionEvent(seq=0, pc=0, resources=("p0",), latency=1.0)]
     result = simulate(events, _one_port_config())
-    assert occupancy_report(result) == {"p0": 1.0}
+    assert occupancy(result) == {"p0": 1.0}
 
 
 def test_occupancy_port_block():
     trace, config = gen_port_block()
-    occ = occupancy_report(simulate(trace, config))
+    occ = occupancy(simulate(trace, config))
     # derived by hand from the bundled port column: three uses each for
     # p0/p6 over four cycles, one each for p3/p5
     assert occ == {"p0": 0.75, "p1": 0.5, "p2": 0.5, "p3": 0.25,
@@ -106,12 +106,11 @@ def test_occupancy_unused_resource_is_zero():
     config = MachineConfig(resources=(Resource("p0", 1.0), Resource("idle", 1.0)),
                            window_capacity=4)
     events = [InstructionEvent(seq=0, pc=0, resources=("p0",), latency=1.0)]
-    assert occupancy_report(simulate(events, config))["idle"] == 0.0
+    assert occupancy(simulate(events, config))["idle"] == 0.0
 
 
-def test_occupancy_of_zero_time_trace_raises():
-    with pytest.raises(ZeroTimeTrace):
-        occupancy_report(simulate([], _one_port_config()))
+def test_occupancy_of_zero_time_trace_is_zero():
+    assert occupancy(simulate([], _one_port_config())) == {"p0": 0.0}
 
 
 def test_latency_scale_applies_to_every_event():

@@ -3,10 +3,12 @@
 The record format (`trace`) and the branch unit stand alone, the caches know
 only the machine description, nothing depends on the command line, and the
 graph has no cycle.  Importing the command line loads no networking, mail
-or XML module.
+or XML module.  The package stays within the seed's line count, and exports
+exactly the names the README's table lists.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -92,3 +94,27 @@ def test_cli_imports_no_heavy_module():
     heavy = [m for m in loaded
              if any(m == h or m.startswith(h + ".") for h in HEAVY_MODULES)]
     assert heavy == []
+
+
+# the seed's size: the same model should never need more code than it had
+SEED_LINES = 2129
+
+
+def test_package_is_no_larger_than_the_seed():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in PACKAGE.glob("*.py"))
+    assert lines <= SEED_LINES
+
+
+def test_exports_are_the_readme_table():
+    import sensim
+
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    # rows of the `| Module | Names |` table, one module's names per row
+    table = [line.split("|")[2] for line in readme.splitlines()
+             if line.startswith("| `")]
+    documented = {name.strip(" `") for cell in table for name in cell.split(",")}
+    exported = {name for name, value in vars(sensim).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(documented) == 24
+    assert exported == documented
