@@ -30,7 +30,7 @@ class BranchConfig:
     history_lengths: tuple[int, ...] = (4, 8, 16, 32)
     misprediction_penalty: float = 15.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.btb_sets < 1 or self.btb_ways < 1:
             raise ValueError("BTB geometry must be at least 1 set and 1 way")
         if self.tage_entries_log2 < 1:
@@ -41,6 +41,11 @@ class BranchConfig:
             raise ValueError("history_lengths must be strictly increasing")
         if not 0 <= self.misprediction_penalty < inf:
             raise ValueError("misprediction_penalty must be finite and >= 0")
+        # larger tables may not fit in memory
+        if (self.btb_sets * self.btb_ways > 1 << 16 or self.tage_entries_log2 > 16
+                or len(self.history_lengths) > 32 or self.history_lengths[-1] > 4096):
+            raise ValueError("branch tables too large: at most 65536 BTB entries, "
+                             "tage_entries_log2 16 and 32 history lengths up to 4096")
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,6 @@ class PredictorState:
     """
 
     def __init__(self, config: BranchConfig):
-        config.validate()
         self.config = config
         n = 1 << config.tage_entries_log2
         tables = len(config.history_lengths)

@@ -10,13 +10,12 @@ from math import inf
 
 from . import corpus
 from .engine import simulate
-from .machine import (ConfigError, UnknownKind, UnknownParameter, UnknownResource,
-                      accelerable_parameters, dump_config, load_config)
+from .machine import ConfigError, accelerable_parameters, dump_config, load_config
 from .report import (emit_heatmap, format_instruction_table, format_run_report,
                      format_sensitivity, render_instruction_table, run_report_json)
 from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, classify,
                           power_subsets, sweep_single, sweep_subsets)
-from .trace import parse_trace, write_trace
+from .trace import TraceError, parse_trace, write_trace
 
 
 def _default_workers() -> int:
@@ -79,11 +78,19 @@ def _build_parser() -> _Parser:
 
 @contextmanager
 def _load_inputs(args):
-    """The config, then the trace's events streamed from the open file."""
+    """The config, then the trace's events streamed from the open file.  A
+    TraceError without a line (a record the config cannot bind) gets the
+    line last read, which is that record's."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config = load_config(fh.read())
     with open(args.trace, "r", encoding="utf-8") as fh:
-        yield parse_trace(fh), config
+        read = [0]
+        try:
+            yield parse_trace(line for read[0], line in enumerate(fh, 1)), config
+        except TraceError as exc:
+            if exc.line is not None:
+                raise
+            raise TraceError(str(exc), read[0]) from None
 
 
 def _cmd_simulate(args) -> int:
@@ -158,9 +165,6 @@ def _cmd_gen_kernel(args) -> int:
     return 0
 
 
-_INPUT_ERRORS = (UnknownKind, UnknownResource, UnknownParameter, OSError, ValueError)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -174,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _INPUT_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         print(f"sensim: error: {exc}", file=sys.stderr)
         return 1
 

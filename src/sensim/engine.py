@@ -30,12 +30,8 @@ from typing import Iterable
 
 from .branch import PredictorState, misprediction_delay
 from .caches import CacheHierarchy, line_accesses
-from .machine import MachineConfig, UnknownKind
-from .trace import InstructionEvent
-
-
-class TimeOverflow(ValueError):
-    """Raised when a run's total or busy time exceeds the largest float."""
+from .machine import MachineConfig
+from .trace import InstructionEvent, TraceError
 
 
 @dataclass(frozen=True)
@@ -112,14 +108,16 @@ def bind_semantics(event: InstructionEvent,
         latency = event.latency
         label = event.kind or ""
     else:
-        try:
-            kind = config.kinds[event.kind]
-        except KeyError:
-            raise UnknownKind(event.kind) from None
+        kind = config.kinds.get(event.kind)
+        if kind is None:
+            raise TraceError(f"unknown instruction kind: {event.kind!r}")
         names = kind.resources
         latency = kind.latency
         label = kind.name
-    ids = [config.resource_id(n) for n in names]
+    try:
+        ids = [config.resource_id(n) for n in names]
+    except KeyError as exc:
+        raise TraceError(f"unknown resource: {exc.args[0]!r}") from None
     if config.frontend_id is not None:
         ids.append(config.frontend_id)
     return tuple(ids), latency, label
@@ -313,7 +311,7 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     # by non-negative numbers), and a weight can only lower every time, so
     # a sweep whose base run passes this check never fails it on a rerun
     if total == inf or inf in resource_busy.values() or inf in cache_busy.values():
-        raise TimeOverflow("simulated time overflowed")
+        raise ValueError("simulated time overflowed")
     count = len(schedule.steps)
     return SimResult(
         total_cycles=total,

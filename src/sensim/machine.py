@@ -27,27 +27,11 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent machine configurations."""
 
 
-class UnknownResource(LookupError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown resource: {name!r}")
-        self.name = name
-
-
-class UnknownKind(LookupError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown instruction kind: {name!r}")
-        self.name = name
-
-
-class UnknownParameter(LookupError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown accelerable parameter: {name!r}")
-        self.name = name
-
-
-class InvalidWeight(ValueError):
-    def __init__(self, name: str, weight: float):
-        super().__init__(f"weight for {name!r} must be a finite number >= 1, got {weight}")
+def _check_name(name: str) -> None:
+    if any(c in name for c in _UNSAFE):
+        raise ConfigError(f"name {name!r} may not contain any of , ; + \"")
+    if not name or name != name.strip():
+        raise ConfigError(f"name {name!r} is empty or starts or ends with whitespace")
 
 
 @dataclass(frozen=True)
@@ -57,6 +41,13 @@ class Resource:
 
     name: str
     gap: float
+
+    def __post_init__(self):
+        _check_name(self.name)
+        if not 0 < self.gap < inf:
+            raise ConfigError(f"resource {self.name!r}: gap must be finite and > 0")
+        if self.name in _RESERVED or self.name.endswith(_THR_SUFFIX):
+            raise ConfigError(f"resource name {self.name!r} is reserved")
 
 
 @dataclass(frozen=True)
@@ -70,6 +61,10 @@ class InstructionKind:
     name: str
     resources: tuple[str, ...]
     latency: float
+
+    def __post_init__(self):
+        if not 0 <= self.latency < inf:
+            raise ConfigError(f"kind {self.name!r}: latency must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,8 @@ class CacheLevelConfig:
     def is_backstop(self) -> bool:
         return self.total_size is None
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_name(self.name)
         if not 0 < self.gap < inf:
             raise ConfigError(f"cache level {self.name!r}: gap must be finite and > 0")
         geometry = (self.total_size, self.associativity, self.line_size)
@@ -112,11 +108,14 @@ class CacheLevelConfig:
         if self.total_size % (self.associativity * self.line_size):
             raise ConfigError(
                 f"cache level {self.name!r}: size must divide into assoc x line sets")
+        if self.total_size // self.line_size > 1 << 21:  # more may not fit in memory
+            raise ConfigError(f"cache level {self.name!r}: at most {1 << 21} lines")
 
 
 @dataclass(frozen=True)
 class MachineConfig:
-    """The whole modeled machine."""
+    """The whole modeled machine.  Each part checks its own fields when it
+    is built; this checks what spans parts."""
 
     resources: tuple[Resource, ...]
     kinds: dict[str, InstructionKind] = field(default_factory=dict)
@@ -129,62 +128,35 @@ class MachineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "_by_name", {r.name: i for i, r in enumerate(self.resources)})
-        self._validate()
-
-    def _validate(self) -> None:
-        names = [r.name for r in self.resources]
-        if len(set(names)) != len(names):
+        if len(self._by_name) != len(self.resources):
             raise ConfigError("resource names must be unique")
-        for name in names + [l.name for l in self.cache_levels]:
-            if any(c in name for c in _UNSAFE):
-                raise ConfigError(f"name {name!r} may not contain any of , ; + \"")
-            if not name or name != name.strip():
-                raise ConfigError(f"name {name!r} is empty or starts or ends with whitespace")
-        for r in self.resources:
-            if not 0 < r.gap < inf:
-                raise ConfigError(f"resource {r.name!r}: gap must be finite and > 0")
-            if r.name in _RESERVED or r.name.endswith(_THR_SUFFIX):
-                raise ConfigError(f"resource name {r.name!r} is reserved")
         if self.window_capacity < 1:
             raise ConfigError("window capacity must be >= 1")
         if self.latency_scale <= 0:
             raise ConfigError("latency_scale must be > 0")
-        if self.frontend_resource is not None and self.frontend_resource not in self._by_name:
-            raise UnknownResource(self.frontend_resource)
-        for kind in self.kinds.values():
-            for rname in kind.resources:
-                if rname not in self._by_name:
-                    raise UnknownResource(rname)
-            if not 0 <= kind.latency < inf:
-                raise ConfigError(f"kind {kind.name!r}: latency must be finite and >= 0")
+        refs = [self.frontend_resource] if self.frontend_resource is not None else []
+        for name in refs + [r for kind in self.kinds.values() for r in kind.resources]:
+            if name not in self._by_name:
+                raise ConfigError(f"unknown resource: {name!r}")
         level_names = [l.name for l in self.cache_levels]
         if len(set(level_names)) != len(level_names):
             raise ConfigError("cache level names must be unique")
-        line_sizes = set()
-        last_size = 0
-        for i, level in enumerate(self.cache_levels):
-            level.validate()
-            if level.name in self._by_name:
-                raise ConfigError(f"cache level {level.name!r} collides with a resource name")
-            if level.is_backstop:
-                if i != len(self.cache_levels) - 1:
-                    raise ConfigError("only the last cache level may omit geometry")
-            else:
-                if level.total_size <= last_size:
-                    raise ConfigError("cache levels must be ordered by increasing capacity")
-                last_size = level.total_size
-                line_sizes.add(level.line_size)
-        if len(line_sizes) > 1:
+        for name in level_names:
+            if name in self._by_name:
+                raise ConfigError(f"cache level {name!r} collides with a resource name")
+        if any(l.is_backstop for l in self.cache_levels[:-1]):
+            raise ConfigError("only the last cache level may omit geometry")
+        sized = [l for l in self.cache_levels if not l.is_backstop]
+        if any(b.total_size <= a.total_size for a, b in zip(sized, sized[1:])):
+            raise ConfigError("cache levels must be ordered by increasing capacity")
+        if len({l.line_size for l in sized}) > 1:
             raise ConfigError("all cache levels must share one line size")
         if self.branch.enabled and self.frontend_resource is None:
             raise ConfigError("branch modeling needs a frontend resource to stall")
-        self.branch.validate()
 
     def resource_id(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise UnknownResource(name) from None
+        """The resource's index; a KeyError for a name the config lacks."""
+        return self._by_name[name]
 
     @property
     def frontend_id(self) -> int | None:
@@ -213,15 +185,16 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
 
     A weight w >= 1 divides the gap of a throughput resource or cache level,
     divides the global latency scale (INST_LAT), or multiplies the window
-    capacity (INST_WINDOW, rounded half-up, floor 1).  The input config is
-    never modified.
+    capacity (INST_WINDOW, rounded half-up, floor 1, at most 2**53: no trace
+    has that many events, so a larger window behaves the same).  The input
+    config is never modified.
     """
     valid = set(accelerable_parameters(config))
     for name, w in weights.items():
         if name not in valid:
-            raise UnknownParameter(name)
+            raise ConfigError(f"unknown accelerable parameter: {name!r}")
         if not 1 <= w < inf:
-            raise InvalidWeight(name, w)
+            raise ConfigError(f"weight for {name!r} must be a finite number >= 1, got {w}")
 
     resources = tuple(
         replace(r, gap=r.gap / weights[r.name]) if r.name in weights else r
@@ -235,7 +208,8 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
         latency_scale = latency_scale / weights[INST_LAT]
     capacity = config.window_capacity
     if INST_WINDOW in weights:
-        capacity = max(1, floor(capacity * weights[INST_WINDOW] + 0.5))
+        scaled = min(min(capacity, 2**53) * weights[INST_WINDOW], 2.0**53)
+        capacity = max(1, floor(scaled + 0.5))
     return replace(config, resources=resources, cache_levels=levels,
                    latency_scale=latency_scale, window_capacity=capacity)
 
@@ -313,13 +287,11 @@ def load_config(text: str) -> MachineConfig:
         entry = raw["branch"]
         if not isinstance(entry, dict):
             raise ConfigError("branch must be an object")
-        fields = {
-            "enabled": _get(entry, "enabled", bool, "branch", False),
-            "btb_sets": _get(entry, "btb_sets", int, "branch", 64),
-            "btb_ways": _get(entry, "btb_ways", int, "branch", 4),
-            "tage_entries_log2": _get(entry, "tage_entries_log2", int, "branch", 10),
-            "misprediction_penalty": _number(entry, "misprediction_penalty", "branch", 15.0),
-        }
+        fields = {key: _get(entry, key, int, "branch", getattr(BranchConfig, key))
+                  for key in ("btb_sets", "btb_ways", "tage_entries_log2")}
+        fields["enabled"] = _get(entry, "enabled", bool, "branch", BranchConfig.enabled)
+        fields["misprediction_penalty"] = _number(entry, "misprediction_penalty", "branch",
+                                                  BranchConfig.misprediction_penalty)
         lengths = _get(entry, "history_lengths", list, "branch",
                        list(BranchConfig.history_lengths))
         if not all(isinstance(n, int) and not isinstance(n, bool) for n in lengths):
@@ -327,22 +299,20 @@ def load_config(text: str) -> MachineConfig:
         # tage_tables is implied by history_lengths; a given one must agree
         if _get(entry, "tage_tables", int, "branch", len(lengths)) != len(lengths):
             raise ConfigError("branch: tage_tables must match len(history_lengths)")
-        branch = BranchConfig(history_lengths=tuple(lengths), **fields)
+        try:
+            branch = BranchConfig(history_lengths=tuple(lengths), **fields)
+        except ValueError as exc:
+            # the branch unit imports nothing from this package
+            raise ConfigError(str(exc)) from None
 
-    window = _get(raw, "window", int, "config")
-    try:
-        return MachineConfig(
-            resources=tuple(resources),
-            kinds=kinds,
-            window_capacity=window,
-            frontend_resource=_get(raw, "frontend", str, "config", None),
-            cache_levels=tuple(levels),
-            branch=branch,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    return MachineConfig(
+        resources=tuple(resources),
+        kinds=kinds,
+        window_capacity=_get(raw, "window", int, "config"),
+        frontend_resource=_get(raw, "frontend", str, "config", None),
+        cache_levels=tuple(levels),
+        branch=branch,
+    )
 
 
 def dump_config(config: MachineConfig) -> str:

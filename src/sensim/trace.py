@@ -16,30 +16,21 @@ from typing import Iterable, Iterator
 
 ADDRESS_BITS = 64
 _ADDRESS_LIMIT = 1 << ADDRESS_BITS
+# shadow memory has a key per byte; a longer range is split over list entries
+MAX_ACCESS_BYTES = 4096
 
 BRANCH_KINDS = ("none", "conditional", "direct", "indirect")
 
 
 class TraceError(ValueError):
-    """Base class for trace parsing and validation failures."""
+    """A record that is malformed or that the machine cannot run; `line`
+    is its line in the trace file, when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class MalformedRecord(TraceError):
-    pass
-
-
-class NegativeLatency(TraceError):
-    pass
-
-
-class OverflowingAccess(TraceError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -81,31 +72,33 @@ class InstructionEvent:
 
     def __post_init__(self):
         if self.pc < 0:
-            raise MalformedRecord("pc must be >= 0")
+            raise TraceError("pc must be >= 0")
         has_inline = self.resources is not None or self.latency is not None
         if has_inline and (self.resources is None or self.latency is None):
-            raise MalformedRecord("resources and latency must be given together")
+            raise TraceError("resources and latency must be given together")
         if self.kind is None and not has_inline:
-            raise MalformedRecord("record needs a kind or inline resources+latency")
+            raise TraceError("record needs a kind or inline resources+latency")
         if self.latency is not None:
             if not isfinite(self.latency):
-                raise MalformedRecord(f"latency {self.latency} is not a finite number")
+                raise TraceError(f"latency {self.latency} is not a finite number")
             if self.latency < 0:
-                raise NegativeLatency(f"latency {self.latency} is negative")
+                raise TraceError(f"latency {self.latency} is negative")
         for acc in (*self.mem_reads, *self.mem_writes):
             if acc.size < 1:
-                raise MalformedRecord("memory access size must be >= 1")
+                raise TraceError("memory access size must be >= 1")
+            if acc.size > MAX_ACCESS_BYTES:
+                raise TraceError(f"memory access size {acc.size} is over {MAX_ACCESS_BYTES} bytes")
             if acc.addr < 0 or acc.addr + acc.size > _ADDRESS_LIMIT:
-                raise OverflowingAccess(
+                raise TraceError(
                     f"access [{acc.addr}, +{acc.size}) leaves the {ADDRESS_BITS}-bit "
                     "address space")
         b = self.branch
         if b.kind not in BRANCH_KINDS:
-            raise MalformedRecord(f"unknown branch kind {b.kind!r}")
+            raise TraceError(f"unknown branch kind {b.kind!r}")
         if b.kind == "none" and (b.taken or b.target != 0):
-            raise MalformedRecord("non-branch records cannot be taken or have a target")
+            raise TraceError("non-branch records cannot be taken or have a target")
         if b.kind == "direct" and not b.taken:
-            raise MalformedRecord("direct branches are always taken")
+            raise TraceError("direct branches are always taken")
 
 
 _RECORD_FIELDS = {"pc", "kind", "resources", "latency", "reg_reads", "reg_writes",
@@ -118,18 +111,18 @@ def _is_int(value) -> bool:
 
 def _int_list(raw, name: str) -> tuple[int, ...]:
     if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
-        raise MalformedRecord(f"{name} must be an array of integers")
+        raise TraceError(f"{name} must be an array of integers")
     return tuple(raw)
 
 
 def _accesses(raw, name: str) -> tuple[MemAccess, ...]:
     if not isinstance(raw, list):
-        raise MalformedRecord(f"{name} must be an array")
+        raise TraceError(f"{name} must be an array")
     out = []
     for entry in raw:
         if (not isinstance(entry, dict) or set(entry) != {"addr", "size"}
                 or not all(_is_int(entry[k]) for k in ("addr", "size"))):
-            raise MalformedRecord(f'{name} entries must be {{"addr":int,"size":int}}')
+            raise TraceError(f'{name} entries must be {{"addr":int,"size":int}}')
         out.append(MemAccess(addr=entry["addr"], size=entry["size"]))
     return tuple(out)
 
@@ -139,48 +132,48 @@ def _parse_record(raw_line: str, position: int) -> InstructionEvent:
     try:
         raw = json.loads(raw_line)
     except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid record: {exc.msg}") from None
+        raise TraceError(f"invalid record: {exc.msg}") from None
     if not isinstance(raw, dict):
-        raise MalformedRecord("record must be an object")
+        raise TraceError("record must be an object")
     unknown = set(raw) - _RECORD_FIELDS
     if unknown:
-        raise MalformedRecord(f"unknown field {sorted(unknown)[0]!r}")
+        raise TraceError(f"unknown field {sorted(unknown)[0]!r}")
     if not _is_int(raw.get("pc")):
-        raise MalformedRecord("pc is required and must be an integer")
+        raise TraceError("pc is required and must be an integer")
 
     kind = raw.get("kind")
     if kind is not None and not isinstance(kind, str):
-        raise MalformedRecord("kind must be a string")
+        raise TraceError("kind must be a string")
     resources = raw.get("resources")
     if resources is not None:
         if not isinstance(resources, list) or not all(
                 isinstance(r, str) for r in resources):
-            raise MalformedRecord("resources must be an array of strings")
+            raise TraceError("resources must be an array of strings")
         resources = tuple(resources)
     latency = raw.get("latency")
     if latency is not None:
         if isinstance(latency, bool) or not isinstance(latency, (int, float)):
-            raise MalformedRecord("latency must be a number")
+            raise TraceError("latency must be a number")
         try:
             latency = float(latency)
         except OverflowError:
-            raise MalformedRecord("latency is out of range") from None
+            raise TraceError("latency is out of range") from None
 
     branch = NO_BRANCH
     if "branch" in raw:
         b = raw["branch"]
         if not isinstance(b, dict) or not set(b) <= {"kind", "taken", "target"}:
-            raise MalformedRecord("branch must be {kind, taken, target}")
+            raise TraceError("branch must be {kind, taken, target}")
         branch = BranchInfo(kind=b.get("kind", "none"), taken=b.get("taken", False),
                             target=b.get("target", 0))
         if not (isinstance(branch.kind, str) and isinstance(branch.taken, bool)
                 and _is_int(branch.target)):
-            raise MalformedRecord("branch kind must be a string, taken a boolean "
+            raise TraceError("branch kind must be a string, taken a boolean "
                                   "and target an integer")
 
     seq = raw.get("seq", position)
     if not _is_int(seq):
-        raise MalformedRecord("seq must be an integer")
+        raise TraceError("seq must be an integer")
     return InstructionEvent(
         seq=seq,
         pc=raw["pc"],
@@ -209,9 +202,9 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
         try:
             event = _parse_record(raw_line, position)
             if event.seq <= last_seq:
-                raise MalformedRecord(f"seq {event.seq} does not increase")
+                raise TraceError(f"seq {event.seq} does not increase")
         except TraceError as exc:
-            raise type(exc)(str(exc), lineno) from None
+            raise TraceError(str(exc), lineno) from None
         last_seq = event.seq
         position = max(position, event.seq) + 1
         yield event

@@ -145,6 +145,29 @@ def _loaded_branch(**branch):
                                    "branch": branch})).branch
 
 
+# each just over a limit, plus values whose tables could never be allocated;
+# a config at a limit is only loaded, never built
+@pytest.mark.parametrize("branch", [
+    {"btb_sets": 2**16 + 1, "btb_ways": 1},
+    {"btb_sets": 2**15, "btb_ways": 3},
+    {"btb_sets": 2**70},
+    {"tage_entries_log2": 17},
+    {"tage_entries_log2": 63},
+    {"history_lengths": list(range(1, 34))},
+    {"history_lengths": [4, 8, 16, 4097]},
+    {"history_lengths": [4, 8, 16, 2**70]},
+])
+def test_geometry_over_the_limits_rejected_at_load(branch):
+    with pytest.raises(ConfigError, match="branch tables too large"):
+        _loaded_branch(enabled=True, **branch)
+
+
+def test_geometry_at_the_limits_loads():
+    branch = _loaded_branch(enabled=True, btb_sets=2**14, btb_ways=4, tage_entries_log2=16,
+                            history_lengths=list(range(4065, 4097)))
+    assert len(branch.history_lengths) == 32
+
+
 def _random_geometry(rng):
     return _loaded_branch(enabled=True, btb_sets=rng.choice((1, 2, 8, 64)),
                           btb_ways=rng.choice((1, 2, 4)),

@@ -136,6 +136,25 @@ def test_unknown_kind_exits_one(tmp_path, port_block_files, capsys):
     assert "nosuch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record,command,message", [
+    ('{"pc":8,"kind":"nosuch"}', ["simulate"], "unknown instruction kind: 'nosuch'"),
+    ('{"pc":8,"kind":"nosuch"}', ["sensitivity", "--workers", "1"],
+     "unknown instruction kind: 'nosuch'"),
+    ('{"pc":8,"resources":["p9"],"latency":1}', ["simulate", "--report", "json"],
+     "unknown resource: 'p9'"),
+], ids=["kind-simulate", "kind-sensitivity", "inline-resource"])
+def test_bind_error_names_line(tmp_path, port_block_files, capsys, record, command, message):
+    # line 2 is blank, and the record after the bad one is never reached
+    _, cfg = port_block_files
+    bad = tmp_path / "bad.trace"
+    bad.write_text('{"pc":0,"resources":["p1"],"latency":1}\n\n%s\n{"pc":}\n' % record)
+    capsys.readouterr()
+    assert main([command[0], str(bad), "--config", cfg, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"sensim: error: line 3: {message}\n"
+    assert captured.out == ""
+
+
 def _files_with(tmp_path, edit_config=None, record=None):
     """The chain kernel's trace and config, with the config edited in place
     or the trace replaced by one record."""
@@ -176,13 +195,15 @@ def _files_with(tmp_path, edit_config=None, record=None):
     lambda d: d["resources"].append({"name": "", "gap": 1.0}),
     lambda d: d["resources"].append({"name": " a", "gap": 1.0}),
     lambda d: d["caches"][1].update(name="L2 "),
+    lambda d: d["branch"].update(tage_entries_log2=63),
+    lambda d: d["branch"].update(history_lengths=[4, 8, 16, 2**70]),
 ], ids=["resource-gap-inf", "resource-gap-nan", "cache-gap-inf", "kind-latency-nan",
         "penalty-inf", "size-str", "assoc-float", "line-bool", "enabled-str",
         "btb-sets-float", "btb-ways-str", "entries-null", "tables-float",
         "history-str", "kinds-array", "gap-huge-int", "history-empty",
         "history-negative", "shadow-granularity", "resource-name-comma",
         "cache-name-quote", "resource-name-empty", "resource-name-padded",
-        "cache-name-padded"])
+        "cache-name-padded", "entries-log2-63", "history-2**70"])
 def test_bad_config_value_exits_one(tmp_path, capsys, edit):
     trace, cfg = _files_with(tmp_path, edit_config=edit)
     capsys.readouterr()
@@ -197,7 +218,10 @@ def test_bad_config_value_exits_one(tmp_path, capsys, edit):
     '{"pc":0,"kind":"k","branch":{"kind":"conditional","taken":"no","target":4}}',
     '{"pc":0,"kind":"k","branch":{"kind":"conditional","taken":true,"target":"x"}}',
     '{"pc":0,"kind":"k","branch":{"kind":1,"taken":true,"target":4}}',
-], ids=["latency-nan", "latency-inf", "latency-huge-int", "taken-str", "target-str", "kind-int"])
+    '{"pc":0,"resources":["p0"],"latency":1,"mem_reads":[{"addr":0,"size":4097}]}',
+    '{"pc":0,"resources":["p0"],"latency":1,"mem_writes":[{"addr":0,"size":%d}]}' % 2**62,
+], ids=["latency-nan", "latency-inf", "latency-huge-int", "taken-str", "target-str", "kind-int",
+        "access-4097", "access-2**62"])
 def test_bad_trace_value_exits_one(tmp_path, capsys, record):
     trace, cfg = _files_with(tmp_path, record=record)
     capsys.readouterr()
@@ -219,6 +243,20 @@ def test_non_finite_sensitivity_flag_exits_one(port_block_files, capsys, flags):
     captured = capsys.readouterr()
     assert captured.err.startswith("sensim: error: ")
     assert "bottleneck" not in captured.out
+
+
+def test_huge_window_weight_equals_a_large_one(tmp_path, capsys):
+    # independent events that a window of one serializes
+    trace = tmp_path / "w.trace"
+    trace.write_text('{"pc":0,"resources":["r"],"latency":10}\n' * 4)
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text('{"resources": [{"name": "r", "gap": 1}], "window": 1}')
+    heatmap = tmp_path / "w.csv"
+    assert main(["sensitivity", str(trace), "--config", str(cfg), "--resources", "INST_WINDOW",
+                 "--weights", "1e6,1e308", "--workers", "1", "--heatmap", str(heatmap)]) == 0
+    rows = [line.split(",") for line in heatmap.read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["1000000", str(int(1e308))]
+    assert rows[0][2:] == rows[1][2:] == ["13", "2.076923076923077"]
 
 
 @pytest.mark.parametrize("footprint", ["0", "-64", "4", "100"])

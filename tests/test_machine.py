@@ -1,10 +1,10 @@
+import json
 import math
 
 import pytest
 
 from sensim.machine import (INST_LAT, INST_WINDOW, CacheLevelConfig, ConfigError,
-                            InvalidWeight, MachineConfig, Resource, UnknownParameter,
-                            UnknownResource, accelerable_parameters, apply_weights,
+                            MachineConfig, Resource, accelerable_parameters, apply_weights,
                             builtin_config, dump_config, load_config)
 
 MINIMAL = '{"resources": [{"name": "p0", "gap": 1}], "window": 4}'
@@ -59,14 +59,30 @@ def test_invalid_configs_rejected(text):
         load_config(text)
 
 
+def _one_level(size, assoc, line):
+    return json.dumps({"resources": [{"name": "p0", "gap": 1}], "window": 4,
+                       "caches": [{"name": "L1", "size": size, "assoc": assoc,
+                                   "line": line, "gap": 1}]})
+
+
+@pytest.mark.parametrize("size", [64 * (2**21 + 1), 2**70])
+def test_cache_over_the_line_limit_rejected(size):
+    with pytest.raises(ConfigError, match="at most 2097152 lines"):
+        load_config(_one_level(size, 1, 64))
+
+
+def test_cache_at_the_line_limit_loads():
+    assert load_config(_one_level(64 * 2**21, 8, 64)).cache_levels[0].total_size == 2**27
+
+
 def test_kind_with_unknown_resource_rejected():
-    with pytest.raises(UnknownResource):
+    with pytest.raises(ConfigError, match="unknown resource: 'p9'"):
         load_config('{"resources": [{"name": "p0", "gap": 1}], "window": 4,'
                     ' "kinds": {"mul": {"resources": ["p9"], "latency": 1}}}')
 
 
 def test_unknown_frontend_rejected():
-    with pytest.raises(UnknownResource):
+    with pytest.raises(ConfigError, match="unknown resource: 'FE'"):
         load_config('{"resources": [{"name": "p0", "gap": 1}], "window": 4,'
                     ' "frontend": "FE"}')
 
@@ -98,6 +114,14 @@ def test_apply_weights_window_rounds_half_up():
     assert apply_weights(cfg, {INST_WINDOW: 1.125}).window_capacity == 5  # 4.5 up
     cfg1 = load_config('{"resources": [{"name": "p0", "gap": 1}], "window": 1}')
     assert apply_weights(cfg1, {INST_WINDOW: 1.2}).window_capacity == 1
+
+
+@pytest.mark.parametrize("window", [4, 10**400], ids=["small", "huge"])
+def test_apply_weights_window_stays_finite(window):
+    # a window of 2**53 never fills, so the clamp changes no run
+    cfg = load_config('{"resources": [{"name": "p0", "gap": 1}], "window": %d}' % window)
+    assert apply_weights(cfg, {INST_WINDOW: 1e308}).window_capacity == 2**53
+    assert apply_weights(cfg, {INST_WINDOW: 1.5}).window_capacity == min(window * 3 // 2, 2**53)
 
 
 def test_apply_weights_latency_scale():
@@ -143,10 +167,10 @@ def test_apply_weights_preserves_resource_ids():
 
 def test_apply_weights_rejects_bad_input():
     cfg = load_config(MINIMAL)
-    with pytest.raises(UnknownParameter):
+    with pytest.raises(ConfigError, match="unknown accelerable parameter: 'nosuch'"):
         apply_weights(cfg, {"nosuch": 2.0})
     for bad in (0.5, float("nan"), float("inf")):
-        with pytest.raises(InvalidWeight):
+        with pytest.raises(ConfigError, match="weight for 'p0' must be a finite number >= 1"):
             apply_weights(cfg, {"p0": bad})
 
 

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from sensim.engine import bind_semantics
-from sensim.machine import UnknownKind, UnknownResource, load_config
-from sensim.trace import (BranchInfo, InstructionEvent, MalformedRecord, MemAccess,
-                          NegativeLatency, OverflowingAccess, parse_trace, write_trace)
+from sensim.machine import load_config
+from sensim.trace import (BranchInfo, InstructionEvent, MemAccess, TraceError, parse_trace,
+                          write_trace)
 
 MINIMAL_CFG = """
 {"resources": [{"name": "p0", "gap": 1}], "window": 4}
@@ -32,15 +32,24 @@ def test_inline_resources_without_kind():
 
 
 def test_negative_latency_rejected():
-    with pytest.raises(NegativeLatency) as err:
+    with pytest.raises(TraceError, match="latency -1.0 is negative") as err:
         parse('{"pc":0,"resources":["p1"],"latency":-1}')
     assert "line 1" in str(err.value)
 
 
 def test_overflowing_access_rejected():
     rec = '{"pc":0,"kind":"x","mem_reads":[{"addr":%d,"size":16}]}' % (2**64 - 8)
-    with pytest.raises(OverflowingAccess):
+    with pytest.raises(TraceError, match="leaves the 64-bit address space"):
         parse(rec)
+
+
+def test_access_size_limit():
+    rec = '{"pc":0,"kind":"x","mem_writes":[{"addr":0,"size":4096}]}'
+    assert parse(rec)[0].mem_writes == (MemAccess(0, 4096),)
+    for size in (4097, 2**30, 2**62):
+        rec = '{"pc":0,"kind":"x","mem_reads":[{"addr":0,"size":%d}]}' % size
+        with pytest.raises(TraceError, match=f"line 2: memory access size {size} is over 4096"):
+            parse('{"pc":0,"kind":"x"}\n' + rec)
 
 
 @pytest.mark.parametrize("record", [
@@ -65,29 +74,32 @@ def test_overflowing_access_rejected():
     '{"pc":0,"kind":"x","mem_reads":[{"addr":true,"size":8}]}',
 ])
 def test_malformed_records(record):
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(TraceError):
         parse(record)
 
 
-@pytest.mark.parametrize("fields,error", [
-    ({"pc": -1, "kind": "x"}, MalformedRecord),
-    ({"pc": 0}, MalformedRecord),
-    ({"pc": 0, "resources": ("p0",)}, MalformedRecord),
-    ({"pc": 0, "resources": ("p0",), "latency": -1.0}, NegativeLatency),
-    ({"pc": 0, "resources": ("p0",), "latency": float("nan")}, MalformedRecord),
-    ({"pc": 0, "kind": "x", "mem_reads": (MemAccess(0, 0),)}, MalformedRecord),
-    ({"pc": 0, "kind": "x", "mem_writes": (MemAccess(2**64 - 4, 8),)}, OverflowingAccess),
-    ({"pc": 0, "kind": "x", "branch": BranchInfo(kind="direct")}, MalformedRecord),
-])
-def test_event_built_in_python_is_validated(fields, error):
-    with pytest.raises(error) as err:
+@pytest.mark.parametrize("fields,message", [
+    ({"pc": -1, "kind": "x"}, "pc must be >= 0"),
+    ({"pc": 0}, "record needs a kind"),
+    ({"pc": 0, "resources": ("p0",)}, "resources and latency must be given together"),
+    ({"pc": 0, "resources": ("p0",), "latency": -1.0}, "latency -1.0 is negative"),
+    ({"pc": 0, "resources": ("p0",), "latency": float("nan")}, "latency nan is not a finite"),
+    ({"pc": 0, "kind": "x", "mem_reads": (MemAccess(0, 0),)}, "access size must be >= 1"),
+    ({"pc": 0, "kind": "x", "mem_writes": (MemAccess(2**64 - 4, 8),)}, "leaves the 64-bit"),
+    ({"pc": 0, "kind": "x", "branch": BranchInfo(kind="direct")}, "always taken"),
+], ids=[  # each case keeps its id from when trace errors had three subclasses
+    "fields0-MalformedRecord", "fields1-MalformedRecord", "fields2-MalformedRecord",
+    "fields3-NegativeLatency", "fields4-MalformedRecord", "fields5-MalformedRecord",
+    "fields6-OverflowingAccess", "fields7-MalformedRecord"])
+def test_event_built_in_python_is_validated(fields, message):
+    with pytest.raises(TraceError, match=message) as err:
         InstructionEvent(seq=0, **fields)
     assert err.value.line is None
 
 
 def test_error_names_offending_line():
     text = '{"pc":0,"kind":"a"}\n{"pc":1,"kind":"b"}\nnot json\n'
-    with pytest.raises(MalformedRecord) as err:
+    with pytest.raises(TraceError, match="invalid record") as err:
         parse(text)
     assert err.value.line == 3
 
@@ -99,7 +111,7 @@ def test_seq_assigned_from_line_order_and_blank_lines_skipped():
 
 def test_explicit_seq_must_increase():
     parse('{"pc":0,"kind":"a","seq":3}\n{"pc":1,"kind":"b"}')
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(TraceError, match="seq 3 does not increase"):
         parse('{"pc":0,"kind":"a","seq":3}\n{"pc":1,"kind":"b","seq":3}')
 
 
@@ -200,9 +212,9 @@ def test_resolve_inline_overrides_kind():
 
 def test_resolve_unknown_kind_and_resource():
     cfg = load_config(MINIMAL_CFG)
-    with pytest.raises(UnknownKind):
+    with pytest.raises(TraceError, match="unknown instruction kind: 'nosuch'"):
         bind_semantics(InstructionEvent(seq=0, pc=0, kind="nosuch"), cfg)
-    with pytest.raises(UnknownResource):
+    with pytest.raises(TraceError, match="unknown resource: 'p9'"):
         bind_semantics(InstructionEvent(seq=0, pc=0, resources=("p9",), latency=1.0), cfg)
 
 
