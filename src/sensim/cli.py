@@ -6,15 +6,14 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from math import inf
 
 from . import corpus
 from .engine import simulate
-from .machine import ConfigError, accelerable_parameters, dump_config, load_config
+from .machine import accelerable_parameters, apply_weights, dump_config, load_config
 from .report import (emit_heatmap, format_instruction_table, format_run_report,
                      format_sensitivity, render_instruction_table, run_report_json)
-from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, classify,
-                          power_subsets, sweep_single, sweep_subsets)
+from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, SensitivityReport,
+                          classify, power_subsets, sweep_single, sweep_subsets)
 from .trace import TraceError, parse_trace, write_trace
 
 
@@ -119,10 +118,12 @@ def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
 
 
 def _cmd_sensitivity(args) -> int:
+    # report a bad threshold, like a bad name or weight, before reading the trace
+    classify(SensitivityReport(base_time=0.0, points=[]), args.threshold)
     with _load_inputs(args) as (trace, config):
         weights = [float(w) for w in args.weights.split(",") if w.strip()]
-        if not weights or any(not 1 <= w < inf for w in weights):
-            raise ConfigError("weights must be finite numbers >= 1")
+        if not weights:
+            raise ValueError("--weights names no weight")
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
         if args.resources == "all":
@@ -134,6 +135,8 @@ def _cmd_sensitivity(args) -> int:
             subsets = _parse_subsets(args.subsets, parameters)
             if not subsets:
                 raise ValueError("--subsets names no parameter set to sweep")
+            for w in weights:  # only the largest is swept, but each must be valid
+                apply_weights(config, dict.fromkeys(subsets[0], w))
             report = sweep_subsets(trace, config, subsets, max(weights),
                                    workers=args.workers)
         else:

@@ -14,11 +14,11 @@ Two phases keep reruns cheap.  `build_schedule` resolves the trace once and
 computes everything timing-independent into a Schedule: the cache hit level
 and branch verdict of each event, and the finished per-pc, per-resource,
 cache and branch counts.  `run_schedule` then computes only what a weight
-changes: the total, the IPC, busy time per resource and cache level, and
-optionally each event's end time; every result built from one schedule
-shares its counts.  This is exact, not an approximation: cache replacement
-and branch prediction depend only on the event stream, never on simulated
-time.
+changes: the total, the IPC, the gaps it ran with, and optionally each
+event's end time; every result built from one schedule shares its counts,
+from which `report` derives busy time, occupancy and shares.  This is exact,
+not an approximation: cache replacement and branch prediction depend only on
+the event stream, never on simulated time.
 """
 
 from __future__ import annotations
@@ -66,10 +66,8 @@ class SimResult:
     instruction_count: int
     ipc: float
     resource_uses: dict[str, int]
-    resource_busy: dict[str, float]
     per_pc: dict[int, PcStats]
     cache_stats: dict[str, LevelCounters]
-    cache_busy: dict[str, float]
     gaps: dict[str, float]
     branch_predicted: int
     branch_mispredicted: int
@@ -87,7 +85,7 @@ class Schedule:
     steps the timing recurrence walks, plus every count no weight changes."""
 
     steps: list[tuple]
-    resource_uses: dict[str, int]
+    resource_uses: dict[str, int]  # the column sums of the per-pc uses
     per_pc: dict[int, PcStats]
     cache_stats: dict[str, LevelCounters]
     branch_predicted: int
@@ -132,7 +130,6 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     resource_names = tuple(r.name for r in config.resources)
     columns = resource_names + tuple(l.name for l in config.cache_levels)
     n_res = len(resource_names)
-    uses = [0] * n_res
     key_memo: dict[tuple[int, int], tuple] = {}
 
     def access_plan(accesses, pc_row, is_load):
@@ -184,7 +181,6 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         pc_row = entry[3]
         pc_row[-1] += 1
         for rid in resources:
-            uses[rid] += 1
             pc_row[rid] += 1
 
         read_keys, loads = access_plan(event.mem_reads, pc_row, True)
@@ -206,7 +202,8 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     levels = hierarchy.levels if hierarchy is not None else []
     return Schedule(
         steps=steps,
-        resource_uses=dict(zip(resource_names, uses)),
+        resource_uses={name: sum(entry[3][i] for entry in pcs.values())
+                       for i, name in enumerate(resource_names)},
         per_pc={pc: PcStats(pc=pc, label=label, count=row[-1], latency=latency,
                             resources=names,
                             resource_uses={c: n for c, n in zip(columns, row) if n})
@@ -303,14 +300,13 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         if t_ends is not None:
             t_ends.append(t_end)
 
-    resource_busy = {name: n * gap
-                     for (name, n), gap in zip(schedule.resource_uses.items(), gaps)}
-    cache_busy = {name: c.transfers * gap
-                  for (name, c), gap in zip(schedule.cache_stats.items(), cache_gaps)}
-    # finite inputs overflow only to +inf (timing uses only max, + and *
-    # by non-negative numbers), and a weight can only lower every time, so
-    # a sweep whose base run passes this check never fails it on a rerun
-    if total == inf or inf in resource_busy.values() or inf in cache_busy.values():
+    # a report's busy times are at most these counts x gaps.  Finite inputs
+    # overflow only to +inf (timing uses only max, + and * by non-negative
+    # numbers), and a weight can only lower every time and gap, so a sweep
+    # whose base run passes this check never fails it on a rerun
+    counts = [*schedule.resource_uses.values(),
+              *(c.transfers for c in schedule.cache_stats.values())]
+    if total == inf or any(n * gap == inf for n, gap in zip(counts, gaps + cache_gaps)):
         raise ValueError("simulated time overflowed")
     count = len(schedule.steps)
     return SimResult(
@@ -318,10 +314,8 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         instruction_count=count,
         ipc=count / total if total > 0 else 0.0,
         resource_uses=schedule.resource_uses,
-        resource_busy=resource_busy,
         per_pc=schedule.per_pc,
         cache_stats=schedule.cache_stats,
-        cache_busy=cache_busy,
         gaps=dict(zip([*schedule.resource_uses, *schedule.cache_stats], gaps + cache_gaps)),
         branch_predicted=schedule.branch_predicted,
         branch_mispredicted=schedule.branch_mispredicted,

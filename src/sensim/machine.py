@@ -186,8 +186,8 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
     A weight w >= 1 divides the gap of a throughput resource or cache level,
     divides the global latency scale (INST_LAT), or multiplies the window
     capacity (INST_WINDOW, rounded half-up, floor 1, at most 2**53: no trace
-    has that many events, so a larger window behaves the same).  The input
-    config is never modified.
+    has that many events, so a larger window behaves the same).  A weight
+    that divides a gap to 0 is an error.  The input config is never modified.
     """
     valid = set(accelerable_parameters(config))
     for name, w in weights.items():
@@ -196,13 +196,15 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
         if not 1 <= w < inf:
             raise ConfigError(f"weight for {name!r} must be a finite number >= 1, got {w}")
 
-    resources = tuple(
-        replace(r, gap=r.gap / weights[r.name]) if r.name in weights else r
-        for r in config.resources)
-    levels = tuple(
-        replace(l, gap=l.gap / weights[l.name + _THR_SUFFIX])
-        if l.name + _THR_SUFFIX in weights else l
-        for l in config.cache_levels)
+    def divided(part, name):
+        if name not in weights:
+            return part
+        if part.gap / weights[name] == 0.0:
+            raise ConfigError(f"weight {weights[name]} for {name!r} divides its gap to 0")
+        return replace(part, gap=part.gap / weights[name])
+
+    resources = tuple(divided(r, r.name) for r in config.resources)
+    levels = tuple(divided(l, l.name + _THR_SUFFIX) for l in config.cache_levels)
     latency_scale = config.latency_scale
     if INST_LAT in weights:
         latency_scale = latency_scale / weights[INST_LAT]
@@ -244,6 +246,8 @@ def load_config(text: str) -> MachineConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     known = {"resources", "frontend", "window", "kinds", "caches", "branch"}

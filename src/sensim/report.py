@@ -1,82 +1,71 @@
 """Report rendering: machine-readable run reports, per-instruction resource
 usage tables, and sensitivity heatmaps as CSV or SVG.
 
-Renderers are pure over immutable results and add no information: every
-share recomputes exactly from the counts in a SimResult, and all output is
-byte-stable across runs and concurrency levels.
+Renderers are pure over immutable results and add no information: busy
+time, occupancy and every share derive here, and only here, from the counts
+and gaps in a SimResult, and all output is byte-stable across runs and
+concurrency levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from math import inf
 
-from .engine import SimResult
+from .engine import PcStats, SimResult
 from .sensitivity import SensitivityReport
 
 FORMAT_VERSION = 1
+Row = tuple[PcStats, dict[str, float]]  # a pc's stats and its share of each column, in %
 
 
-@dataclass(frozen=True)
-class InstructionRow:
-    """One static pc: its usage share of each resource, in percent."""
-
-    pc: int
-    label: str
-    count: int
-    latency: float
-    resources: tuple[str, ...]
-    shares: dict[str, float]
+def _finite(value: float, scale: float = 1.0) -> float:
+    """value x scale, for a report to print; one that overflowed is an error."""
+    scaled = value * scale
+    if scaled == inf:
+        raise ValueError("simulated time overflowed")
+    return scaled
 
 
-def occupancy(result: SimResult) -> dict[str, float]:
-    """Fraction of total cycles each resource spent busy (uses x gap / total);
-    0.0 on a zero-cycle run."""
-    total = result.total_cycles
-    return {name: busy / total if total > 0 else 0.0
-            for name, busy in result.resource_busy.items()}
+def _busy(result: SimResult, name: str, uses: int) -> tuple[float, float]:
+    """Busy time (uses x gap) of a resource or cache level, and its fraction
+    of the total cycles (the occupancy), 0.0 on a zero-cycle run."""
+    busy = _finite(uses, result.gaps[name])
+    return busy, _finite(busy / result.total_cycles if result.total_cycles > 0 else 0.0)
 
 
-def render_instruction_table(result: SimResult) -> list[InstructionRow]:
-    """Per-pc share rows; resources with zero share everywhere are omitted.
+def render_instruction_table(result: SimResult) -> list[Row]:
+    """(stats, shares) per pc, in pc order; a zero-cycle run has no rows.
 
     share(pc, r) = uses(pc, r) x gap(r) / total_cycles, as a percentage.
     Cache levels appear as columns too, weighted by their per-transfer gap.
-    A zero-cycle run has no rows.
     """
     if result.total_cycles <= 0:
         return []
-    rows = []
-    for pc in sorted(result.per_pc):
-        stats = result.per_pc[pc]
-        shares = {}
-        for name, uses in stats.resource_uses.items():
-            shares[name] = 100.0 * uses * result.gaps[name] / result.total_cycles
-        rows.append(InstructionRow(
-            pc=pc, label=stats.label, count=stats.count, latency=stats.latency,
-            resources=stats.resources, shares=shares))
-    return rows
+    return [(stats, {name: _finite(_busy(result, name, uses)[1], 100.0)
+                     for name, uses in stats.resource_uses.items()})
+            for _, stats in sorted(result.per_pc.items())]
 
 
-def table_columns(rows: list[InstructionRow]) -> list[str]:
+def table_columns(rows: list[Row]) -> list[str]:
     """Columns with a nonzero share in at least one row, first-seen order."""
     columns: list[str] = []
-    for row in rows:
-        for name, share in row.shares.items():
+    for _, shares in rows:
+        for name, share in shares.items():
             if share > 0 and name not in columns:
                 columns.append(name)
     return columns
 
 
-def format_instruction_table(rows: list[InstructionRow]) -> str:
+def format_instruction_table(rows: list[Row]) -> str:
     """Fixed-width text rendering; percentages use one decimal, half-even."""
     columns = table_columns(rows)
     header = ["PC", "KIND"] + columns + ["LAT/RES"]
     body = []
-    for row in rows:
-        tail = f"{row.latency:g}/" + " ".join(row.resources)
-        body.append([f"0x{row.pc:x}", row.label or "-"]
-                    + [f"{row.shares.get(c, 0.0):.1f}%" for c in columns]
+    for stats, shares in rows:
+        tail = f"{stats.latency:g}/" + " ".join(stats.resources)
+        body.append([f"0x{stats.pc:x}", stats.label or "-"]
+                    + [f"{shares.get(c, 0.0):.1f}%" for c in columns]
                     + [tail])
     widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
@@ -86,18 +75,16 @@ def format_instruction_table(rows: list[InstructionRow]) -> str:
 
 def run_report(result: SimResult) -> dict:
     """The run report as a plain document (stable keys, JSON-serializable)."""
+    resources = {}
+    for name, uses in sorted(result.resource_uses.items()):
+        busy, occ = _busy(result, name, uses)
+        resources[name] = {"uses": uses, "busy": busy, "occupancy": occ}
     return {
         "format_version": FORMAT_VERSION,
         "total_cycles": result.total_cycles,
         "instructions": result.instruction_count,
-        "ipc": result.ipc,
-        "resources": {
-            name: {
-                "uses": result.resource_uses[name],
-                "busy": result.resource_busy[name],
-                "occupancy": occ,
-            }
-            for name, occ in sorted(occupancy(result).items())},
+        "ipc": _finite(result.ipc),
+        "resources": resources,
         "per_pc": {
             f"0x{pc:x}": {
                 "kind": stats.label,
@@ -117,14 +104,14 @@ def run_report(result: SimResult) -> dict:
     }
 
 
-def run_report_json(result: SimResult, instruction_rows: list[InstructionRow] | None = None) -> str:
+def run_report_json(result: SimResult, instruction_rows: list[Row] | None = None) -> str:
     doc = run_report(result)
     if instruction_rows is not None:
         doc["instruction_table"] = [
-            {"pc": f"0x{r.pc:x}", "kind": r.label, "count": r.count,
-             "latency": r.latency, "resources": list(r.resources),
-             "shares": {k: round(v, 1) for k, v in sorted(r.shares.items())}}
-            for r in instruction_rows]
+            {"pc": f"0x{s.pc:x}", "kind": s.label, "count": s.count,
+             "latency": s.latency, "resources": list(s.resources),
+             "shares": {k: round(v, 1) for k, v in sorted(shares.items())}}
+            for s, shares in instruction_rows]
     return _dumps(doc, "\n") + "\n"
 
 
@@ -176,13 +163,13 @@ def format_run_report(result: SimResult) -> str:
     lines = [
         f"total cycles   {_fmt(result.total_cycles)}",
         f"instructions   {result.instruction_count}",
-        f"ipc            {result.ipc:.3f}",
+        f"ipc            {_finite(result.ipc):.3f}",
         "",
         "resource        uses      busy  occupancy",
     ]
-    for name, occ in sorted(occupancy(result).items()):
-        lines.append(f"{name:<12} {result.resource_uses[name]:>8} "
-                     f"{result.resource_busy[name]:>9.2f} {100 * occ:>9.1f}%")
+    for name, uses in sorted(result.resource_uses.items()):
+        busy, occ = _busy(result, name, uses)
+        lines.append(f"{name:<12} {uses:>8} {busy:>9.2f} {_finite(occ, 100):>9.1f}%")
     if result.cache_stats:
         lines += ["", "cache level     hits    misses  transfers"]
         for name, c in result.cache_stats.items():
@@ -278,6 +265,6 @@ def format_sensitivity(report: SensitivityReport) -> str:
     if report.verdicts:
         lines.append("parameters           best speedup  bottleneck")
         for v in report.verdicts:
-            lines.append(f"{_param_key(v.parameters):<20} {100 * v.speedup:>11.2f}%  "
+            lines.append(f"{_param_key(v.parameters):<20} {_finite(v.speedup, 100):>11.2f}%  "
                          f"{'yes' if v.is_bottleneck else 'no'}")
     return "\n".join(lines) + "\n"

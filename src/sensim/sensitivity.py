@@ -124,14 +124,8 @@ def _dominated(key: tuple[frozenset, float],
 def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
            jobs: list[tuple[tuple[str, ...], float]],
            workers: int | None) -> SensitivityReport:
-    schedule = build_schedule(trace, config)
-    critical: set[frozenset[int]] = set()
-    base_time = run_schedule(schedule, config, critical=critical).total_cycles
-    names = [r.name for r in config.resources]
-    critical_names = [frozenset(names[i] for i in c) for c in critical]
-    resources = frozenset(names)
     # one config per distinct point, built in job order so a bad name or
-    # weight raises before anything is settled
+    # weight raises before the trace is read
     index: dict[tuple[frozenset, float], int] = {}
     configs = []
     slots = []
@@ -142,6 +136,12 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
             configs.append(apply_weights(config, dict.fromkeys(params, w)))
         slots.append(index[key])
     keys = list(index)
+    schedule = build_schedule(trace, config)
+    critical: set[frozenset[int]] = set()
+    base_time = run_schedule(schedule, config, critical=critical).total_cycles
+    names = [r.name for r in config.resources]
+    critical_names = [frozenset(names[i] for i in c) for c in critical]
+    resources = frozenset(names)
     # points the critical sets settle are at the base time at any weight
     live = [i for i, (params, _) in enumerate(keys)
             if not params <= resources or any(c <= params for c in critical_names)]

@@ -133,6 +133,8 @@ def _parse_record(raw_line: str, position: int) -> InstructionEvent:
         raw = json.loads(raw_line)
     except json.JSONDecodeError as exc:
         raise TraceError(f"invalid record: {exc.msg}") from None
+    except RecursionError:
+        raise TraceError("invalid record: nested too deeply") from None
     if not isinstance(raw, dict):
         raise TraceError("record must be an object")
     unknown = set(raw) - _RECORD_FIELDS

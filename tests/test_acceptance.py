@@ -82,17 +82,16 @@ def test_criterion_3_jacobi_like_bottleneck():
         assert 0.008 <= speedups["p23"] <= 0.012
 
         rows = render_instruction_table(base)
-        by_pc = {row.pc: row for row in rows}
-        p23_rows = [r for r in rows if r.shares.get("p23", 0.0) > 0]
+        p23_rows = [shares for _, shares in rows if shares.get("p23", 0.0) > 0]
         assert len(p23_rows) == 10
-        for row in p23_rows:
-            assert abs(row.shares["p23"] - 10.0) <= 2.0
-        store_rows = [r for r in rows if r.label == "vmovsd-store"]
+        for shares in p23_rows:
+            assert abs(shares["p23"] - 10.0) <= 2.0
+        store_rows = [shares for stats, shares in rows if stats.label == "vmovsd-store"]
         assert len(store_rows) == 2
-        for row in store_rows:
-            assert abs(row.shares["p4"] - 20.0) <= 2.0
-        for row in rows:
-            assert abs(row.shares["FRONTEND"] - 5.0) <= 2.0
+        for shares in store_rows:
+            assert abs(shares["p4"] - 20.0) <= 2.0
+        for _, shares in rows:
+            assert abs(shares["FRONTEND"] - 5.0) <= 2.0
         assert time.monotonic() - started < 10.0
 
 

@@ -131,12 +131,17 @@ def _bandwidth_run(l2_gap, l3_gap, mem_gap, addrs):
     return simulate(events, config, record_event_times=True)
 
 
+def _cache_busy(result):
+    """Busy time per cache level, transfers x the gap the run used."""
+    return {name: c.transfers * result.gaps[name] for name, c in result.cache_stats.items()}
+
+
 def test_l1_hits_charge_no_bandwidth():
     result = _bandwidth_run(2.0, 2.0, 4.0, (0, 8, 0))
     assert list(result.event_end_times) == [1.0, 1.0, 1.0]
     assert result.cache_stats["L1"].hits == 2
     assert [c.transfers for c in result.cache_stats.values()] == [0, 1, 1, 1]
-    assert result.cache_busy == {"L1": 0.0, "L2": 2.0, "L3": 2.0, "MEM": 4.0}
+    assert _cache_busy(result) == {"L1": 0.0, "L2": 2.0, "L3": 2.0, "MEM": 4.0}
 
 
 def test_l2_hit_charges_only_l2():
@@ -154,7 +159,7 @@ def test_memory_path_waits_for_its_busiest_level():
     # miss waits for the max over its path, then each level advances by its gap
     result = _bandwidth_run(1.0, 8.0, 1.0, (0, 64))
     assert list(result.event_end_times) == [1.0, 9.0]
-    assert result.cache_busy == {"L1": 0.0, "L2": 2.0, "L3": 16.0, "MEM": 2.0}
+    assert _cache_busy(result) == {"L1": 0.0, "L2": 2.0, "L3": 16.0, "MEM": 2.0}
 
 
 def test_transfers_are_misses_of_the_level_above():
@@ -169,7 +174,7 @@ def test_transfers_are_misses_of_the_level_above():
         for above, level in zip(stats, stats[1:]):
             assert level.transfers == above.misses
         for level in config.cache_levels:
-            assert result.cache_busy[level.name] == \
+            assert _cache_busy(result)[level.name] == \
                 result.cache_stats[level.name].transfers * level.gap
 
 

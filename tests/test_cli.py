@@ -234,7 +234,8 @@ def test_bad_trace_value_exits_one(tmp_path, capsys, record):
     ["--weights", "1.05,inf"],
     ["--threshold", "nan"],
     ["--threshold", "inf"],
-], ids=["weights-nan", "weights-inf", "threshold-nan", "threshold-inf"])
+    ["--subsets", "p1", "--weights", "2,nan"],
+], ids=["weights-nan", "weights-inf", "threshold-nan", "threshold-inf", "subsets-weights-nan"])
 def test_non_finite_sensitivity_flag_exits_one(port_block_files, capsys, flags):
     trace, cfg = port_block_files
     capsys.readouterr()
@@ -289,8 +290,9 @@ def test_gen_kernel_unused_override_exits_one(tmp_path, capsys, args):
     ["--resources", " , "],
     ["--resources", "", "--subsets", "auto"],
     ["--subsets", ""],
+    ["--weights", " , "],
 ], ids=["auto-0", "auto-neg", "no-groups", "resources-empty", "resources-blank",
-        "auto-of-nothing", "subsets-empty"])
+        "auto-of-nothing", "subsets-empty", "weights-blank"])
 def test_empty_sweep_exits_one(port_block_files, capsys, flags):
     trace, cfg = port_block_files
     capsys.readouterr()
@@ -360,3 +362,86 @@ def test_overflowed_busy_time_exits_one(tmp_path, capsys):
     cfg.write_text('{"resources": [{"name": "r", "gap": 1e308}], "window": 4}')
     assert main(["simulate", str(trace), "--config", str(cfg), "--report", "json"]) == 1
     assert capsys.readouterr().err == "sensim: error: simulated time overflowed\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-finite number {name}")
+
+
+def test_huge_gap_share_is_finite(tmp_path, capsys):
+    # each pc's one use x gap 1e307 is the whole total, 1e307; 100 x 1e307
+    # alone would overflow
+    trace = tmp_path / "s.trace"
+    trace.write_text('{"pc":0,"resources":["r"],"latency":1}\n'
+                     '{"pc":4,"resources":["r"],"latency":1}\n')
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text('{"resources": [{"name": "r", "gap": 1e307}], "window": 4}')
+    assert main(["simulate", str(trace), "--config", str(cfg), "--per-instruction"]) == 0
+    text = capsys.readouterr().out
+    assert "inf" not in text
+    assert [line.split()[2] for line in text.splitlines()[-2:]] == ["100.0%", "100.0%"]
+    assert main(["simulate", str(trace), "--config", str(cfg), "--report", "json",
+                 "--per-instruction"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert [row["shares"] for row in doc["instruction_table"]] == [{"r": 100.0}] * 2
+    assert doc["resources"]["r"]["occupancy"] == 2.0
+
+
+@pytest.mark.parametrize("record,gap", [
+    ('{"pc":0,"resources":["r","r","r"],"latency":1e-300}', "1e300"),
+    ('{"pc":0,"resources":[],"latency":1e-320}', "1"),
+], ids=["occupancy", "ipc"])
+@pytest.mark.parametrize("flags", [[], ["--per-instruction"], ["--report", "json"],
+                                   ["--report", "json", "--per-instruction"]],
+                         ids=["table", "table-per-pc", "json", "json-per-pc"])
+def test_overflowed_ratio_exits_one(tmp_path, capsys, record, gap, flags):
+    # every time is finite, but busy time / total or instructions / total is not
+    trace = tmp_path / "r.trace"
+    trace.write_text(record + "\n")
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text('{"resources": [{"name": "r", "gap": %s}], "window": 4}' % gap)
+    assert main(["simulate", str(trace), "--config", str(cfg), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sensim: error: simulated time overflowed\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--resources", "nosuch"], "unknown accelerable parameter: 'nosuch'"),
+    (["--subsets", "p0;nosuch"], "unknown accelerable parameter: 'nosuch'"),
+    (["--threshold", "-1"], "threshold must be a finite number >= 0"),
+    (["--resources", "p0", "--weights", "0.5"], "weight for 'p0' must be a finite number >= 1"),
+], ids=["resources", "subsets", "threshold", "weights"])
+def test_bad_flag_reported_before_bad_record(tmp_path, port_block_files, capsys, flags, message):
+    _, cfg = port_block_files
+    bad = tmp_path / "bad.trace"
+    bad.write_text('{"pc":0,"resources":["p1"],"latency":1}\n{"pc":2,"bogus":1}\n')
+    capsys.readouterr()
+    assert main(["sensitivity", str(bad), "--config", cfg, "--workers", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"sensim: error: {message}")
+    assert captured.out == ""
+
+
+def test_weight_that_divides_a_gap_to_zero_blames_the_weight(tmp_path, capsys):
+    trace = tmp_path / "u.trace"
+    trace.write_text('{"pc":0,"resources":["r"],"latency":1}\n')
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text('{"resources": [{"name": "r", "gap": 1e-320}], "window": 4}')
+    assert main(["sensitivity", str(trace), "--config", str(cfg), "--resources", "r",
+                 "--weights", "1e10", "--workers", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "sensim: error: weight 10000000000.0 for 'r' divides its gap to 0\n"
+
+
+def test_overflowed_speedup_percentage_exits_one(tmp_path, capsys):
+    # a speedup of about 1e308 is finite, but not as a percentage
+    trace = tmp_path / "p.trace"
+    trace.write_text('{"pc":0,"resources":["r"],"latency":1}\n')
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text('{"resources": [{"name": "r", "gap": 1}], "window": 4}')
+    assert main(["sensitivity", str(trace), "--config", str(cfg), "--resources", "INST_LAT",
+                 "--weights", "1e308", "--workers", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "sensim: error: simulated time overflowed\n"
+    assert captured.out == ""

@@ -10,10 +10,15 @@ from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule, simulate
 from sensim.machine import (INST_LAT, CacheLevelConfig, MachineConfig, Resource,
                             accelerable_parameters, apply_weights)
-from sensim.report import occupancy
+from sensim.report import run_report
 from sensim.trace import BranchInfo, InstructionEvent, MemAccess
 
 PORT_BLOCK_END_TIMES = [1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4]
+
+
+def occupancy(result):
+    """Each resource's occupancy as the run report gives it."""
+    return {name: r["occupancy"] for name, r in run_report(result)["resources"].items()}
 
 
 def _one_port_config(window=64, gap=1.0, **kwargs):
@@ -190,7 +195,7 @@ def test_frontend_charged_once_per_instruction():
               for k in range(8)]
     result = simulate(events, config)
     assert result.resource_uses["FRONTEND"] == 8
-    assert result.resource_busy["FRONTEND"] == 2.0
+    assert run_report(result)["resources"]["FRONTEND"]["busy"] == 2.0
 
 
 def test_frontend_gap_limits_issue_rate():
@@ -242,8 +247,9 @@ def test_busy_equals_uses_times_gap_exactly():
         trace = random_trace(rng, config, max_events=60)
         result = simulate(trace, config)
         gaps = {r.name: r.gap for r in config.resources}
+        reported = run_report(result)["resources"]
         for name, uses in result.resource_uses.items():
-            assert result.resource_busy[name] == uses * gaps[name]
+            assert reported[name]["busy"] == uses * gaps[name]
 
 
 def test_determinism_field_identical():

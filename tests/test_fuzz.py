@@ -1,6 +1,7 @@
 """Fuzz the command line's input boundary: a valid config and a short trace,
 mutated with JSON-like values, may only make a command exit 0, or exit 1 with
-a `sensim: error:` line.  Any other exception escaping `main` fails the test.
+a `sensim: error:` line.  Any other exception escaping `main` fails the test,
+and so does a JSON report holding NaN or Infinity.
 
 The strategies draw small integers plus fixed extremes, all of which are
 either small or over a config limit, so no example builds a large cache or
@@ -55,6 +56,8 @@ VALUES = st.recursive(
     | st.dictionaries(st.sampled_from(["name", "gap", "size", "addr", "kind", "x"]),
                       inner, max_size=3),
     max_leaves=6)
+# stands for 100,000 nested arrays, deeper than json.dumps can write
+DEEP = "<deep>"
 
 
 def _paths(doc, prefix=()):
@@ -108,17 +111,29 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _dumps(value):
+    return json.dumps(value).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds the non-finite number {name}")
+
+
 def _check_commands(workdir, config, trace):
     cfg = workdir / "m.cfg"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(_dumps(config))
     lines = trace if isinstance(trace, list) else [trace]
     path = workdir / "m.trace"
-    path.write_text("".join(json.dumps(record) + "\n" for record in lines))
-    for command in (["simulate", "--per-instruction"], ["sensitivity", "--workers", "1"]):
+    path.write_text("".join(_dumps(record) + "\n" for record in lines))
+    for command in (["simulate", "--per-instruction"],
+                    ["simulate", "--report", "json", "--per-instruction"],
+                    ["sensitivity", "--workers", "1"]):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main([command[0], str(path), "--config", str(cfg), *command[1:]])
         assert (rc, err.getvalue()[:15]) in ((0, ""), (1, "sensim: error: ")), err.getvalue()
+        if rc == 0 and "json" in command:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -129,6 +144,7 @@ FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None
 @example(edits=[(("branch", "tage_entries_log2"), "set", 63)])
 @example(edits=[(("branch", "history_lengths", 1), "set", 2**70)])
 @example(edits=[(("window",), "set", 10**400)])
+@example(edits=[(("caches", 1), "set", DEEP)])
 def test_mutated_config_exits_zero_or_one(workdir, edits):
     _check_commands(workdir, _mutated(CONFIG, edits), TRACE)
 
@@ -138,5 +154,6 @@ def test_mutated_config_exits_zero_or_one(workdir, edits):
 @example(edits=[((0, "mem_reads", 0, "size"), "set", 2**62)])
 @example(edits=[((3, "kind"), "set", "nosuch")])
 @example(edits=[((2, "resources", 1), "set", "p9")])
+@example(edits=[((1,), "set", DEEP)])
 def test_mutated_trace_exits_zero_or_one(workdir, edits):
     _check_commands(workdir, CONFIG, _mutated(TRACE, edits))

@@ -174,6 +174,23 @@ def test_apply_weights_rejects_bad_input():
             apply_weights(cfg, {"p0": bad})
 
 
+def test_apply_weights_rejects_a_gap_divided_to_zero():
+    # a tiny gap is legal in a config; the weight that divides it to 0 is at fault
+    cfg = load_config('{"resources": [{"name": "r", "gap": 1e-320}], "window": 4,'
+                      ' "caches": [{"name": "L1", "size": 64, "assoc": 1, "line": 64,'
+                      ' "gap": 1}, {"name": "MEM", "gap": 1e-320}]}')
+    with pytest.raises(ConfigError, match="weight 10000000000.0 for 'r' divides its gap to 0"):
+        apply_weights(cfg, {"r": 1e10})
+    with pytest.raises(ConfigError, match="for 'MEM_THR' divides its gap to 0"):
+        apply_weights(cfg, {"MEM_THR": 1e10})
+    assert apply_weights(cfg, {"r": 2.0}).resources[0].gap == 1e-320 / 2
+
+
+def test_deeply_nested_config_rejected():
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        load_config("[" * 100_000 + "]" * 100_000)
+
+
 def test_direct_construction_validates():
     with pytest.raises(ConfigError):
         MachineConfig(resources=(Resource("p0", 1.0),), window_capacity=0)

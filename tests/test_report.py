@@ -26,7 +26,7 @@ def _single_event_result():
 def test_single_instruction_full_share():
     rows = render_instruction_table(_single_event_result())
     assert len(rows) == 1
-    assert rows[0].shares == {"r": 100.0}
+    assert rows[0][1] == {"r": 100.0}
 
 
 def test_unused_resource_column_omitted():
@@ -44,10 +44,10 @@ def test_shares_recompute_from_counts():
     result = simulate(trace, config)
     rows = render_instruction_table(result)
     gaps = {r.name: r.gap for r in config.resources}
-    for row in rows:
-        stats = result.per_pc[row.pc]
-        for name, share in row.shares.items():
-            expected = 100.0 * stats.resource_uses[name] * gaps[name] / result.total_cycles
+    for stats, shares in rows:
+        assert stats is result.per_pc[stats.pc]
+        for name, share in shares.items():
+            expected = stats.resource_uses[name] * gaps[name] / result.total_cycles * 100.0
             assert share == expected
 
 
@@ -55,9 +55,10 @@ def test_column_share_sums_match_busy_fractions():
     trace, config = gen_jacobi_like(500)
     result = simulate(trace, config)
     rows = render_instruction_table(result)
+    busy = {name: r["busy"] for name, r in run_report(result)["resources"].items()}
     for name in ("p23", "p4", "FRONTEND"):
-        total_share = sum(row.shares.get(name, 0.0) for row in rows)
-        busy_fraction = 100.0 * result.resource_busy[name] / result.total_cycles
+        total_share = sum(shares.get(name, 0.0) for _, shares in rows)
+        busy_fraction = 100.0 * busy[name] / result.total_cycles
         assert total_share == pytest.approx(busy_fraction, rel=1e-9)
         assert total_share <= 100.0 + 1e-6
 
@@ -65,17 +66,17 @@ def test_column_share_sums_match_busy_fractions():
 def test_jacobi_like_table_matches_expected_cells():
     trace, config = gen_jacobi_like(2000)
     rows = render_instruction_table(simulate(trace, config))
-    by_pc = {row.pc: row for row in rows}
+    by_pc = {stats.pc: shares for stats, shares in rows}
     assert len(rows) == 17
-    loads = [pc for pc, row in by_pc.items() if "p23" in row.shares and row.shares["p23"] > 0]
+    loads = [pc for pc, shares in by_pc.items() if "p23" in shares and shares["p23"] > 0]
     assert len(loads) == 10
     for pc in loads:
-        assert by_pc[pc].shares["p23"] == pytest.approx(10.0, abs=2.0)
-    stores = [pc for pc, row in by_pc.items() if row.label == "vmovsd-store"]
+        assert by_pc[pc]["p23"] == pytest.approx(10.0, abs=2.0)
+    stores = [stats.pc for stats, _ in rows if stats.label == "vmovsd-store"]
     for pc in stores:
-        assert by_pc[pc].shares["p4"] == pytest.approx(20.0, abs=2.0)
-    for row in rows:
-        assert row.shares["FRONTEND"] == pytest.approx(5.0, abs=2.0)
+        assert by_pc[pc]["p4"] == pytest.approx(20.0, abs=2.0)
+    for _, shares in rows:
+        assert shares["FRONTEND"] == pytest.approx(5.0, abs=2.0)
 
 
 def test_instruction_table_text_renders_one_decimal():

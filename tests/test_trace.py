@@ -104,6 +104,13 @@ def test_error_names_offending_line():
     assert err.value.line == 3
 
 
+def test_deeply_nested_record_names_its_line():
+    text = '{"pc":0,"kind":"a"}\n' + "[" * 100_000 + "]" * 100_000 + "\n"
+    with pytest.raises(TraceError, match="invalid record: nested too deeply") as err:
+        parse(text)
+    assert err.value.line == 2
+
+
 def test_seq_assigned_from_line_order_and_blank_lines_skipped():
     events = parse('{"pc":0,"kind":"a"}\n\n{"pc":4,"kind":"b"}\n')
     assert [e.seq for e in events] == [0, 1]
