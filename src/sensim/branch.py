@@ -31,6 +31,9 @@ class BranchConfig:
     misprediction_penalty: float = 15.0
 
     def __post_init__(self):
+        sizes = (self.btb_sets, self.btb_ways, self.tage_entries_log2, *self.history_lengths)
+        if any(type(v) is not int for v in sizes):
+            raise ValueError("BTB sizes, tage_entries_log2 and history_lengths must be integers")
         if self.btb_sets < 1 or self.btb_ways < 1:
             raise ValueError("BTB geometry must be at least 1 set and 1 way")
         if self.tage_entries_log2 < 1:
@@ -126,9 +129,10 @@ class PredictorState:
         """Predict direction and target for a branch at `pc`; state unchanged."""
         return Prediction(taken=self._lookup(pc)[3], target=self.btb_lookup(pc))
 
-    def update(self, pc: int, taken: bool, target: int) -> None:
-        """Train tables with the actual outcome; must follow predict for this pc."""
+    def update(self, pc: int, taken: bool, target: int) -> Prediction:
+        """Train tables with the actual outcome; returns what `predict` gave before."""
         slots, provider, alt, predicted = self._lookup(pc)
+        prediction = Prediction(taken=predicted, target=self.btb_lookup(pc))
         base_idx = pc & self._mask
 
         if provider is not None:
@@ -167,6 +171,7 @@ class PredictorState:
                     break
             ways.insert(0, (pc, target))
             del ways[self.config.btb_ways:]
+        return prediction
 
 
 def misprediction_delay(predicted: Prediction, taken: bool, target: int,

@@ -101,7 +101,7 @@ def bind_semantics(event: InstructionEvent,
     The result depends only on (kind, resources, latency), so callers may
     memoize on that triple.
     """
-    if event.resources is not None and event.latency is not None:
+    if event.resources is not None:
         names = event.resources
         latency = event.latency
         label = event.kind or ""
@@ -188,10 +188,9 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
 
         penalty = 0.0
         if predictor is not None and event.branch.kind != "none":
-            prediction = predictor.predict(event.pc, event.branch.kind)
-            penalty = misprediction_delay(prediction, event.branch.taken,
-                                          event.branch.target, config.branch)
-            predictor.update(event.pc, event.branch.taken, event.branch.target)
+            branch = event.branch
+            prediction = predictor.update(event.pc, branch.taken, branch.target)
+            penalty = misprediction_delay(prediction, branch.taken, branch.target, config.branch)
             predicted += 1
             if penalty:
                 mispredicted += 1

@@ -98,8 +98,9 @@ class CacheLevelConfig:
                     f"cache level {self.name!r}: size, assoc and line must be "
                     "given together or not at all")
             return
-        if any(v is None or v <= 0 for v in geometry):
-            raise ConfigError(f"cache level {self.name!r}: size, assoc and line must be > 0")
+        if any(type(v) is not int or v <= 0 for v in geometry):
+            raise ConfigError(
+                f"cache level {self.name!r}: size, assoc and line must be integers > 0")
         if self.line_size & (self.line_size - 1):
             raise ConfigError(f"cache level {self.name!r}: line size must be a power of two")
         if self.associativity & (self.associativity - 1):
@@ -130,6 +131,8 @@ class MachineConfig:
         object.__setattr__(self, "_by_name", {r.name: i for i, r in enumerate(self.resources)})
         if len(self._by_name) != len(self.resources):
             raise ConfigError("resource names must be unique")
+        if type(self.window_capacity) is not int:
+            raise ConfigError("window capacity must be an integer")
         if self.window_capacity < 1:
             raise ConfigError("window capacity must be >= 1")
         if self.latency_scale <= 0:
@@ -298,8 +301,6 @@ def load_config(text: str) -> MachineConfig:
                                                   BranchConfig.misprediction_penalty)
         lengths = _get(entry, "history_lengths", list, "branch",
                        list(BranchConfig.history_lengths))
-        if not all(isinstance(n, int) and not isinstance(n, bool) for n in lengths):
-            raise ConfigError("branch: history_lengths must be integers")
         # tage_tables is implied by history_lengths; a given one must agree
         if _get(entry, "tage_tables", int, "branch", len(lengths)) != len(lengths):
             raise ConfigError("branch: tage_tables must match len(history_lengths)")

@@ -10,7 +10,7 @@ machine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isfinite
 from typing import Iterable, Iterator
 
@@ -40,24 +40,47 @@ class MemAccess:
     addr: int
     size: int
 
+    def __post_init__(self):
+        if type(self.addr) is not int or type(self.size) is not int:
+            raise TraceError("memory access addr and size must be integers")
+        if self.size < 1:
+            raise TraceError("memory access size must be >= 1")
+        if self.size > MAX_ACCESS_BYTES:
+            raise TraceError(f"memory access size {self.size} is over {MAX_ACCESS_BYTES} bytes")
+        if self.addr < 0 or self.addr + self.size > _ADDRESS_LIMIT:
+            raise TraceError(
+                f"access [{self.addr}, +{self.size}) leaves the {ADDRESS_BITS}-bit "
+                "address space")
+
 
 @dataclass(frozen=True)
 class BranchInfo:
+    """A record's actual branch outcome; kind "none" for a non-branch."""
+
     kind: str = "none"
     taken: bool = False
     target: int = 0
 
-
-NO_BRANCH = BranchInfo()
+    def __post_init__(self):
+        if (type(self.kind) is not str or type(self.taken) is not bool
+                or type(self.target) is not int):
+            raise TraceError("branch kind must be a string, taken a boolean "
+                             "and target an integer")
+        if self.kind not in BRANCH_KINDS:
+            raise TraceError(f"unknown branch kind {self.kind!r}")
+        if self.kind == "none" and (self.taken or self.target != 0):
+            raise TraceError("non-branch records cannot be taken or have a target")
+        if self.kind == "direct" and not self.taken:
+            raise TraceError("direct branches are always taken")
 
 
 @dataclass(frozen=True)
 class InstructionEvent:
     """One dynamic instruction occurrence.
 
-    Construction checks the record's structural invariants and raises a
-    TraceError naming the first one that fails.
-    """
+    Construction checks every field's type and value, from a file or from
+    Python, and raises a TraceError naming the first check that fails.  An
+    integer latency is stored as a float."""
 
     seq: int
     pc: int
@@ -68,67 +91,61 @@ class InstructionEvent:
     reg_writes: tuple[int, ...] = ()
     mem_reads: tuple[MemAccess, ...] = ()
     mem_writes: tuple[MemAccess, ...] = ()
-    branch: BranchInfo = NO_BRANCH
+    branch: BranchInfo = BranchInfo()
 
     def __post_init__(self):
+        if type(self.seq) is not int or self.seq < 0:
+            raise TraceError("seq must be an integer >= 0")
+        if type(self.pc) is not int:
+            raise TraceError("pc is required and must be an integer")
         if self.pc < 0:
             raise TraceError("pc must be >= 0")
-        has_inline = self.resources is not None or self.latency is not None
-        if has_inline and (self.resources is None or self.latency is None):
+        if self.kind is not None and type(self.kind) is not str:
+            raise TraceError("kind must be a string")
+        if self.resources is not None:
+            _check_entries(self.resources, str, "resources")
+        _check_entries(self.reg_reads, int, "reg_reads")
+        _check_entries(self.reg_writes, int, "reg_writes")
+        _check_entries(self.mem_reads, MemAccess, "mem_reads")
+        _check_entries(self.mem_writes, MemAccess, "mem_writes")
+        if type(self.branch) is not BranchInfo:
+            raise TraceError("branch must be a BranchInfo")
+        latency = self.latency
+        if (self.resources is None) != (latency is None):
             raise TraceError("resources and latency must be given together")
-        if self.kind is None and not has_inline:
-            raise TraceError("record needs a kind or inline resources+latency")
-        if self.latency is not None:
-            if not isfinite(self.latency):
-                raise TraceError(f"latency {self.latency} is not a finite number")
-            if self.latency < 0:
-                raise TraceError(f"latency {self.latency} is negative")
-        for acc in (*self.mem_reads, *self.mem_writes):
-            if acc.size < 1:
-                raise TraceError("memory access size must be >= 1")
-            if acc.size > MAX_ACCESS_BYTES:
-                raise TraceError(f"memory access size {acc.size} is over {MAX_ACCESS_BYTES} bytes")
-            if acc.addr < 0 or acc.addr + acc.size > _ADDRESS_LIMIT:
-                raise TraceError(
-                    f"access [{acc.addr}, +{acc.size}) leaves the {ADDRESS_BITS}-bit "
-                    "address space")
-        b = self.branch
-        if b.kind not in BRANCH_KINDS:
-            raise TraceError(f"unknown branch kind {b.kind!r}")
-        if b.kind == "none" and (b.taken or b.target != 0):
-            raise TraceError("non-branch records cannot be taken or have a target")
-        if b.kind == "direct" and not b.taken:
-            raise TraceError("direct branches are always taken")
+        if latency is None:
+            if self.kind is None:
+                raise TraceError("record needs a kind or inline resources+latency")
+            return
+        if type(latency) is not float:
+            if type(latency) is not int:
+                raise TraceError("latency must be a number")
+            try:
+                latency = float(latency)
+            except OverflowError:
+                raise TraceError("latency is out of range") from None
+            object.__setattr__(self, "latency", latency)
+        if not isfinite(latency):
+            raise TraceError(f"latency {latency} is not a finite number")
+        if latency < 0:
+            raise TraceError(f"latency {latency} is negative")
 
 
-_RECORD_FIELDS = {"pc", "kind", "resources", "latency", "reg_reads", "reg_writes",
-                  "mem_reads", "mem_writes", "branch", "seq"}
+def _check_entries(values, entry_type: type, name: str) -> None:
+    if type(values) is not tuple:
+        raise TraceError(f"{name} must be a tuple")
+    for value in values:
+        if type(value) is not entry_type:
+            raise TraceError(f"{name} entries must be {entry_type.__name__} values")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_list(raw, name: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not all(_is_int(v) for v in raw):
-        raise TraceError(f"{name} must be an array of integers")
-    return tuple(raw)
-
-
-def _accesses(raw, name: str) -> tuple[MemAccess, ...]:
-    if not isinstance(raw, list):
-        raise TraceError(f"{name} must be an array")
-    out = []
-    for entry in raw:
-        if (not isinstance(entry, dict) or set(entry) != {"addr", "size"}
-                or not all(_is_int(entry[k]) for k in ("addr", "size"))):
-            raise TraceError(f'{name} entries must be {{"addr":int,"size":int}}')
-        out.append(MemAccess(addr=entry["addr"], size=entry["size"]))
-    return tuple(out)
+_ARRAY_FIELDS = ("resources", "reg_reads", "reg_writes", "mem_reads", "mem_writes")
+_RECORD_FIELDS = {f.name for f in fields(InstructionEvent)}
 
 
 def _parse_record(raw_line: str, position: int) -> InstructionEvent:
-    """One record's event; `position` is its seq unless the record gives one."""
+    """One record's event; `position` is its seq unless the record gives one.
+    Decodes only: the record types check every field."""
     try:
         raw = json.loads(raw_line)
     except json.JSONDecodeError as exc:
@@ -140,53 +157,26 @@ def _parse_record(raw_line: str, position: int) -> InstructionEvent:
     unknown = set(raw) - _RECORD_FIELDS
     if unknown:
         raise TraceError(f"unknown field {sorted(unknown)[0]!r}")
-    if not _is_int(raw.get("pc")):
-        raise TraceError("pc is required and must be an integer")
-
-    kind = raw.get("kind")
-    if kind is not None and not isinstance(kind, str):
-        raise TraceError("kind must be a string")
-    resources = raw.get("resources")
-    if resources is not None:
-        if not isinstance(resources, list) or not all(
-                isinstance(r, str) for r in resources):
-            raise TraceError("resources must be an array of strings")
-        resources = tuple(resources)
-    latency = raw.get("latency")
-    if latency is not None:
-        if isinstance(latency, bool) or not isinstance(latency, (int, float)):
-            raise TraceError("latency must be a number")
-        try:
-            latency = float(latency)
-        except OverflowError:
-            raise TraceError("latency is out of range") from None
-
-    branch = NO_BRANCH
+    for name in _ARRAY_FIELDS:
+        values = raw.get(name)
+        if values is None:
+            continue
+        if type(values) is not list:
+            raise TraceError(f"{name} must be an array")
+        if name.startswith("mem_"):
+            try:
+                values = [MemAccess(**entry) for entry in values]
+            except TypeError:
+                raise TraceError(f'{name} entries must be {{"addr":int,"size":int}}') from None
+        raw[name] = tuple(values)
     if "branch" in raw:
-        b = raw["branch"]
-        if not isinstance(b, dict) or not set(b) <= {"kind", "taken", "target"}:
-            raise TraceError("branch must be {kind, taken, target}")
-        branch = BranchInfo(kind=b.get("kind", "none"), taken=b.get("taken", False),
-                            target=b.get("target", 0))
-        if not (isinstance(branch.kind, str) and isinstance(branch.taken, bool)
-                and _is_int(branch.target)):
-            raise TraceError("branch kind must be a string, taken a boolean "
-                                  "and target an integer")
-
-    seq = raw.get("seq", position)
-    if not _is_int(seq):
-        raise TraceError("seq must be an integer")
-    return InstructionEvent(
-        seq=seq,
-        pc=raw["pc"],
-        kind=kind,
-        resources=resources,
-        latency=latency,
-        reg_reads=_int_list(raw.get("reg_reads", []), "reg_reads"),
-        reg_writes=_int_list(raw.get("reg_writes", []), "reg_writes"),
-        mem_reads=_accesses(raw.get("mem_reads", []), "mem_reads"),
-        mem_writes=_accesses(raw.get("mem_writes", []), "mem_writes"),
-        branch=branch)
+        try:
+            raw["branch"] = BranchInfo(**raw["branch"])
+        except TypeError:
+            raise TraceError("branch must be {kind, taken, target}") from None
+    raw.setdefault("pc", None)
+    raw.setdefault("seq", position)
+    return InstructionEvent(**raw)
 
 
 def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
@@ -196,19 +186,17 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
     stream strictly increasing.  Any violation aborts the stream with a
     diagnostic naming the offending line.
     """
-    last_seq = -1
     position = 0
     for lineno, raw_line in enumerate(lines, 1):
         if not raw_line.strip():
             continue
         try:
             event = _parse_record(raw_line, position)
-            if event.seq <= last_seq:
+            if event.seq < position:
                 raise TraceError(f"seq {event.seq} does not increase")
         except TraceError as exc:
             raise TraceError(str(exc), lineno) from None
-        last_seq = event.seq
-        position = max(position, event.seq) + 1
+        position = event.seq + 1
         yield event
 
 

@@ -136,6 +136,16 @@ def test_bad_geometry_rejected():
         PredictorState(BranchConfig(enabled=True, history_lengths=(8, 4, 16, 32)))
     with pytest.raises(ConfigError):
         _loaded_branch(enabled=True, tage_tables=2)
+    with pytest.raises(ConfigError, match="must be integers"):
+        _loaded_branch(enabled=True, history_lengths=[4, 8.0])
+
+
+@pytest.mark.parametrize("field", [{"btb_sets": 2.5}, {"btb_ways": True},
+                                   {"tage_entries_log2": 4.0}, {"history_lengths": (4, 8.0)}])
+def test_non_integer_geometry_rejected(field):
+    with pytest.raises(ValueError, match="must be integers") as err:
+        BranchConfig(enabled=True, **field)
+    assert type(err.value) is ValueError
 
 
 def _loaded_branch(**branch):
@@ -198,7 +208,7 @@ def test_predictor_matches_reference_tage():
             target = rng.choice((0, 0x40, 0x80, pc + 4))
             prediction = state.predict(pc, "conditional")
             assert (prediction.taken, prediction.target) == ref.predict(pc), step
-            state.update(pc, taken, target)
+            assert state.update(pc, taken, target) == prediction, step
             ref.update(pc, taken, target)
         assert state.base == ref.base
         assert state.tags == ref.tags

@@ -200,3 +200,17 @@ def test_direct_construction_validates():
             window_capacity=4,
             cache_levels=(CacheLevelConfig("L1", gap=1.0, total_size=64,
                                            associativity=2, line_size=16),))
+
+
+# a window of 4.5 would never fill, so it would run as an unbounded one, and a
+# float cache geometry would fail later with a TypeError
+@pytest.mark.parametrize("build", [
+    lambda: MachineConfig(resources=(Resource("p0", 1.0),), window_capacity=4.5),
+    lambda: MachineConfig(resources=(Resource("p0", 1.0),), window_capacity=True),
+    lambda: CacheLevelConfig("L1", gap=1.0, total_size=256.0, associativity=2, line_size=64),
+    lambda: CacheLevelConfig("L1", gap=1.0, total_size=256, associativity=True, line_size=64),
+    lambda: CacheLevelConfig("L1", gap=1.0, total_size=256, associativity=2, line_size=64.0),
+], ids=["window-float", "window-bool", "size-float", "assoc-bool", "line-float"])
+def test_integer_fields_reject_other_types(build):
+    with pytest.raises(ConfigError, match="integer"):
+        build()

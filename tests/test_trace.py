@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sensim.corpus import KERNELS, generate
 from sensim.engine import bind_semantics
 from sensim.machine import load_config
-from sensim.trace import (BranchInfo, InstructionEvent, MemAccess, TraceError, parse_trace,
-                          write_trace)
+from sensim.trace import (BRANCH_KINDS, BranchInfo, InstructionEvent, MemAccess, TraceError,
+                          parse_trace, write_trace)
 
 MINIMAL_CFG = """
 {"resources": [{"name": "p0", "gap": 1}], "window": 4}
@@ -78,23 +81,45 @@ def test_malformed_records(record):
         parse(record)
 
 
+# each row is a function giving the fields, so that a MemAccess or BranchInfo
+# that rejects itself does so inside the test
 @pytest.mark.parametrize("fields,message", [
-    ({"pc": -1, "kind": "x"}, "pc must be >= 0"),
-    ({"pc": 0}, "record needs a kind"),
-    ({"pc": 0, "resources": ("p0",)}, "resources and latency must be given together"),
-    ({"pc": 0, "resources": ("p0",), "latency": -1.0}, "latency -1.0 is negative"),
-    ({"pc": 0, "resources": ("p0",), "latency": float("nan")}, "latency nan is not a finite"),
-    ({"pc": 0, "kind": "x", "mem_reads": (MemAccess(0, 0),)}, "access size must be >= 1"),
-    ({"pc": 0, "kind": "x", "mem_writes": (MemAccess(2**64 - 4, 8),)}, "leaves the 64-bit"),
-    ({"pc": 0, "kind": "x", "branch": BranchInfo(kind="direct")}, "always taken"),
-], ids=[  # each case keeps its id from when trace errors had three subclasses
+    (lambda: {"pc": -1, "kind": "x"}, "pc must be >= 0"),
+    (lambda: {"pc": 0}, "record needs a kind"),
+    (lambda: {"pc": 0, "resources": ("p0",)}, "resources and latency must be given together"),
+    (lambda: {"pc": 0, "resources": ("p0",), "latency": -1.0}, "latency -1.0 is negative"),
+    (lambda: {"pc": 0, "resources": ("p0",), "latency": float("nan")},
+     "latency nan is not a finite"),
+    (lambda: {"pc": 0, "kind": "x", "mem_reads": (MemAccess(0, 0),)},
+     "access size must be >= 1"),
+    (lambda: {"pc": 0, "kind": "x", "mem_writes": (MemAccess(2**64 - 4, 8),)},
+     "leaves the 64-bit"),
+    (lambda: {"pc": 0, "kind": "x", "branch": BranchInfo(kind="direct")}, "always taken"),
+    (lambda: {"pc": "16", "kind": "x"}, "pc is required and must be an integer"),
+    (lambda: {"pc": 0, "resources": ["p1"], "latency": 1.0}, "resources must be a tuple"),
+    (lambda: {"pc": 0, "resources": "p1", "latency": 1.0}, "resources must be a tuple"),
+    (lambda: {"pc": 0, "resources": ("p1",), "latency": "1"}, "latency must be a number"),
+    (lambda: {"pc": 0, "resources": ("p1",), "latency": 10**400}, "latency is out of range"),
+    (lambda: {"pc": 0, "kind": "x", "reg_reads": (1.5,)}, "reg_reads entries must be int"),
+    (lambda: {"pc": 0, "kind": "x", "mem_reads": (MemAccess("0", 8),)},
+     "addr and size must be integers"),
+    (lambda: {"pc": 0, "kind": "x", "branch": BranchInfo("conditional", 1, 4)},
+     "taken a boolean"),
+], ids=[  # each of the first eight keeps its id from when trace errors had three subclasses
     "fields0-MalformedRecord", "fields1-MalformedRecord", "fields2-MalformedRecord",
     "fields3-NegativeLatency", "fields4-MalformedRecord", "fields5-MalformedRecord",
-    "fields6-OverflowingAccess", "fields7-MalformedRecord"])
+    "fields6-OverflowingAccess", "fields7-MalformedRecord",
+    "pc-string", "resources-list", "resources-string", "latency-string", "latency-huge-int",
+    "reg-reads-float", "access-addr-string", "branch-taken-int"])
 def test_event_built_in_python_is_validated(fields, message):
     with pytest.raises(TraceError, match=message) as err:
-        InstructionEvent(seq=0, **fields)
+        InstructionEvent(seq=0, **fields())
     assert err.value.line is None
+
+
+def test_int_latency_is_stored_as_a_float():
+    event = InstructionEvent(seq=0, pc=0, resources=("p0",), latency=3)
+    assert type(event.latency) is float and event.latency == 3.0
 
 
 def test_error_names_offending_line():
@@ -174,6 +199,86 @@ def test_round_trip_random_events():
 def test_round_trip_preserves_gapped_seq():
     events = [InstructionEvent(seq=5, pc=0, kind="a"),
               InstructionEvent(seq=9, pc=4, kind="b")]
+    assert parse(write_trace(events)) == events
+
+
+# Every field is drawn right most of the time, and otherwise as any JSON-like
+# value, a list where a tuple belongs, or a MemAccess or BranchInfo built from
+# such values.  Those are drawn as functions that build them, so that a record
+# type that rejects itself does so inside the test.
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2**65), st.floats(),
+                     st.text(max_size=3))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=2) | st.lists(inner, max_size=2).map(tuple)
+    | st.dictionaries(st.sampled_from(["addr", "size", "kind"]), inner, max_size=2),
+    max_leaves=4)
+_INTS = st.integers(0, 2**64)
+
+
+def _mostly(right, wrong):
+    """Draws of `right` about fifteen times in sixteen, else of `wrong`."""
+    return st.integers(0, 15).flatmap(lambda n: wrong if n == 0 else right)
+
+
+def _tuples(entries):
+    """Tuples of `entries`; else a list of them, or any JSON-like value."""
+    return _mostly(st.lists(entries, max_size=3).map(tuple),
+                   st.lists(entries, max_size=3) | _VALUES)
+
+
+def _built(cls, *args):
+    return st.builds(lambda *drawn: lambda: cls(*drawn), *args)
+
+
+_ACCESS = st.builds(MemAccess, st.integers(0, 2**64 - 4096), st.integers(1, 4096))
+_ANY_ACCESS = _built(MemAccess, st.integers(-1, 2**64) | _SCALARS,
+                     st.integers(0, 4097) | _SCALARS)
+_BRANCH = (st.just(BranchInfo())
+           | st.builds(BranchInfo, st.just("conditional"), st.booleans(), _INTS)
+           | st.builds(BranchInfo, st.sampled_from(["direct", "indirect"]), st.just(True), _INTS))
+_ANY_BRANCH = _built(BranchInfo, st.sampled_from(BRANCH_KINDS + ("call",)) | _SCALARS,
+                     st.booleans() | _SCALARS, _INTS | _SCALARS)
+_TEXT = st.text(max_size=3)
+_SEMANTICS = (st.fixed_dictionaries({"kind": _mostly(_TEXT, _VALUES)})
+              | st.fixed_dictionaries({
+                  "kind": _mostly(st.none() | _TEXT, _VALUES),
+                  "resources": _tuples(_TEXT),
+                  "latency": _mostly(st.floats() | st.integers(-1, 2**1030), _VALUES)}))
+_FIELDS = st.tuples(_SEMANTICS, st.fixed_dictionaries({
+    "seq": _mostly(_INTS, _VALUES),
+    "pc": _mostly(_INTS, _VALUES),
+    "reg_reads": _tuples(_INTS),
+    "reg_writes": _tuples(_INTS),
+    "mem_reads": _tuples(_mostly(_ACCESS, _ANY_ACCESS)),
+    "mem_writes": _tuples(_mostly(_ACCESS, _ANY_ACCESS)),
+    "branch": _mostly(_BRANCH, _ANY_BRANCH | _VALUES),
+})).map(lambda parts: {**parts[0], **parts[1]})
+
+
+def _build(value):
+    if callable(value):
+        return value()
+    if isinstance(value, (list, tuple)):
+        return type(value)(_build(v) for v in value)
+    return value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_FIELDS)
+def test_every_valid_event_round_trips(fields):
+    """An event that builds is written as a record that parses back to it."""
+    try:
+        event = InstructionEvent(**{k: _build(v) for k, v in fields.items()})
+    except TraceError as exc:
+        assert exc.line is None
+        return
+    assert parse(write_trace([event])) == [event]
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_corpus_kernels_round_trip(name):
+    events, _ = generate(name, **({"iters": 3} if "iters" in KERNELS[name][1] else {}))
     assert parse(write_trace(events)) == events
 
 
