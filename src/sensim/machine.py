@@ -28,10 +28,26 @@ class ConfigError(ValueError):
 
 
 def _check_name(name: str) -> None:
+    if type(name) is not str:
+        raise ConfigError(f"name {name!r} must be a string")
     if any(c in name for c in _UNSAFE):
         raise ConfigError(f"name {name!r} may not contain any of , ; + \"")
     if not name or name != name.strip():
         raise ConfigError(f"name {name!r} is empty or starts or ends with whitespace")
+
+
+def _as_float(part, field_name: str, context: str) -> float:
+    """Store `part.<field_name>`, an int or a float, as a float."""
+    value = getattr(part, field_name)
+    if type(value) is not float:
+        if type(value) is not int:
+            raise ConfigError(f"{context}: {field_name} must be a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{context}: {field_name} is out of range") from None
+        object.__setattr__(part, field_name, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -44,7 +60,7 @@ class Resource:
 
     def __post_init__(self):
         _check_name(self.name)
-        if not 0 < self.gap < inf:
+        if not 0 < _as_float(self, "gap", f"resource {self.name!r}") < inf:
             raise ConfigError(f"resource {self.name!r}: gap must be finite and > 0")
         if self.name in _RESERVED or self.name.endswith(_THR_SUFFIX):
             raise ConfigError(f"resource name {self.name!r} is reserved")
@@ -63,7 +79,13 @@ class InstructionKind:
     latency: float
 
     def __post_init__(self):
-        if not 0 <= self.latency < inf:
+        if type(self.name) is not str:
+            raise ConfigError(f"kind name {self.name!r} must be a string")
+        if type(self.resources) is not tuple:
+            raise ConfigError(f"kind {self.name!r}: resources must be a tuple")
+        if any(type(r) is not str for r in self.resources):
+            raise ConfigError(f"kind {self.name!r}: resources must be strings")
+        if not 0 <= _as_float(self, "latency", f"kind {self.name!r}") < inf:
             raise ConfigError(f"kind {self.name!r}: latency must be finite and >= 0")
 
 
@@ -89,7 +111,7 @@ class CacheLevelConfig:
 
     def __post_init__(self):
         _check_name(self.name)
-        if not 0 < self.gap < inf:
+        if not 0 < _as_float(self, "gap", f"cache level {self.name!r}") < inf:
             raise ConfigError(f"cache level {self.name!r}: gap must be finite and > 0")
         geometry = (self.total_size, self.associativity, self.line_size)
         if self.is_backstop:
@@ -135,8 +157,8 @@ class MachineConfig:
             raise ConfigError("window capacity must be an integer")
         if self.window_capacity < 1:
             raise ConfigError("window capacity must be >= 1")
-        if self.latency_scale <= 0:
-            raise ConfigError("latency_scale must be > 0")
+        if not 0 < _as_float(self, "latency_scale", "config") < inf:
+            raise ConfigError("latency_scale must be finite and > 0")
         refs = [self.frontend_resource] if self.frontend_resource is not None else []
         for name in refs + [r for kind in self.kinds.values() for r in kind.resources]:
             if name not in self._by_name:
@@ -247,7 +269,7 @@ def load_config(text: str) -> MachineConfig:
     """Parse a machine configuration from its JSON text form."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError("config is nested too deeply") from None
@@ -272,8 +294,6 @@ def load_config(text: str) -> MachineConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"kind {name!r} must be an object")
         res = _get(entry, "resources", list, f"kind {name!r}")
-        if not all(isinstance(r, str) for r in res):
-            raise ConfigError(f"kind {name!r}: resources must be strings")
         latency = _number(entry, "latency", f"kind {name!r}")
         kinds[name] = InstructionKind(name=name, resources=tuple(res), latency=latency)
 

@@ -10,7 +10,7 @@ machine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import KW_ONLY, InitVar, dataclass, fields
 from math import isfinite
 from typing import Iterable, Iterator
 
@@ -33,7 +33,7 @@ class TraceError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemAccess:
     """One byte range touched by an instruction."""
 
@@ -53,7 +53,7 @@ class MemAccess:
                 "address space")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchInfo:
     """A record's actual branch outcome; kind "none" for a non-branch."""
 
@@ -74,15 +74,16 @@ class BranchInfo:
             raise TraceError("direct branches are always taken")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstructionEvent:
     """One dynamic instruction occurrence.
 
     Construction checks every field's type and value, from a file or from
     Python, and raises a TraceError naming the first check that fails.  An
-    integer latency is stored as a float."""
+    integer latency is stored as a float.  `seq`, a record's position in a
+    trace file, is checked when given and then dropped: events that differ
+    only in position are equal."""
 
-    seq: int
     pc: int
     kind: str | None = None
     resources: tuple[str, ...] | None = None
@@ -92,9 +93,11 @@ class InstructionEvent:
     mem_reads: tuple[MemAccess, ...] = ()
     mem_writes: tuple[MemAccess, ...] = ()
     branch: BranchInfo = BranchInfo()
+    _: KW_ONLY
+    seq: InitVar[int | None] = None
 
-    def __post_init__(self):
-        if type(self.seq) is not int or self.seq < 0:
+    def __post_init__(self, seq):
+        if seq is not None and (type(seq) is not int or seq < 0):
             raise TraceError("seq must be an integer >= 0")
         if type(self.pc) is not int:
             raise TraceError("pc is required and must be an integer")
@@ -140,16 +143,21 @@ def _check_entries(values, entry_type: type, name: str) -> None:
 
 
 _ARRAY_FIELDS = ("resources", "reg_reads", "reg_writes", "mem_reads", "mem_writes")
-_RECORD_FIELDS = {f.name for f in fields(InstructionEvent)}
+_RECORD_FIELDS = {f.name for f in fields(InstructionEvent)} | {"seq"}
+# lines parse_trace's memo holds before it is cleared; a loop body of up to
+# this many distinct records is parsed at most twice, and memory stays bounded
+_MEMO_LINES = 4096
 
 
-def _parse_record(raw_line: str, position: int) -> InstructionEvent:
-    """One record's event; `position` is its seq unless the record gives one.
-    Decodes only: the record types check every field."""
+def _parse_record(raw_line: str) -> tuple[InstructionEvent, int | None]:
+    """One record's event and its explicit seq, if any.  Decodes only: the
+    record types check every field."""
     try:
         raw = json.loads(raw_line)
     except json.JSONDecodeError as exc:
         raise TraceError(f"invalid record: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise TraceError(f"invalid record: {exc}") from None
     except RecursionError:
         raise TraceError("invalid record: nested too deeply") from None
     if not isinstance(raw, dict):
@@ -175,35 +183,49 @@ def _parse_record(raw_line: str, position: int) -> InstructionEvent:
         except TypeError:
             raise TraceError("branch must be {kind, taken, target}") from None
     raw.setdefault("pc", None)
-    raw.setdefault("seq", position)
-    return InstructionEvent(**raw)
+    return InstructionEvent(**raw), raw.get("seq")
 
 
 def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
     """Lazily parse newline-delimited records into validated events.
 
-    `seq` defaults to the record's position; an explicit seq must keep the
-    stream strictly increasing.  Any violation aborts the stream with a
-    diagnostic naming the offending line.
+    A record's position is its seq; an explicit seq must keep the stream
+    strictly increasing.  Any violation aborts the stream with a diagnostic
+    naming the offending line.  A bounded memo keeps the event of each line
+    seen twice, so a line is parsed at most twice while it stays there, and
+    its later repeats yield the same immutable event.
     """
+    memo: dict[str, InstructionEvent | tuple[()]] = {}
     position = 0
     for lineno, raw_line in enumerate(lines, 1):
-        if not raw_line.strip():
-            continue
-        try:
-            event = _parse_record(raw_line, position)
-            if event.seq < position:
-                raise TraceError(f"seq {event.seq} does not increase")
-        except TraceError as exc:
-            raise TraceError(str(exc), lineno) from None
-        position = event.seq + 1
+        event = memo.get(raw_line)
+        if not event:
+            if not raw_line.strip():
+                continue
+            seen = event is not None
+            try:
+                event, seq = _parse_record(raw_line)
+            except TraceError as exc:
+                raise TraceError(str(exc), lineno) from None
+            if seq is not None:
+                # not kept: a repeat of this line could only fail this check
+                if seq < position:
+                    raise TraceError(f"seq {seq} does not increase", lineno)
+                position = seq
+            else:
+                if len(memo) == _MEMO_LINES:
+                    memo.clear()
+                # a first sighting keeps only (), so lines that never repeat
+                # keep no event alive
+                memo[raw_line] = event if seen else ()
+        position += 1
         yield event
 
 
 def write_trace(events: Iterable[InstructionEvent]) -> str:
     """Serialize events to the record-per-line text form; inverse of parse_trace."""
     out = []
-    for position, event in enumerate(events):
+    for event in events:
         record: dict = {"pc": event.pc}
         if event.kind is not None:
             record["kind"] = event.kind
@@ -222,8 +244,6 @@ def write_trace(events: Iterable[InstructionEvent]) -> str:
         if event.branch.kind != "none":
             record["branch"] = {"kind": event.branch.kind, "taken": event.branch.taken,
                                 "target": event.branch.target}
-        if event.seq != position:
-            record["seq"] = event.seq
         out.append(json.dumps(record, separators=(",", ":")))
     return "".join(line + "\n" for line in out)
 

@@ -58,6 +58,8 @@ VALUES = st.recursive(
     max_leaves=6)
 # stands for 100,000 nested arrays, deeper than json.dumps can write
 DEEP = "<deep>"
+# stands for a 5,000-digit integer, over the digit limit of int() and json
+HUGE = "<huge>"
 
 
 def _paths(doc, prefix=()):
@@ -112,7 +114,8 @@ def workdir(tmp_path_factory):
 
 
 def _dumps(value):
-    return json.dumps(value).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
+    return (json.dumps(value).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
+            .replace(json.dumps(HUGE), "9" * 5000))
 
 
 def _reject_constant(name):
@@ -145,6 +148,7 @@ FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None
 @example(edits=[(("branch", "history_lengths", 1), "set", 2**70)])
 @example(edits=[(("window",), "set", 10**400)])
 @example(edits=[(("caches", 1), "set", DEEP)])
+@example(edits=[(("resources", 1, "gap"), "set", HUGE)])
 def test_mutated_config_exits_zero_or_one(workdir, edits):
     _check_commands(workdir, _mutated(CONFIG, edits), TRACE)
 
@@ -155,5 +159,6 @@ def test_mutated_config_exits_zero_or_one(workdir, edits):
 @example(edits=[((3, "kind"), "set", "nosuch")])
 @example(edits=[((2, "resources", 1), "set", "p9")])
 @example(edits=[((1,), "set", DEEP)])
+@example(edits=[((1, "pc"), "set", HUGE)])
 def test_mutated_trace_exits_zero_or_one(workdir, edits):
     _check_commands(workdir, CONFIG, _mutated(TRACE, edits))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sensim.machine import (INST_LAT, INST_WINDOW, CacheLevelConfig, ConfigError,
+from sensim.machine import (INST_LAT, INST_WINDOW, CacheLevelConfig, ConfigError, InstructionKind,
                             MachineConfig, Resource, accelerable_parameters, apply_weights,
                             builtin_config, dump_config, load_config)
 
@@ -214,3 +214,33 @@ def test_direct_construction_validates():
 def test_integer_fields_reject_other_types(build):
     with pytest.raises(ConfigError, match="integer"):
         build()
+
+
+# a kind's resources given as one string were read as one name per character
+@pytest.mark.parametrize("build,message", [
+    (lambda: InstructionKind("k", "p0", 1.0), "resources must be a tuple"),
+    (lambda: InstructionKind("k", ("p0", 1), 1.0), "resources must be strings"),
+    (lambda: InstructionKind("k", ("p0",), "1"), "latency must be a number"),
+    (lambda: InstructionKind(5, ("p0",), 1.0), "kind name 5 must be a string"),
+    (lambda: Resource("p0", "1"), "gap must be a number"),
+    (lambda: Resource("p0", 10**400), "gap is out of range"),
+    (lambda: Resource(5, 1.0), "name 5 must be a string"),
+    (lambda: CacheLevelConfig("MEM", gap="4"), "gap must be a number"),
+    (lambda: MachineConfig(resources=(Resource("p0", 1.0),), latency_scale="2"),
+     "latency_scale must be a number"),
+], ids=["kind-resources-string", "kind-resources-int", "kind-latency-string", "kind-name-int",
+        "gap-string", "gap-huge-int", "resource-name-int", "level-gap-string",
+        "latency-scale-string"])
+def test_fields_built_in_python_check_their_types(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_integer_gap_and_latency_are_stored_as_floats():
+    assert type(Resource("p0", 2).gap) is float
+    assert type(InstructionKind("k", ("p0",), 3).latency) is float
+
+
+def test_integer_over_the_digit_limit_rejected():
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config('{"resources": [], "window": %s}' % ("9" * 5000))

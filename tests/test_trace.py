@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from sensim.corpus import KERNELS, generate
 from sensim.engine import bind_semantics
 from sensim.machine import load_config
-from sensim.trace import (BRANCH_KINDS, BranchInfo, InstructionEvent, MemAccess, TraceError,
-                          parse_trace, write_trace)
+from sensim.trace import (_MEMO_LINES, BRANCH_KINDS, BranchInfo, InstructionEvent, MemAccess,
+                          TraceError, parse_trace, write_trace)
 
 MINIMAL_CFG = """
 {"resources": [{"name": "p0", "gap": 1}], "window": 4}
@@ -23,8 +23,12 @@ def test_minimal_record():
     events = parse('{"pc":16,"kind":"mul"}')
     assert len(events) == 1
     ev = events[0]
-    assert ev.pc == 16 and ev.kind == "mul" and ev.seq == 0
+    assert ev.pc == 16 and ev.kind == "mul"
     assert ev.reg_reads == () and ev.mem_reads == ()
+    # the same record at another position, implied or explicit, is equal
+    assert parse('{"pc":0,"kind":"a"}\n{"pc":16,"kind":"mul"}')[1] == ev
+    assert parse('{"pc":16,"kind":"mul","seq":7}') == [ev]
+    assert ev == InstructionEvent(pc=16, kind="mul", seq=3)
 
 
 def test_inline_resources_without_kind():
@@ -138,13 +142,58 @@ def test_deeply_nested_record_names_its_line():
 
 def test_seq_assigned_from_line_order_and_blank_lines_skipped():
     events = parse('{"pc":0,"kind":"a"}\n\n{"pc":4,"kind":"b"}\n')
-    assert [e.seq for e in events] == [0, 1]
+    assert events == parse('\n{"pc":0,"kind":"a","seq":5}\n{"pc":4,"kind":"b","seq":9}')
+    assert events == [InstructionEvent(pc=0, kind="a"), InstructionEvent(pc=4, kind="b")]
+    # the blank line takes no position: the second record's is 1
+    parse('{"pc":0,"kind":"a"}\n\n{"pc":4,"kind":"b","seq":1}\n')
+    with pytest.raises(TraceError, match="seq 0 does not increase") as err:
+        parse('{"pc":0,"kind":"a"}\n\n{"pc":4,"kind":"b","seq":0}\n')
+    assert err.value.line == 3
 
 
 def test_explicit_seq_must_increase():
     parse('{"pc":0,"kind":"a","seq":3}\n{"pc":1,"kind":"b"}')
     with pytest.raises(TraceError, match="seq 3 does not increase"):
         parse('{"pc":0,"kind":"a","seq":3}\n{"pc":1,"kind":"b","seq":3}')
+    # a repeated line fails on the repeat
+    with pytest.raises(TraceError, match="line 2: seq 3 does not increase"):
+        parse('{"pc":0,"kind":"a","seq":3}\n' * 2)
+
+
+@pytest.mark.parametrize("seq", [-1, "0", True])
+def test_bad_seq_rejected(seq):
+    with pytest.raises(TraceError, match="seq must be an integer >= 0"):
+        InstructionEvent(pc=0, kind="a", seq=seq)
+
+
+def test_identical_lines_yield_one_event():
+    # a line's first sighting keeps no event; its second is kept for later repeats
+    first, second, third, fourth = parse('{"pc":0,"kind":"a"}\n' * 4)
+    assert first == second and first is not second
+    assert second is third is fourth
+
+
+def test_repeats_across_a_memo_clear_are_equal():
+    lines = [f'{{"pc":{pc},"kind":"a","reg_reads":[{pc % 7}]}}' for pc in range(_MEMO_LINES + 10)]
+    events = parse("\n".join(lines + lines))
+    assert len(events) == 2 * len(lines)
+    assert events[:len(lines)] == events[len(lines):]
+    assert events[:len(lines)] == [InstructionEvent(pc=pc, kind="a", reg_reads=(pc % 7,))
+                                   for pc in range(len(lines))]
+
+
+def test_bad_line_after_repeats_names_its_line():
+    text = '{"pc":0,"kind":"a"}\n' * 5000 + '{"pc":0,"kind":"a"\n' + '{"pc":0,"kind":"a"}\n'
+    with pytest.raises(TraceError, match="line 5001: invalid record") as err:
+        parse(text)
+    assert err.value.line == 5001
+
+
+def test_integer_over_the_digit_limit_names_its_line():
+    text = '{"pc":0,"kind":"a"}\n{"pc":%s,"kind":"a"}\n' % ("9" * 5000)
+    with pytest.raises(TraceError, match="line 2: invalid record") as err:
+        parse(text)
+    assert err.value.line == 2
 
 
 def test_round_trip_empty():
@@ -196,10 +245,11 @@ def test_round_trip_random_events():
     assert parse(write_trace(events)) == events
 
 
-def test_round_trip_preserves_gapped_seq():
-    events = [InstructionEvent(seq=5, pc=0, kind="a"),
-              InstructionEvent(seq=9, pc=4, kind="b")]
-    assert parse(write_trace(events)) == events
+def test_gapped_explicit_seq_parses_and_is_not_written_back():
+    events = parse('{"pc":0,"kind":"a","seq":5}\n{"pc":4,"kind":"b","seq":9}')
+    assert events == [InstructionEvent(pc=0, kind="a"), InstructionEvent(pc=4, kind="b")]
+    assert write_trace(events) == '{"pc":0,"kind":"a"}\n{"pc":4,"kind":"b"}\n'
+    assert write_trace([InstructionEvent(seq=5, pc=0, kind="a")]) == '{"pc":0,"kind":"a"}\n'
 
 
 # Every field is drawn right most of the time, and otherwise as any JSON-like
