@@ -7,7 +7,7 @@ driven once per trace and its verdicts reused across accelerated reruns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import inf
 
 _TAG_BITS = 12
@@ -20,7 +20,9 @@ class BranchConfig:
 
     Defaults are deliberately small (desk-scale) and the unit is opt-in:
     with enabled=False the simulation is identical to one without any
-    branch modeling.
+    branch modeling.  Construction checks every field, raising ValueError,
+    and stores an integer penalty as a float.  `tage_tables`, implied by
+    `history_lengths`, is checked against them when given and not stored.
     """
 
     enabled: bool = False
@@ -29,8 +31,13 @@ class BranchConfig:
     tage_entries_log2: int = 10
     history_lengths: tuple[int, ...] = (4, 8, 16, 32)
     misprediction_penalty: float = 15.0
+    tage_tables: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, tage_tables):
+        if type(self.enabled) is not bool:
+            raise ValueError("enabled must be a boolean")
+        if type(self.history_lengths) is not tuple:
+            raise ValueError("history_lengths must be a tuple")
         sizes = (self.btb_sets, self.btb_ways, self.tage_entries_log2, *self.history_lengths)
         if any(type(v) is not int for v in sizes):
             raise ValueError("BTB sizes, tage_entries_log2 and history_lengths must be integers")
@@ -42,6 +49,15 @@ class BranchConfig:
             raise ValueError("history_lengths must be non-empty and start at >= 1")
         if any(b <= a for a, b in zip(self.history_lengths, self.history_lengths[1:])):
             raise ValueError("history_lengths must be strictly increasing")
+        if tage_tables is not None and (type(tage_tables) is not int
+                                        or tage_tables != len(self.history_lengths)):
+            raise ValueError("tage_tables must match len(history_lengths)")
+        if type(self.misprediction_penalty) not in (int, float):
+            raise ValueError("misprediction_penalty must be a number")
+        try:
+            object.__setattr__(self, "misprediction_penalty", float(self.misprediction_penalty))
+        except OverflowError:
+            raise ValueError("misprediction_penalty is out of range") from None
         if not 0 <= self.misprediction_penalty < inf:
             raise ValueError("misprediction_penalty must be finite and >= 0")
         # larger tables may not fit in memory

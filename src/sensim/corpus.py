@@ -28,7 +28,7 @@ def gen_port_block() -> tuple[list[InstructionEvent], MachineConfig]:
     """
     ports = ["p1", "p0", "p6", "p1", "p0", "p2", "p3", "p6", "p2", "p0", "p6", "p5"]
     events = [
-        InstructionEvent(seq=i, pc=0x1000 + 4 * i, resources=(port,), latency=1.0)
+        InstructionEvent(pc=0x1000 + 4 * i, resources=(port,), latency=1.0)
         for i, port in enumerate(ports)]
     config = MachineConfig(
         resources=tuple(Resource(name, 1.0) for name in ("p0", "p1", "p2", "p3", "p5", "p6")),
@@ -52,20 +52,19 @@ def gen_jacobi_like(iters: int) -> tuple[list[InstructionEvent], MachineConfig]:
     wrap = (footprint - 32) // 24
 
     events: list[InstructionEvent] = []
-    seq = 0
 
     def emit(pc, kind, reg_reads=(), reg_writes=(), mem_reads=(), mem_writes=(),
              branch=BranchInfo()):
-        nonlocal seq
         events.append(InstructionEvent(
-            seq=seq, pc=pc, kind=kind,
-            reg_reads=tuple(reg_reads), reg_writes=tuple(reg_writes),
+            pc=pc, kind=kind, reg_reads=tuple(reg_reads), reg_writes=tuple(reg_writes),
             mem_reads=tuple(MemAccess(a, s) for a, s in mem_reads),
             mem_writes=tuple(MemAccess(a, s) for a, s in mem_writes),
             branch=branch))
-        seq += 1
 
     for i in range(iters):
+        if wrap <= i < iters - 1:  # i % wrap alone shapes each body but the last
+            events += events[17 * (i % wrap):17 * (i % wrap + 1)]
+            continue
         rax = 24 * (i % wrap) + 8
         a = base_a + rax
         b = base_b + rax
@@ -108,15 +107,10 @@ def gen_latency_chain(n: int) -> tuple[list[InstructionEvent], MachineConfig]:
     if n < 1:
         raise ValueError("n must be >= 1")
     events = [
-        InstructionEvent(seq=k, pc=0x4000 + 4 * k, resources=("p0",), latency=4.0,
+        InstructionEvent(pc=0x4000 + 4 * k, resources=("p0",), latency=4.0,
                          reg_reads=(0,), reg_writes=(0,))
         for k in range(n)]
-    config = MachineConfig(
-        resources=(Resource("FRONTEND", 0.25), Resource("p0", 1.0)),
-        window_capacity=64,
-        frontend_resource="FRONTEND",
-        cache_levels=_small_hierarchy())
-    return events, config
+    return events, _small_machine(Resource("p0", 1.0))
 
 
 def gen_stream(n: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[InstructionEvent], MachineConfig]:
@@ -134,25 +128,22 @@ def gen_stream(n: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[Instructi
             f"footprint must be a positive multiple of 64 bytes, got {footprint}")
     base = 0x100000
     events = [
-        InstructionEvent(seq=k, pc=0x5000, resources=("p23",), latency=4.0,
+        InstructionEvent(pc=0x5000, resources=("p23",), latency=4.0,
                          mem_reads=(MemAccess(base + (64 * k) % footprint, 8),),
                          reg_writes=(0,))
         for k in range(n)]
-    config = MachineConfig(
-        resources=(Resource("FRONTEND", 0.25), Resource("p23", 0.5)),
-        window_capacity=64,
-        frontend_resource="FRONTEND",
-        cache_levels=_small_hierarchy())
-    return events, config
+    return events, _small_machine(Resource("p23", 0.5))
 
 
-def _small_hierarchy():
-    return (
-        CacheLevelConfig("L1", gap=1.0, total_size=32768, associativity=8, line_size=64),
-        CacheLevelConfig("L2", gap=1.0, total_size=262144, associativity=8, line_size=64),
-        CacheLevelConfig("L3", gap=2.0, total_size=524288, associativity=8, line_size=64),
-        CacheLevelConfig("MEM", gap=4.0),
-    )
+def _small_machine(port: Resource) -> MachineConfig:
+    """A frontend and one port over a three-level hierarchy and memory."""
+    return MachineConfig(
+        resources=(Resource("FRONTEND", 0.25), port), window_capacity=64,
+        frontend_resource="FRONTEND", cache_levels=(
+            CacheLevelConfig("L1", gap=1.0, total_size=32768, associativity=8, line_size=64),
+            CacheLevelConfig("L2", gap=1.0, total_size=262144, associativity=8, line_size=64),
+            CacheLevelConfig("L3", gap=2.0, total_size=524288, associativity=8, line_size=64),
+            CacheLevelConfig("MEM", gap=4.0)))
 
 
 # name -> (generator, the overrides it takes in argument order, with defaults)

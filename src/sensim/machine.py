@@ -39,14 +39,13 @@ def _check_name(name: str) -> None:
 def _as_float(part, field_name: str, context: str) -> float:
     """Store `part.<field_name>`, an int or a float, as a float."""
     value = getattr(part, field_name)
-    if type(value) is not float:
-        if type(value) is not int:
-            raise ConfigError(f"{context}: {field_name} must be a number")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError(f"{context}: {field_name} is out of range") from None
-        object.__setattr__(part, field_name, value)
+    if type(value) not in (int, float):
+        raise ConfigError(f"{context}: {field_name} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{context}: {field_name} is out of range") from None
+    object.__setattr__(part, field_name, value)
     return value
 
 
@@ -135,10 +134,15 @@ class CacheLevelConfig:
             raise ConfigError(f"cache level {self.name!r}: at most {1 << 21} lines")
 
 
+def _check_entries(values, entry_type: type, name: str) -> None:
+    if type(values) is not tuple or any(type(v) is not entry_type for v in values):
+        raise ConfigError(f"{name} must be a tuple of {entry_type.__name__} values")
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """The whole modeled machine.  Each part checks its own fields when it
-    is built; this checks what spans parts."""
+    is built; this checks that each part has its type, and what spans parts."""
 
     resources: tuple[Resource, ...]
     kinds: dict[str, InstructionKind] = field(default_factory=dict)
@@ -150,6 +154,16 @@ class MachineConfig:
     _by_name: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_entries(self.resources, Resource, "resources")
+        _check_entries(self.cache_levels, CacheLevelConfig, "cache_levels")
+        if type(self.kinds) is not dict or any(
+                type(kind) is not InstructionKind or kind.name != name
+                for name, kind in self.kinds.items()):
+            raise ConfigError("kinds must map each kind's name to its InstructionKind")
+        if type(self.branch) is not BranchConfig:
+            raise ConfigError("branch must be a BranchConfig")
+        if self.frontend_resource is not None and type(self.frontend_resource) is not str:
+            raise ConfigError("frontend_resource must be a string")
         object.__setattr__(self, "_by_name", {r.name: i for i, r in enumerate(self.resources)})
         if len(self._by_name) != len(self.resources):
             raise ConfigError("resource names must be unique")
@@ -241,130 +255,88 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
                    latency_scale=latency_scale, window_capacity=capacity)
 
 
-_MISSING = object()
+# each config object's JSON keys and the fields they fill, in the order
+# dump_config writes them; a key in _REQUIRED must be given, any other may be
+# left out for its field's default
+_CONFIG_KEYS = {"resources": "resources", "window": "window_capacity",
+                "frontend": "frontend_resource", "kinds": "kinds",
+                "caches": "cache_levels", "branch": "branch"}
+_RESOURCE_KEYS = {"name": "name", "gap": "gap"}
+_KIND_KEYS = {"resources": "resources", "latency": "latency"}
+_LEVEL_KEYS = {"name": "name", "size": "total_size", "assoc": "associativity",
+               "line": "line_size", "gap": "gap"}
+_BRANCH_KEYS = {key: key for key in (
+    "enabled", "btb_sets", "btb_ways", "tage_tables", "tage_entries_log2",
+    "history_lengths", "misprediction_penalty")}
+_REQUIRED = {"resources", "window", "name", "gap", "latency"}
 
 
-def _get(mapping: dict, key: str, types, context: str, default=_MISSING):
-    """mapping[key] checked against `types` (a bool only where `types` is
-    bool); `default` when the key is absent, which is an error without one."""
-    if key not in mapping:
-        if default is _MISSING:
+def _decoded(raw, keys: dict[str, str], context: str) -> dict:
+    """The fields a JSON object's keys fill, arrays as tuples.  Decodes
+    only: the type built from them checks every field."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{context} must be an object")
+    for key, value in raw.items():
+        if key not in keys:
+            raise ConfigError(f"{context}: unknown key {key!r}")
+        if value is None:  # a key is left out, not null, to take its default
+            raise ConfigError(f"{context}: key {key!r} may not be null")
+    for key in keys:
+        if key in _REQUIRED and key not in raw:
             raise ConfigError(f"{context}: missing key {key!r}")
-        return default
-    value = mapping[key]
-    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise ConfigError(f"{context}: key {key!r} has the wrong type")
-    return value
-
-
-def _number(mapping: dict, key: str, context: str, default=_MISSING) -> float:
-    """mapping[key] as a float; an integer too large for one is an error."""
-    try:
-        return float(_get(mapping, key, (int, float), context, default))
-    except OverflowError:
-        raise ConfigError(f"{context}: key {key!r} is out of range") from None
+    return {keys[key]: tuple(value) if type(value) is list else value
+            for key, value in raw.items()}
 
 
 def load_config(text: str) -> MachineConfig:
-    """Parse a machine configuration from its JSON text form."""
+    """Parse a machine configuration from its JSON text form.  Decodes only:
+    the config types check every field."""
     try:
         raw = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError("config is nested too deeply") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {"resources", "frontend", "window", "kinds", "caches", "branch"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown top-level config key {key!r}")
-
-    raw_resources = _get(raw, "resources", list, "config")
-    resources = []
-    for i, entry in enumerate(raw_resources):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"resources[{i}] must be an object")
-        name = _get(entry, "name", str, f"resources[{i}]")
-        gap = _number(entry, "gap", f"resources[{i}]")
-        resources.append(Resource(name=name, gap=gap))
-
-    kinds = {}
-    for name, entry in _get(raw, "kinds", dict, "config", {}).items():
-        if not isinstance(entry, dict):
-            raise ConfigError(f"kind {name!r} must be an object")
-        res = _get(entry, "resources", list, f"kind {name!r}")
-        latency = _number(entry, "latency", f"kind {name!r}")
-        kinds[name] = InstructionKind(name=name, resources=tuple(res), latency=latency)
-
-    levels = []
-    for i, entry in enumerate(_get(raw, "caches", list, "config", [])):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"caches[{i}] must be an object")
-        name = _get(entry, "name", str, f"caches[{i}]")
-        gap = _number(entry, "gap", f"caches[{i}]")
-        levels.append(CacheLevelConfig(
-            name=name, gap=gap,
-            total_size=_get(entry, "size", int, f"caches[{i}]", None),
-            associativity=_get(entry, "assoc", int, f"caches[{i}]", None),
-            line_size=_get(entry, "line", int, f"caches[{i}]", None)))
-
-    branch = BranchConfig()
-    if "branch" in raw:
-        entry = raw["branch"]
-        if not isinstance(entry, dict):
-            raise ConfigError("branch must be an object")
-        fields = {key: _get(entry, key, int, "branch", getattr(BranchConfig, key))
-                  for key in ("btb_sets", "btb_ways", "tage_entries_log2")}
-        fields["enabled"] = _get(entry, "enabled", bool, "branch", BranchConfig.enabled)
-        fields["misprediction_penalty"] = _number(entry, "misprediction_penalty", "branch",
-                                                  BranchConfig.misprediction_penalty)
-        lengths = _get(entry, "history_lengths", list, "branch",
-                       list(BranchConfig.history_lengths))
-        # tage_tables is implied by history_lengths; a given one must agree
-        if _get(entry, "tage_tables", int, "branch", len(lengths)) != len(lengths):
-            raise ConfigError("branch: tage_tables must match len(history_lengths)")
+    fields = _decoded(raw, _CONFIG_KEYS, "config")
+    if type(fields["resources"]) is tuple:
+        fields["resources"] = tuple(
+            Resource(**_decoded(part, _RESOURCE_KEYS, f"resources[{i}]"))
+            for i, part in enumerate(fields["resources"]))
+    if type(fields.get("cache_levels")) is tuple:
+        fields["cache_levels"] = tuple(
+            CacheLevelConfig(**_decoded(part, _LEVEL_KEYS, f"caches[{i}]"))
+            for i, part in enumerate(fields["cache_levels"]))
+    if type(fields.get("kinds")) is dict:
+        fields["kinds"] = {
+            name: InstructionKind(name, **_decoded(part, _KIND_KEYS, f"kind {name!r}"))
+            for name, part in fields["kinds"].items()}
+    if "branch" in fields:
+        branch = _decoded(fields["branch"], _BRANCH_KEYS, "branch")
         try:
-            branch = BranchConfig(history_lengths=tuple(lengths), **fields)
-        except ValueError as exc:
-            # the branch unit imports nothing from this package
-            raise ConfigError(str(exc)) from None
+            fields["branch"] = BranchConfig(**branch)
+        except ValueError as exc:  # the branch unit imports nothing from this package
+            raise ConfigError(f"branch: {exc}") from None
+    return MachineConfig(**fields)
 
-    return MachineConfig(
-        resources=tuple(resources),
-        kinds=kinds,
-        window_capacity=_get(raw, "window", int, "config"),
-        frontend_resource=_get(raw, "frontend", str, "config", None),
-        cache_levels=tuple(levels),
-        branch=branch,
-    )
+
+def _dumped(part, keys: dict[str, str], **given) -> dict:
+    """`part`'s JSON object: each key of its table in order, its value taken
+    from `given` or else from the field, tuples as arrays; None is left out."""
+    values = ((key, given[key] if key in given else getattr(part, name))
+              for key, name in keys.items())
+    return {key: list(value) if type(value) is tuple else value
+            for key, value in values if value is not None}
 
 
 def dump_config(config: MachineConfig) -> str:
     """Serialize a configuration back to its JSON text form."""
-    doc: dict = {
-        "resources": [{"name": r.name, "gap": r.gap} for r in config.resources],
-        "window": config.window_capacity,
-    }
-    if config.frontend_resource is not None:
-        doc["frontend"] = config.frontend_resource
-    if config.kinds:
-        doc["kinds"] = {
-            k.name: {"resources": list(k.resources), "latency": k.latency}
-            for k in config.kinds.values()}
-    if config.cache_levels:
-        doc["caches"] = [
-            {"name": l.name, "gap": l.gap} if l.is_backstop else
-            {"name": l.name, "size": l.total_size, "assoc": l.associativity,
-             "line": l.line_size, "gap": l.gap}
-            for l in config.cache_levels]
     b = config.branch
-    doc["branch"] = {
-        "enabled": b.enabled, "btb_sets": b.btb_sets, "btb_ways": b.btb_ways,
-        "tage_tables": len(b.history_lengths), "tage_entries_log2": b.tage_entries_log2,
-        "history_lengths": list(b.history_lengths),
-        "misprediction_penalty": b.misprediction_penalty,
-    }
+    doc = _dumped(
+        config, _CONFIG_KEYS,
+        resources=[_dumped(r, _RESOURCE_KEYS) for r in config.resources],
+        kinds={name: _dumped(k, _KIND_KEYS) for name, k in config.kinds.items()} or None,
+        caches=[_dumped(l, _LEVEL_KEYS) for l in config.cache_levels] or None,
+        branch=_dumped(b, _BRANCH_KEYS, tage_tables=len(b.history_lengths)))
     return json.dumps(doc, indent=2) + "\n"
 
 

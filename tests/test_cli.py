@@ -197,13 +197,18 @@ def _files_with(tmp_path, edit_config=None, record=None):
     lambda d: d["caches"][1].update(name="L2 "),
     lambda d: d["branch"].update(tage_entries_log2=63),
     lambda d: d["branch"].update(history_lengths=[4, 8, 16, 2**70]),
+    lambda d: d["resources"][1].update(gapp=2.0),
+    lambda d: d.update(kinds={"k": {"resources": ["p0"], "latency": 1, "latncy": 2}}),
+    lambda d: d["caches"][0].update(lien=128),
+    lambda d: d["branch"].update(misprediction_penalti=30),
 ], ids=["resource-gap-inf", "resource-gap-nan", "cache-gap-inf", "kind-latency-nan",
         "penalty-inf", "size-str", "assoc-float", "line-bool", "enabled-str",
         "btb-sets-float", "btb-ways-str", "entries-null", "tables-float",
         "history-str", "kinds-array", "gap-huge-int", "history-empty",
         "history-negative", "shadow-granularity", "resource-name-comma",
         "cache-name-quote", "resource-name-empty", "resource-name-padded",
-        "cache-name-padded", "entries-log2-63", "history-2**70"])
+        "cache-name-padded", "entries-log2-63", "history-2**70", "resource-misspelled-key",
+        "kind-misspelled-key", "cache-misspelled-key", "branch-misspelled-key"])
 def test_bad_config_value_exits_one(tmp_path, capsys, edit):
     trace, cfg = _files_with(tmp_path, edit_config=edit)
     capsys.readouterr()

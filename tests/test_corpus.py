@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from sensim.corpus import (gen_jacobi_like, gen_latency_chain,
@@ -91,6 +93,14 @@ def test_jacobi_events_resolve_and_wrap():
     for ev in trace:
         for acc in ev.mem_reads + ev.mem_writes:
             assert acc.addr < 0x20000 + footprint
+
+
+def test_jacobi_bytes_past_two_wraps_are_pinned():
+    # 700 iterations pass the address wrap at 340 twice; the golden traces
+    # stop at 50
+    text = write_trace(gen_jacobi_like(700)[0])
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+            == "05a6cf924c217c53642eec844ffad27cbe2835066c22744dc5acb251b87af009")
 
 
 def test_generate_by_name():

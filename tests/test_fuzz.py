@@ -1,7 +1,8 @@
 """Fuzz the command line's input boundary: a valid config and a short trace,
 mutated with JSON-like values, may only make a command exit 0, or exit 1 with
 a `sensim: error:` line.  Any other exception escaping `main` fails the test,
-and so does a JSON report holding NaN or Infinity.
+and so does a JSON report holding NaN or Infinity, or a mutated config that
+loads but does not load equal from what `dump_config` writes of it.
 
 The strategies draw small integers plus fixed extremes, all of which are
 either small or over a config limit, so no example builds a large cache or
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensim.cli import main
+from sensim.machine import ConfigError, dump_config, load_config
 
 CONFIG = {
     "resources": [{"name": "FE", "gap": 0.25}, {"name": "p0", "gap": 1.0},
@@ -149,8 +151,15 @@ FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None
 @example(edits=[(("window",), "set", 10**400)])
 @example(edits=[(("caches", 1), "set", DEEP)])
 @example(edits=[(("resources", 1, "gap"), "set", HUGE)])
+@example(edits=[(("branch",), "add", 30)])
 def test_mutated_config_exits_zero_or_one(workdir, edits):
     _check_commands(workdir, _mutated(CONFIG, edits), TRACE)
+    # a config that loads is written back as one that loads equal
+    try:
+        config = load_config((workdir / "m.cfg").read_text())
+    except ConfigError:
+        return
+    assert load_config(dump_config(config)) == config
 
 
 @FUZZ
