@@ -1,5 +1,7 @@
 """Branch prediction unit: BTB with LRU sets plus a TAGE-style direction predictor.
 
+Predictor state only: the parameters are a `machine.BranchConfig`, read
+through attributes, so this module imports nothing from the package.
 Prediction outcomes depend only on the branch event stream (program counters
 and actual outcomes), never on simulated time, so predictor state can be
 driven once per trace and its verdicts reused across accelerated reruns.
@@ -7,64 +9,10 @@ driven once per trace and its verdicts reused across accelerated reruns.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
-from math import inf
+from dataclasses import dataclass
 
 _TAG_BITS = 12
 _TAG_MASK = (1 << _TAG_BITS) - 1
-
-
-@dataclass(frozen=True)
-class BranchConfig:
-    """Parameters of the modeled branch prediction unit.
-
-    Defaults are deliberately small (desk-scale) and the unit is opt-in:
-    with enabled=False the simulation is identical to one without any
-    branch modeling.  Construction checks every field, raising ValueError,
-    and stores an integer penalty as a float.  `tage_tables`, implied by
-    `history_lengths`, is checked against them when given and not stored.
-    """
-
-    enabled: bool = False
-    btb_sets: int = 64
-    btb_ways: int = 4
-    tage_entries_log2: int = 10
-    history_lengths: tuple[int, ...] = (4, 8, 16, 32)
-    misprediction_penalty: float = 15.0
-    tage_tables: InitVar[int | None] = None
-
-    def __post_init__(self, tage_tables):
-        if type(self.enabled) is not bool:
-            raise ValueError("enabled must be a boolean")
-        if type(self.history_lengths) is not tuple:
-            raise ValueError("history_lengths must be a tuple")
-        sizes = (self.btb_sets, self.btb_ways, self.tage_entries_log2, *self.history_lengths)
-        if any(type(v) is not int for v in sizes):
-            raise ValueError("BTB sizes, tage_entries_log2 and history_lengths must be integers")
-        if self.btb_sets < 1 or self.btb_ways < 1:
-            raise ValueError("BTB geometry must be at least 1 set and 1 way")
-        if self.tage_entries_log2 < 1:
-            raise ValueError("tage_entries_log2 must be >= 1")
-        if not self.history_lengths or self.history_lengths[0] < 1:
-            raise ValueError("history_lengths must be non-empty and start at >= 1")
-        if any(b <= a for a, b in zip(self.history_lengths, self.history_lengths[1:])):
-            raise ValueError("history_lengths must be strictly increasing")
-        if tage_tables is not None and (type(tage_tables) is not int
-                                        or tage_tables != len(self.history_lengths)):
-            raise ValueError("tage_tables must match len(history_lengths)")
-        if type(self.misprediction_penalty) not in (int, float):
-            raise ValueError("misprediction_penalty must be a number")
-        try:
-            object.__setattr__(self, "misprediction_penalty", float(self.misprediction_penalty))
-        except OverflowError:
-            raise ValueError("misprediction_penalty is out of range") from None
-        if not 0 <= self.misprediction_penalty < inf:
-            raise ValueError("misprediction_penalty must be finite and >= 0")
-        # larger tables may not fit in memory
-        if (self.btb_sets * self.btb_ways > 1 << 16 or self.tage_entries_log2 > 16
-                or len(self.history_lengths) > 32 or self.history_lengths[-1] > 4096):
-            raise ValueError("branch tables too large: at most 65536 BTB entries, "
-                             "tage_entries_log2 16 and 32 history lengths up to 4096")
 
 
 @dataclass(frozen=True)
@@ -94,7 +42,7 @@ class PredictorState:
     lookup only hashes the pc into those folds.
     """
 
-    def __init__(self, config: BranchConfig):
+    def __init__(self, config):
         self.config = config
         n = 1 << config.tage_entries_log2
         tables = len(config.history_lengths)
@@ -190,8 +138,7 @@ class PredictorState:
         return prediction
 
 
-def misprediction_delay(predicted: Prediction, taken: bool, target: int,
-                        config: BranchConfig) -> float:
+def misprediction_delay(predicted: Prediction, taken: bool, target: int, config) -> float:
     """Cycles of frontend stall charged for this prediction.
 
     Zero when the direction is right and, for taken branches, the target is

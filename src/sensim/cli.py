@@ -54,9 +54,9 @@ def _build_parser() -> _Parser:
     sens.add_argument("--resources", default="all",
                       help="'all' or a comma-separated parameter list")
     sens.add_argument("--subsets", default=None,
-                      help="semicolon-separated groups (a,b;c,d) or 'auto[:k]' "
-                           "for the power set up to size k; swept at the "
-                           "largest weight")
+                      help="semicolon-separated groups (a,b;c,d), or 'auto' or "
+                           "'auto:<k>' for the power set up to size k (default "
+                           "3); swept at the largest weight")
     sens.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     sens.add_argument("--heatmap", default=None, metavar="OUT.csv|OUT.svg",
                       help="write the (parameter, weight) grid to a file")
@@ -106,12 +106,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
-    if raw.startswith("auto"):
-        _, _, k = raw.partition(":")
-        max_size = int(k) if k else 3
-        if max_size < 1:
-            raise ValueError(f"--subsets auto:{k} needs a size >= 1")
-        return power_subsets(parameters, max_size=max_size)
+    if raw == "auto" or raw.startswith("auto:"):
+        k = "3" if raw == "auto" else raw[len("auto:"):]
+        if not k.isdecimal() or int(k) < 1:
+            raise ValueError(f"--subsets auto:{k} needs an integer size >= 1")
+        return power_subsets(parameters, max_size=int(k))
     groups = [tuple(p.strip() for p in group.split(",") if p.strip())
               for group in raw.split(";")]
     return [g for g in groups if g]
@@ -146,7 +145,7 @@ def _cmd_sensitivity(args) -> int:
                                   workers=args.workers)
     report.verdicts = classify(report, args.threshold)
     sys.stdout.write(format_sensitivity(report))
-    if args.heatmap:
+    if args.heatmap is not None:
         fmt = "svg" if args.heatmap.endswith(".svg") else "csv"
         with open(args.heatmap, "w", encoding="utf-8") as fh:
             fh.write(emit_heatmap(report, fmt))
@@ -157,7 +156,7 @@ def _cmd_sensitivity(args) -> int:
 def _cmd_gen_kernel(args) -> int:
     trace, config = corpus.generate(args.name, iters=args.iters,
                                     footprint=args.footprint)
-    out = args.out or f"{args.name}.trace"
+    out = f"{args.name}.trace" if args.out is None else args.out
     stem, dot, _ = out.rpartition(".")
     cfg_path = (stem if dot else out) + ".cfg"
     with open(out, "w", encoding="utf-8") as fh:

@@ -9,10 +9,8 @@ fresh value, so any number of simulation runs can share one config.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from math import floor, inf
-
-from .branch import BranchConfig
 
 INST_LAT = "INST_LAT"
 INST_WINDOW = "INST_WINDOW"
@@ -132,6 +130,53 @@ class CacheLevelConfig:
                 f"cache level {self.name!r}: size must divide into assoc x line sets")
         if self.total_size // self.line_size > 1 << 21:  # more may not fit in memory
             raise ConfigError(f"cache level {self.name!r}: at most {1 << 21} lines")
+
+
+@dataclass(frozen=True)
+class BranchConfig:
+    """Parameters of the modeled branch unit; its state is `branch.PredictorState`.
+
+    Defaults are deliberately small (desk-scale) and the unit is opt-in:
+    with enabled=False the simulation is identical to one without any
+    branch modeling.  `tage_tables`, implied by `history_lengths`, is
+    checked against them when given and not stored.
+    """
+
+    enabled: bool = False
+    btb_sets: int = 64
+    btb_ways: int = 4
+    tage_entries_log2: int = 10
+    history_lengths: tuple[int, ...] = (4, 8, 16, 32)
+    misprediction_penalty: float = 15.0
+    tage_tables: InitVar[int | None] = None
+
+    def __post_init__(self, tage_tables):
+        if type(self.enabled) is not bool:
+            raise ConfigError("branch: enabled must be a boolean")
+        if type(self.history_lengths) is not tuple:
+            raise ConfigError("branch: history_lengths must be a tuple")
+        sizes = (self.btb_sets, self.btb_ways, self.tage_entries_log2, *self.history_lengths)
+        if any(type(v) is not int for v in sizes):
+            raise ConfigError(
+                "branch: BTB sizes, tage_entries_log2 and history_lengths must be integers")
+        if self.btb_sets < 1 or self.btb_ways < 1:
+            raise ConfigError("branch: BTB geometry must be at least 1 set and 1 way")
+        if self.tage_entries_log2 < 1:
+            raise ConfigError("branch: tage_entries_log2 must be >= 1")
+        if not self.history_lengths or self.history_lengths[0] < 1:
+            raise ConfigError("branch: history_lengths must be non-empty and start at >= 1")
+        if any(b <= a for a, b in zip(self.history_lengths, self.history_lengths[1:])):
+            raise ConfigError("branch: history_lengths must be strictly increasing")
+        if tage_tables is not None and (type(tage_tables) is not int
+                                        or tage_tables != len(self.history_lengths)):
+            raise ConfigError("branch: tage_tables must match len(history_lengths)")
+        if not 0 <= _as_float(self, "misprediction_penalty", "branch") < inf:
+            raise ConfigError("branch: misprediction_penalty must be finite and >= 0")
+        # larger tables may not fit in memory
+        if (self.btb_sets * self.btb_ways > 1 << 16 or self.tage_entries_log2 > 16
+                or len(self.history_lengths) > 32 or self.history_lengths[-1] > 4096):
+            raise ConfigError("branch: branch tables too large: at most 65536 BTB entries, "
+                              "tage_entries_log2 16 and 32 history lengths up to 4096")
 
 
 def _check_entries(values, entry_type: type, name: str) -> None:
@@ -311,11 +356,7 @@ def load_config(text: str) -> MachineConfig:
             name: InstructionKind(name, **_decoded(part, _KIND_KEYS, f"kind {name!r}"))
             for name, part in fields["kinds"].items()}
     if "branch" in fields:
-        branch = _decoded(fields["branch"], _BRANCH_KEYS, "branch")
-        try:
-            fields["branch"] = BranchConfig(**branch)
-        except ValueError as exc:  # the branch unit imports nothing from this package
-            raise ConfigError(f"branch: {exc}") from None
+        fields["branch"] = BranchConfig(**_decoded(fields["branch"], _BRANCH_KEYS, "branch"))
     return MachineConfig(**fields)
 
 

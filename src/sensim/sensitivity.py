@@ -204,7 +204,7 @@ def power_subsets(parameters: Sequence[str], max_size: int = 3) -> list[tuple[st
     from itertools import combinations
 
     out: list[tuple[str, ...]] = []
-    for size in range(1, max_size + 1):
+    for size in range(1, min(max_size, len(parameters)) + 1):
         for combo in combinations(parameters, size):
             out.append(combo)
             if len(out) > SUBSET_RUN_CAP:

@@ -12,13 +12,13 @@ import pytest
 
 from oracles import LruSet, RefHierarchy
 from randcases import random_config, random_trace
-from sensim.branch import BranchConfig, PredictorState, misprediction_delay
+from sensim.branch import PredictorState, misprediction_delay
 from sensim.caches import CacheHierarchy
 from sensim.cli import main
 from sensim.corpus import (KERNELS, gen_jacobi_like, gen_latency_chain,
                            gen_port_block, generate)
 from sensim.engine import build_schedule, run_schedule, simulate
-from sensim.machine import CacheLevelConfig, accelerable_parameters, apply_weights
+from sensim.machine import BranchConfig, CacheLevelConfig, accelerable_parameters, apply_weights
 from sensim.report import emit_heatmap, render_instruction_table, run_report_json
 from sensim.sensitivity import sweep_single
 

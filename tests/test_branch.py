@@ -4,8 +4,8 @@ import random
 import pytest
 
 from oracles import RefTage
-from sensim.branch import BranchConfig, PredictorState, misprediction_delay
-from sensim.machine import ConfigError, load_config
+from sensim.branch import PredictorState, misprediction_delay
+from sensim.machine import BranchConfig, ConfigError, load_config
 
 
 def drive(state, config, pc, outcomes, target=0x40):
@@ -143,9 +143,29 @@ def test_bad_geometry_rejected():
 @pytest.mark.parametrize("field", [{"btb_sets": 2.5}, {"btb_ways": True},
                                    {"tage_entries_log2": 4.0}, {"history_lengths": (4, 8.0)}])
 def test_non_integer_geometry_rejected(field):
-    with pytest.raises(ValueError, match="must be integers") as err:
+    with pytest.raises(ConfigError, match="must be integers") as err:
         BranchConfig(enabled=True, **field)
-    assert type(err.value) is ValueError
+    assert type(err.value) is ConfigError
+
+
+# one fault per row, as a config file writes it (arrays are tuples in Python)
+@pytest.mark.parametrize("branch", [
+    {"enabled": "yes"},
+    {"btb_sets": 64.0},
+    {"misprediction_penalty": True},
+    {"misprediction_penalty": 10**400},
+    {"history_lengths": [4, 16, 8, 32]},
+    {"tage_tables": 3},
+    {"btb_sets": 2**15, "btb_ways": 4},
+], ids=["enabled-string", "btb-sets-float", "penalty-bool", "penalty-huge-int",
+        "history-unsorted", "tables-mismatch", "tables-too-large"])
+def test_branch_fault_is_one_error_from_a_file_or_python(branch):
+    with pytest.raises(ConfigError) as built:
+        BranchConfig(**{k: tuple(v) if type(v) is list else v for k, v in branch.items()})
+    with pytest.raises(ConfigError) as loaded:
+        _loaded_branch(**branch)
+    assert type(built.value) is type(loaded.value) is ConfigError
+    assert str(built.value) == str(loaded.value)
 
 
 def _loaded_branch(**branch):

@@ -290,14 +290,15 @@ def test_gen_kernel_unused_override_exits_one(tmp_path, capsys, args):
 @pytest.mark.parametrize("flags", [
     ["--subsets", "auto:0"],
     ["--subsets", "auto:-1"],
+    ["--subsets", "auto:"],
     ["--subsets", ";"],
     ["--resources", ""],
     ["--resources", " , "],
     ["--resources", "", "--subsets", "auto"],
     ["--subsets", ""],
     ["--weights", " , "],
-], ids=["auto-0", "auto-neg", "no-groups", "resources-empty", "resources-blank",
-        "auto-of-nothing", "subsets-empty", "weights-blank"])
+], ids=["auto-0", "auto-neg", "auto-no-size", "no-groups", "resources-empty",
+        "resources-blank", "auto-of-nothing", "subsets-empty", "weights-blank"])
 def test_empty_sweep_exits_one(port_block_files, capsys, flags):
     trace, cfg = port_block_files
     capsys.readouterr()
@@ -305,6 +306,21 @@ def test_empty_sweep_exits_one(port_block_files, capsys, flags):
     captured = capsys.readouterr()
     assert captured.err.startswith("sensim: error: ")
     assert "base time" not in captured.out
+
+
+# an empty path is an input error, like an unwritable one, not the default path
+@pytest.mark.parametrize("command", [
+    ["sensitivity", "block.trace", "--config", "block.cfg", "--resources", "p1",
+     "--workers", "1", "--heatmap", ""],
+    ["gen-kernel", "chain", "--iters", "5", "--out", ""],
+], ids=["heatmap", "gen-kernel-out"])
+def test_empty_path_exits_one(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-kernel", "portblock", "--out", "block.trace"]) == 0
+    capsys.readouterr()
+    assert main(command) == 1
+    assert capsys.readouterr().err.startswith("sensim: error: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["block.cfg", "block.trace"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -414,9 +430,13 @@ def test_overflowed_ratio_exits_one(tmp_path, capsys, record, gap, flags):
 @pytest.mark.parametrize("flags,message", [
     (["--resources", "nosuch"], "unknown accelerable parameter: 'nosuch'"),
     (["--subsets", "p0;nosuch"], "unknown accelerable parameter: 'nosuch'"),
+    (["--subsets", "auto2"], "unknown accelerable parameter: 'auto2'"),
+    (["--subsets", "automatic"], "unknown accelerable parameter: 'automatic'"),
+    (["--subsets", "auto:x"], "--subsets auto:x needs an integer size >= 1"),
     (["--threshold", "-1"], "threshold must be a finite number >= 0"),
     (["--resources", "p0", "--weights", "0.5"], "weight for 'p0' must be a finite number >= 1"),
-], ids=["resources", "subsets", "threshold", "weights"])
+], ids=["resources", "subsets", "subsets-auto-typo", "subsets-automatic", "subsets-auto-size",
+        "threshold", "weights"])
 def test_bad_flag_reported_before_bad_record(tmp_path, port_block_files, capsys, flags, message):
     _, cfg = port_block_files
     bad = tmp_path / "bad.trace"

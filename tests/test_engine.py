@@ -5,10 +5,9 @@ import pytest
 
 from oracles import RefTimingModel
 from randcases import random_config, random_trace
-from sensim.branch import BranchConfig
 from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule, simulate
-from sensim.machine import (INST_LAT, CacheLevelConfig, MachineConfig, Resource,
+from sensim.machine import (INST_LAT, BranchConfig, CacheLevelConfig, MachineConfig, Resource,
                             accelerable_parameters, apply_weights)
 from sensim.report import run_report
 from sensim.trace import BranchInfo, InstructionEvent, MemAccess
@@ -208,8 +207,6 @@ def test_frontend_gap_limits_issue_rate():
 
 
 def test_misprediction_penalty_advances_frontend():
-    from sensim.branch import BranchConfig
-
     def run(enabled):
         config = MachineConfig(
             resources=(Resource("FRONTEND", 0.25),),

@@ -3,10 +3,9 @@ import math
 
 import pytest
 
-from sensim.branch import BranchConfig
-from sensim.machine import (INST_LAT, INST_WINDOW, CacheLevelConfig, ConfigError, InstructionKind,
-                            MachineConfig, Resource, accelerable_parameters, apply_weights,
-                            builtin_config, dump_config, load_config)
+from sensim.machine import (INST_LAT, INST_WINDOW, BranchConfig, CacheLevelConfig, ConfigError,
+                            InstructionKind, MachineConfig, Resource, accelerable_parameters,
+                            apply_weights, builtin_config, dump_config, load_config)
 
 MINIMAL = '{"resources": [{"name": "p0", "gap": 1}], "window": 4}'
 
@@ -223,46 +222,41 @@ def _machine(**parts):
 
 # a kind's resources given as one string were read as one name per character;
 # a part of the wrong type in a MachineConfig failed later with an
-# AttributeError or a TypeError, or was written under another name.  The
-# branch unit imports nothing from this package, so it raises a plain ValueError
-@pytest.mark.parametrize("build,error,message", [
-    (lambda: InstructionKind("k", "p0", 1.0), ConfigError, "resources must be a tuple"),
-    (lambda: InstructionKind("k", ("p0", 1), 1.0), ConfigError, "resources must be strings"),
-    (lambda: InstructionKind("k", ("p0",), "1"), ConfigError, "latency must be a number"),
-    (lambda: InstructionKind(5, ("p0",), 1.0), ConfigError, "kind name 5 must be a string"),
-    (lambda: Resource("p0", "1"), ConfigError, "gap must be a number"),
-    (lambda: Resource("p0", 10**400), ConfigError, "gap is out of range"),
-    (lambda: Resource(5, 1.0), ConfigError, "name 5 must be a string"),
-    (lambda: CacheLevelConfig("MEM", gap="4"), ConfigError, "gap must be a number"),
-    (lambda: _machine(latency_scale="2"), ConfigError, "latency_scale must be a number"),
-    (lambda: _machine(kinds={"k": "x"}), ConfigError, "kinds must map each kind's name"),
-    (lambda: _machine(kinds={"a": InstructionKind("b", ("p0",), 1.0)}), ConfigError,
+# AttributeError or a TypeError, or was written under another name
+@pytest.mark.parametrize("build,message", [
+    (lambda: InstructionKind("k", "p0", 1.0), "resources must be a tuple"),
+    (lambda: InstructionKind("k", ("p0", 1), 1.0), "resources must be strings"),
+    (lambda: InstructionKind("k", ("p0",), "1"), "latency must be a number"),
+    (lambda: InstructionKind(5, ("p0",), 1.0), "kind name 5 must be a string"),
+    (lambda: Resource("p0", "1"), "gap must be a number"),
+    (lambda: Resource("p0", 10**400), "gap is out of range"),
+    (lambda: Resource(5, 1.0), "name 5 must be a string"),
+    (lambda: CacheLevelConfig("MEM", gap="4"), "gap must be a number"),
+    (lambda: _machine(latency_scale="2"), "latency_scale must be a number"),
+    (lambda: _machine(kinds={"k": "x"}), "kinds must map each kind's name"),
+    (lambda: _machine(kinds={"a": InstructionKind("b", ("p0",), 1.0)}),
      "kinds must map each kind's name"),
-    (lambda: _machine(branch={}), ConfigError, "branch must be a BranchConfig"),
-    (lambda: _machine(frontend_resource=["p0"]), ConfigError,
-     "frontend_resource must be a string"),
-    (lambda: MachineConfig(resources=(Resource("p0", 1.0), "p1")), ConfigError,
+    (lambda: _machine(branch={}), "branch must be a BranchConfig"),
+    (lambda: _machine(frontend_resource=["p0"]), "frontend_resource must be a string"),
+    (lambda: MachineConfig(resources=(Resource("p0", 1.0), "p1")),
      "resources must be a tuple of Resource values"),
-    (lambda: MachineConfig(resources=[Resource("p0", 1.0)]), ConfigError,
+    (lambda: MachineConfig(resources=[Resource("p0", 1.0)]),
      "resources must be a tuple of Resource values"),
-    (lambda: _machine(cache_levels=[CacheLevelConfig("MEM", gap=4.0)]), ConfigError,
+    (lambda: _machine(cache_levels=[CacheLevelConfig("MEM", gap=4.0)]),
      "cache_levels must be a tuple of CacheLevelConfig values"),
-    (lambda: BranchConfig(enabled="yes"), ValueError, "enabled must be a boolean"),
-    (lambda: BranchConfig(misprediction_penalty=True), ValueError,
-     "misprediction_penalty must be a number"),
-    (lambda: BranchConfig(misprediction_penalty="5"), ValueError,
-     "misprediction_penalty must be a number"),
-    (lambda: BranchConfig(misprediction_penalty=10**400), ValueError,
-     "misprediction_penalty is out of range"),
+    (lambda: BranchConfig(enabled="yes"), "enabled must be a boolean"),
+    (lambda: BranchConfig(misprediction_penalty=True), "misprediction_penalty must be a number"),
+    (lambda: BranchConfig(misprediction_penalty="5"), "misprediction_penalty must be a number"),
+    (lambda: BranchConfig(misprediction_penalty=10**400), "misprediction_penalty is out of range"),
 ], ids=["kind-resources-string", "kind-resources-int", "kind-latency-string", "kind-name-int",
         "gap-string", "gap-huge-int", "resource-name-int", "level-gap-string",
         "latency-scale-string", "kinds-value-string", "kinds-name-mismatch", "branch-dict",
         "frontend-list", "resources-entry-string", "resources-list", "cache-levels-list",
         "branch-enabled-string", "penalty-bool", "penalty-string", "penalty-huge-int"])
-def test_fields_built_in_python_check_their_types(build, error, message):
-    with pytest.raises(error, match=message) as err:
+def test_fields_built_in_python_check_their_types(build, message):
+    with pytest.raises(ConfigError, match=message) as err:
         build()
-    assert type(err.value) is error
+    assert type(err.value) is ConfigError
 
 
 def test_integer_gap_and_latency_are_stored_as_floats():

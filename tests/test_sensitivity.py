@@ -157,6 +157,12 @@ def test_power_subsets_capped():
         power_subsets([f"p{i}" for i in range(30)], 3)
 
 
+def test_power_subsets_larger_than_the_parameters_stop_at_all_of_them():
+    # a size past the parameter count adds no subset; `--subsets auto:<k>`
+    # must not loop up to a huge k
+    assert power_subsets(["a", "b"], 10**10) == [("a",), ("b",), ("a", "b")]
+
+
 def _brute_force(trace, config, jobs):
     """The report a sweep must give: one rerun for every point, no settling."""
     schedule = build_schedule(trace, config)
