@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from . import corpus
 from .engine import simulate
@@ -14,7 +14,7 @@ from .report import (emit_heatmap, format_instruction_table, format_run_report,
                      format_sensitivity, render_instruction_table, run_report_json)
 from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, SensitivityReport,
                           classify, power_subsets, sweep_single, sweep_subsets)
-from .trace import TraceError, parse_trace, write_trace
+from .trace import TraceError, _trace_lines, parse_trace
 
 
 def _default_workers() -> int:
@@ -40,6 +40,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sim = sub.add_parser("simulate", help="estimate one trace on one machine")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("trace", help="trace file (one record per line)")
     sim.add_argument("--config", required=True, help="machine configuration file")
     sim.add_argument("--report", choices=("json", "table"), default="table")
@@ -47,6 +48,7 @@ def _build_parser() -> _Parser:
                      help="include the per-pc resource usage table")
 
     sens = sub.add_parser("sensitivity", help="sweep accelerations to find bottlenecks")
+    sens.set_defaults(run=_cmd_sensitivity)
     sens.add_argument("trace")
     sens.add_argument("--config", required=True)
     sens.add_argument("--weights", default=",".join(str(w) for w in DEFAULT_WEIGHTS),
@@ -65,6 +67,7 @@ def _build_parser() -> _Parser:
                            "default: usable CPUs, at most 4)")
 
     gen = sub.add_parser("gen-kernel", help="write a built-in kernel trace + config")
+    gen.set_defaults(run=_cmd_gen_kernel)
     gen.add_argument("name", choices=sorted(corpus.KERNELS))
     gen.add_argument("--iters", type=int, default=None)
     gen.add_argument("--footprint", type=int, default=None,
@@ -90,6 +93,22 @@ def _load_inputs(args):
             if exc.line is not None:
                 raise
             raise TraceError(str(exc), read[0]) from None
+
+
+@contextmanager
+def _heatmap_file(path: str):
+    """--heatmap's file, opened before any work and removed if it is new and the run fails."""
+    try:
+        fh, created = open(path, "x", encoding="utf-8"), True
+    except FileExistsError:
+        fh, created = open(path, "a", encoding="utf-8"), False
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _cmd_simulate(args) -> int:
@@ -119,7 +138,8 @@ def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
 def _cmd_sensitivity(args) -> int:
     # report a bad threshold, like a bad name or weight, before reading the trace
     classify(SensitivityReport(base_time=0.0, points=[]), args.threshold)
-    with _load_inputs(args) as (trace, config):
+    heatmap_file = nullcontext() if args.heatmap is None else _heatmap_file(args.heatmap)
+    with heatmap_file as heatmap, _load_inputs(args) as (trace, config):
         weights = [float(w) for w in args.weights.split(",") if w.strip()]
         if not weights:
             raise ValueError("--weights names no weight")
@@ -143,12 +163,13 @@ def _cmd_sensitivity(args) -> int:
                 raise ValueError("--resources names no parameter to sweep")
             report = sweep_single(trace, config, parameters, weights,
                                   workers=args.workers)
-    report.verdicts = classify(report, args.threshold)
-    sys.stdout.write(format_sensitivity(report))
-    if args.heatmap is not None:
-        fmt = "svg" if args.heatmap.endswith(".svg") else "csv"
-        with open(args.heatmap, "w", encoding="utf-8") as fh:
-            fh.write(emit_heatmap(report, fmt))
+        report.verdicts = classify(report, args.threshold)
+        text = format_sensitivity(report)
+        if heatmap is not None:  # written over only now, once the sweep has succeeded
+            heatmap.truncate(0)
+            heatmap.write(emit_heatmap(report, "svg" if args.heatmap.endswith(".svg") else "csv"))
+    sys.stdout.write(text)
+    if heatmap is not None:
         print(f"heatmap written to {args.heatmap}")
     return 0
 
@@ -160,7 +181,7 @@ def _cmd_gen_kernel(args) -> int:
     stem, dot, _ = out.rpartition(".")
     cfg_path = (stem if dot else out) + ".cfg"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(write_trace(trace))
+        fh.writelines(_trace_lines(trace))
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(dump_config(config))
     print(f"wrote {len(trace)} events to {out} and the machine to {cfg_path}")
@@ -173,13 +194,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "sensitivity": _cmd_sensitivity,
-        "gen-kernel": _cmd_gen_kernel,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"sensim: error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ concurrency levels.
 
 from __future__ import annotations
 
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import inf
 
@@ -42,19 +43,15 @@ def render_instruction_table(result: SimResult) -> list[Row]:
     """
     if result.total_cycles <= 0:
         return []
-    return [(stats, {name: _finite(_busy(result, name, uses)[1], 100.0)
-                     for name, uses in stats.resource_uses.items()})
+    share = cache(lambda name, uses: _finite(_busy(result, name, uses)[1], 100.0))
+    return [(stats, {name: share(name, uses) for name, uses in stats.resource_uses.items()})
             for _, stats in sorted(result.per_pc.items())]
 
 
 def table_columns(rows: list[Row]) -> list[str]:
     """Columns with a nonzero share in at least one row, first-seen order."""
-    columns: list[str] = []
-    for _, shares in rows:
-        for name, share in shares.items():
-            if share > 0 and name not in columns:
-                columns.append(name)
-    return columns
+    return list(dict.fromkeys(name for _, shares in rows
+                              for name, share in shares.items() if share > 0))
 
 
 def format_instruction_table(rows: list[Row]) -> str:
@@ -74,7 +71,7 @@ def format_instruction_table(rows: list[Row]) -> str:
 
 
 def run_report(result: SimResult) -> dict:
-    """The run report as a plain document (stable keys, JSON-serializable)."""
+    """The run report's fixed-size sections as a plain document (stable keys)."""
     resources = {}
     for name, uses in sorted(result.resource_uses.items()):
         busy, occ = _busy(result, name, uses)
@@ -85,15 +82,6 @@ def run_report(result: SimResult) -> dict:
         "instructions": result.instruction_count,
         "ipc": _finite(result.ipc),
         "resources": resources,
-        "per_pc": {
-            f"0x{pc:x}": {
-                "kind": stats.label,
-                "count": stats.count,
-                "latency": stats.latency,
-                "resources": list(stats.resources),
-                "uses": {k: v for k, v in sorted(stats.resource_uses.items())},
-            }
-            for pc, stats in sorted(result.per_pc.items())},
         "caches": {
             name: {"hits": c.hits, "misses": c.misses, "transfers": c.transfers}
             for name, c in result.cache_stats.items()},
@@ -104,15 +92,37 @@ def run_report(result: SimResult) -> dict:
     }
 
 
+# a per_pc entry and an instruction_table row at their indent in the document
+_PC_ROW = ('"%s": {\n   "count": %d,\n   "kind": %s,\n   "latency": %s,\n'
+           '   "resources": %s,\n   "uses": %s\n  }')
+_TABLE_ROW = ('{\n   "count": %d,\n   "kind": %s,\n   "latency": %s,\n   "pc": "0x%x",\n'
+              '   "resources": %s,\n   "shares": %s\n  }')
+
+
 def run_report_json(result: SimResult, instruction_rows: list[Row] | None = None) -> str:
-    doc = run_report(result)
+    """The run report, its `per_pc` rows and any instruction rows, as json.dumps(
+    sort_keys=True, indent=1, separators=(",", ": ")) writes them.  A row's parts
+    are rendered once per distinct value: render_instruction_table's int uses
+    and shares >= +0.0 may key a memo."""
+    texts = {key: _dumps(value, "\n ") for key, value in run_report(result).items()}
+    string = cache(encode_basestring_ascii)
+    names = cache(lambda resources: _container("[", [*map(string, resources)], "]", "\n   "))
+    uses = cache(lambda items: _container("{", [f"{string(k)}: {v!r}" for k, v in sorted(items)],
+                                          "}", "\n   "))
+    per_pc = [_PC_ROW % (key, s.count, string(s.label), _float_str(s.latency),
+                         names(s.resources), uses(tuple(s.resource_uses.items())))
+              for key, s in sorted((f"0x{pc:x}", s) for pc, s in result.per_pc.items())]
+    texts["per_pc"] = _container("{", per_pc, "}", "\n ")
     if instruction_rows is not None:
-        doc["instruction_table"] = [
-            {"pc": f"0x{s.pc:x}", "kind": s.label, "count": s.count,
-             "latency": s.latency, "resources": list(s.resources),
-             "shares": {k: round(v, 1) for k, v in sorted(shares.items())}}
-            for s, shares in instruction_rows]
-    return _dumps(doc, "\n") + "\n"
+        shares = cache(lambda items: _container(
+            "{", [f"{string(k)}: {_float_str(round(v, 1))}" for k, v in sorted(items)],
+            "}", "\n   "))
+        table = [_TABLE_ROW % (s.count, string(s.label), _float_str(s.latency), s.pc,
+                               names(s.resources), shares(tuple(row_shares.items())))
+                 for s, row_shares in instruction_rows]
+        texts["instruction_table"] = _container("[", table, "]", "\n ")
+    return _container("{", [f'"{key}": {text}' for key, text in sorted(texts.items())],
+                      "}", "\n") + "\n"
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -146,17 +156,19 @@ def _dumps(value, newline: str) -> str:
         return leaf(value)
     inner = newline + " "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner)
-                 for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _container("{", [encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+                                for k, v in sorted(value.items())], "}", newline)
     if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [_dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _container("[", [_dumps(v, inner) for v in value], "]", newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _container(opening: str, items: list[str], closing: str, newline: str) -> str:
+    """A list or object from its items' text; `newline` as for _dumps."""
+    if not items:
+        return opening + closing
+    inner = newline + " "
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 def format_run_report(result: SimResult) -> str:

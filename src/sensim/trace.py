@@ -147,6 +147,8 @@ _RECORD_FIELDS = {f.name for f in fields(InstructionEvent)} | {"seq"}
 # lines parse_trace's memo holds before it is cleared; a loop body of up to
 # this many distinct records is parsed at most twice, and memory stays bounded
 _MEMO_LINES = 4096
+_MEMO_EVENTS = 1 << 16  # events _trace_lines keeps: a corpus jacobi trace cycles 5,780
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
 
 
 def _parse_record(raw_line: str) -> tuple[InstructionEvent, int | None]:
@@ -222,28 +224,38 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
         yield event
 
 
+def _trace_lines(events: Iterable[InstructionEvent]) -> Iterator[str]:
+    """Each event's record line, newline included.  A bounded memo keyed by
+    identity serializes an event object that recurs (the corpus reuses them)
+    once; it holds the event, so no other object can take its id."""
+    memo: dict[int, tuple[InstructionEvent, str]] = {}
+    for event in events:
+        known = memo.get(id(event))
+        if known is None:
+            record: dict = {"pc": event.pc}
+            if event.kind is not None:
+                record["kind"] = event.kind
+            if event.resources is not None:
+                record["resources"] = event.resources
+            if event.latency is not None:
+                record["latency"] = event.latency
+            if event.reg_reads:
+                record["reg_reads"] = event.reg_reads
+            if event.reg_writes:
+                record["reg_writes"] = event.reg_writes
+            if event.mem_reads:
+                record["mem_reads"] = [{"addr": a.addr, "size": a.size} for a in event.mem_reads]
+            if event.mem_writes:
+                record["mem_writes"] = [{"addr": a.addr, "size": a.size} for a in event.mem_writes]
+            if event.branch.kind != "none":
+                record["branch"] = {"kind": event.branch.kind, "taken": event.branch.taken,
+                                    "target": event.branch.target}
+            if len(memo) == _MEMO_EVENTS:
+                memo.clear()
+            known = memo[id(event)] = event, _encode_record(record) + "\n"
+        yield known[1]
+
+
 def write_trace(events: Iterable[InstructionEvent]) -> str:
     """Serialize events to the record-per-line text form; inverse of parse_trace."""
-    out = []
-    for event in events:
-        record: dict = {"pc": event.pc}
-        if event.kind is not None:
-            record["kind"] = event.kind
-        if event.resources is not None:
-            record["resources"] = list(event.resources)
-        if event.latency is not None:
-            record["latency"] = event.latency
-        if event.reg_reads:
-            record["reg_reads"] = list(event.reg_reads)
-        if event.reg_writes:
-            record["reg_writes"] = list(event.reg_writes)
-        if event.mem_reads:
-            record["mem_reads"] = [{"addr": a.addr, "size": a.size} for a in event.mem_reads]
-        if event.mem_writes:
-            record["mem_writes"] = [{"addr": a.addr, "size": a.size} for a in event.mem_writes]
-        if event.branch.kind != "none":
-            record["branch"] = {"kind": event.branch.kind, "taken": event.branch.taken,
-                                "target": event.branch.target}
-        out.append(json.dumps(record, separators=(",", ":")))
-    return "".join(line + "\n" for line in out)
-
+    return "".join(_trace_lines(events))

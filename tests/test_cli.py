@@ -72,6 +72,55 @@ def test_sensitivity_svg_and_subsets(port_block_files, tmp_path, capsys):
     assert "p0+p2+p3+p5" in out
 
 
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+def test_unwritable_heatmap_exits_one_before_the_sweep(port_block_files, tmp_path,
+                                                       monkeypatch, capsys):
+    trace, cfg = port_block_files
+    capsys.readouterr()
+    monkeypatch.setattr("sensim.cli.sweep_single", _no_sweep)
+    for path in (tmp_path / "missing" / "grid.csv", tmp_path):
+        assert main(["sensitivity", trace, "--config", cfg, "--workers", "1",
+                     "--heatmap", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sensim: error: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def _failed_sweep(*args, **kwargs):
+    raise ValueError("the sweep failed")
+
+
+def test_failed_sweep_removes_the_heatmap_it_created(port_block_files, tmp_path,
+                                                    monkeypatch, capsys):
+    trace, cfg = port_block_files
+    capsys.readouterr()
+    monkeypatch.setattr("sensim.cli.sweep_single", _failed_sweep)
+    heatmap = tmp_path / "grid.csv"
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1",
+                 "--heatmap", str(heatmap)]) == 1
+    assert capsys.readouterr().err == "sensim: error: the sweep failed\n"
+    assert not heatmap.exists()
+
+
+def test_failed_sweep_keeps_an_existing_heatmap(port_block_files, tmp_path,
+                                               monkeypatch, capsys):
+    trace, cfg = port_block_files
+    heatmap = tmp_path / "grid.csv"
+    heatmap.write_text("an earlier grid\n")
+    monkeypatch.setattr("sensim.cli.sweep_single", _failed_sweep)
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1",
+                 "--heatmap", str(heatmap)]) == 1
+    assert heatmap.read_text() == "an earlier grid\n"
+    monkeypatch.undo()
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1", "--weights", "2",
+                 "--resources", "p1", "--heatmap", str(heatmap)]) == 0
+    assert heatmap.read_text() == "parameter,weight,time,speedup\np1,2,3.5,0.1428571428571428\n"
+
+
 def test_missing_trace_exits_one(port_block_files, capsys):
     _, cfg = port_block_files
     rc = main(["simulate", "missing.trace", "--config", cfg])

@@ -3,11 +3,11 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensim.corpus import gen_jacobi_like, gen_port_block
-from sensim.engine import simulate
+from sensim.engine import PcStats, SimResult, simulate
 from sensim.machine import MachineConfig, Resource
 from sensim.report import (_dumps, emit_heatmap, format_instruction_table,
                            format_run_report, render_instruction_table, run_report,
@@ -153,6 +153,71 @@ def test_run_report_json_equals_json_dumps():
     assert [row["pc"] for row in doc["instruction_table"]] == ["0x9", "0x10"]
     assert doc["instruction_table"][0]["kind"] == "\u00e9\u0001"
     assert '"kind": "\\u00e9\\u0001"' in text
+
+
+def _pre_change_document(result, rows):
+    """The whole run report as a document for json.dumps: run_report plus the
+    per_pc entries and the instruction_table rows, built as plain dicts."""
+    doc = run_report(result)
+    doc["per_pc"] = {
+        f"0x{pc:x}": {"kind": s.label, "count": s.count, "latency": s.latency,
+                      "resources": list(s.resources),
+                      "uses": {k: v for k, v in sorted(s.resource_uses.items())}}
+        for pc, s in sorted(result.per_pc.items())}
+    if rows is not None:
+        doc["instruction_table"] = [
+            {"pc": f"0x{s.pc:x}", "kind": s.label, "count": s.count,
+             "latency": s.latency, "resources": list(s.resources),
+             "shares": {k: round(v, 1) for k, v in sorted(shares.items())}}
+            for s, shares in rows]
+    return doc
+
+
+_COLUMNS = ["p0", "p1", 'q"\\', "\u00e9\u0007", "L1"]
+
+
+def _result(total_cycles, per_pc):
+    uses = {name: sum(s.resource_uses.get(name, 0) for s in per_pc.values())
+            for name in _COLUMNS}
+    count = sum(s.count for s in per_pc.values())
+    return SimResult(
+        total_cycles=total_cycles, instruction_count=count,
+        ipc=count / total_cycles if total_cycles else 0.0, resource_uses=uses,
+        per_pc=per_pc, cache_stats={}, branch_predicted=0, branch_mispredicted=0,
+        gaps=dict(zip(_COLUMNS, [0.25, 1.0, 3.0, 0.5, 2.0])))
+
+
+_ONE_PC = {0x9: PcStats(0x9, 'a"\\', 2, 1.5, ("p0",), {"p0": 2})}
+
+
+@st.composite
+def _results(draw):
+    pcs = draw(st.lists(st.sampled_from([0x0, 0x9, 0x10, 0xff, 0x100])
+                        | st.integers(0, 2**48), unique=True, max_size=8))
+    per_pc = {pc: PcStats(
+        pc=pc, label=draw(st.sampled_from(["", "vaddsd-load", 'a"b', "c\\d", "\x00\x1f",
+                                          "\u00e9\u2028\U0001f600"]) | st.text(max_size=3)),
+        count=draw(st.integers(1, 10**6)),
+        latency=draw(st.sampled_from([0.0, 5e-324, 1.5, 1e16])),
+        resources=tuple(draw(st.lists(st.sampled_from(_COLUMNS), max_size=3))),
+        resource_uses=draw(st.dictionaries(st.sampled_from(_COLUMNS), st.integers(1, 10**6),
+                                           max_size=4)))
+        for pc in pcs}
+    return _result(draw(st.sampled_from([0.0, 1.0, 7.5, 3e6])), per_pc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_results())
+@example(_result(0.0, {}))
+@example(_result(0.0, _ONE_PC))
+@example(_result(4.0, {}))
+def test_row_writer_matches_json_dumps(result):
+    rows = render_instruction_table(result)
+    assert (rows == []) == (result.total_cycles == 0 or not result.per_pc)
+    for given_rows in (rows, None):
+        ref = _pre_change_document(result, given_rows)
+        assert run_report_json(result, given_rows) == json.dumps(
+            ref, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
 
 
 def test_format_run_report_smoke():
