@@ -121,7 +121,7 @@ def run_report_json(result: SimResult, instruction_rows: list[Row] | None = None
                                names(s.resources), shares(tuple(row_shares.items())))
                  for s, row_shares in instruction_rows]
         texts["instruction_table"] = _container("[", table, "]", "\n ")
-    return _container("{", [f'"{key}": {text}' for key, text in sorted(texts.items())],
+    return _container("{", [f"{string(key)}: {text}" for key, text in sorted(texts.items())],
                       "}", "\n") + "\n"
 
 

@@ -147,8 +147,8 @@ _RECORD_FIELDS = {f.name for f in fields(InstructionEvent)} | {"seq"}
 # lines parse_trace's memo holds before it is cleared; a loop body of up to
 # this many distinct records is parsed at most twice, and memory stays bounded
 _MEMO_LINES = 4096
-_MEMO_EVENTS = 1 << 16  # events _trace_lines keeps: a corpus jacobi trace cycles 5,780
-_encode_record = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps builds one per call
+_MEMO_EVENTS = 1 << 16  # lines _trace_lines keeps; a corpus jacobi trace reuses 5,780 events
+_encode_record = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps makes one per call
 
 
 def _parse_record(raw_line: str) -> tuple[InstructionEvent, int | None]:
