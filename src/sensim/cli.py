@@ -169,7 +169,7 @@ def _cmd_sensitivity(args) -> int:
             heatmap.truncate(0)
             heatmap.write(emit_heatmap(report, "svg" if args.heatmap.endswith(".svg") else "csv"))
     sys.stdout.write(text)
-    if heatmap is not None:
+    if args.heatmap is not None:
         print(f"heatmap written to {args.heatmap}")
     return 0
 
