@@ -96,8 +96,17 @@ def _load_inputs(args):
 
 
 @contextmanager
-def _heatmap_file(path: str):
-    """--heatmap's file, opened before any work and removed if it is new and the run fails."""
+def _output_file(path: str, others: tuple[str, ...] = ()):
+    """An output file, opened before anything is written and removed if it is
+    new and the command fails.  The caller truncates it once writing starts, so
+    an existing file is written over only then.  It may not name any of `others`."""
+    for other in others:
+        try:
+            same = os.path.samefile(path, other)
+        except OSError:  # one of them does not exist (yet)
+            same = os.path.realpath(path) == os.path.realpath(other)
+        if same:
+            raise ValueError(f"cannot write {path}: it names the same file as {other}")
     try:
         fh, created = open(path, "x", encoding="utf-8"), True
     except FileExistsError:
@@ -138,7 +147,8 @@ def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
 def _cmd_sensitivity(args) -> int:
     # report a bad threshold, like a bad name or weight, before reading the trace
     classify(SensitivityReport(base_time=0.0, points=[]), args.threshold)
-    heatmap_file = nullcontext() if args.heatmap is None else _heatmap_file(args.heatmap)
+    heatmap_file = (nullcontext() if args.heatmap is None
+                    else _output_file(args.heatmap, (args.trace, args.config)))
     with heatmap_file as heatmap, _load_inputs(args) as (trace, config):
         weights = [float(w) for w in args.weights.split(",") if w.strip()]
         if not weights:
@@ -178,12 +188,12 @@ def _cmd_gen_kernel(args) -> int:
     trace, config = corpus.generate(args.name, iters=args.iters,
                                     footprint=args.footprint)
     out = f"{args.name}.trace" if args.out is None else args.out
-    stem, dot, _ = out.rpartition(".")
-    cfg_path = (stem if dot else out) + ".cfg"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(_trace_lines(trace))
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write(dump_config(config))
+    cfg_path = os.path.splitext(out)[0] + ".cfg"
+    with _output_file(out) as trace_fh, _output_file(cfg_path, (out,)) as cfg_fh:
+        trace_fh.truncate(0)
+        trace_fh.writelines(_trace_lines(trace))
+        cfg_fh.truncate(0)
+        cfg_fh.write(dump_config(config))
     print(f"wrote {len(trace)} events to {out} and the machine to {cfg_path}")
     return 0
 

@@ -9,6 +9,7 @@ concurrency levels.
 
 from __future__ import annotations
 
+import json
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import inf
@@ -104,7 +105,9 @@ def run_report_json(result: SimResult, instruction_rows: list[Row] | None = None
     sort_keys=True, indent=1, separators=(",", ": ")) writes them.  A row's parts
     are rendered once per distinct value: render_instruction_table's int uses
     and shares >= +0.0 may key a memo."""
-    texts = {key: _dumps(value, "\n ") for key, value in run_report(result).items()}
+    # JSON text holds no raw newline, so each section is indented as a whole
+    texts = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
+             for key, value in run_report(result).items()}
     string = cache(encode_basestring_ascii)
     names = cache(lambda resources: _container("[", [*map(string, resources)], "]", "\n   "))
     uses = cache(lambda items: _container("{", [f"{string(k)}: {v!r}" for k, v in sorted(items)],
@@ -133,38 +136,8 @@ def _float_str(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-# keyed by exact type, so True is not written as an int
-_LEAVES = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_str,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _dumps(value, newline: str) -> str:
-    """`value` exactly as json.dumps(value, sort_keys=True, separators=(",",
-    ": "), indent=1) writes it; `newline` is a line break plus the indent of
-    the value's own line.  Dict keys must be strings.
-
-    Given an indent, json.dumps runs its pure-Python generator encoder and
-    yields one chunk per token; this builds each container with one join.
-    """
-    leaf = _LEAVES.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    inner = newline + " "
-    if isinstance(value, dict):
-        return _container("{", [encode_basestring_ascii(k) + ": " + _dumps(v, inner)
-                                for k, v in sorted(value.items())], "}", newline)
-    if isinstance(value, list):
-        return _container("[", [_dumps(v, inner) for v in value], "]", newline)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _container(opening: str, items: list[str], closing: str, newline: str) -> str:
-    """A list or object from its items' text; `newline` as for _dumps."""
+    """A list or object from its items' text; `newline` is a line break and its own indent."""
     if not items:
         return opening + closing
     inner = newline + " "

@@ -121,6 +121,58 @@ def test_failed_sweep_keeps_an_existing_heatmap(port_block_files, tmp_path,
     assert heatmap.read_text() == "parameter,weight,time,speedup\np1,2,3.5,0.1428571428571428\n"
 
 
+@pytest.mark.parametrize("which", ["trace", "config"])
+def test_heatmap_may_not_name_an_input(port_block_files, tmp_path, monkeypatch, capsys, which):
+    trace, cfg = port_block_files
+    capsys.readouterr()
+    monkeypatch.setattr("sensim.cli.sweep_single", _no_sweep)
+    inputs = {path: open(path, "rb").read() for path in (trace, cfg)}
+    # the config is named by another spelling of its path
+    heatmap = {"trace": trace, "config": tmp_path / ".." / tmp_path.name / "block.cfg"}[which]
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1",
+                 "--heatmap", str(heatmap)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sensim: error: cannot write ")
+    assert {path: open(path, "rb").read() for path in inputs} == inputs
+
+
+def test_gen_kernel_puts_the_config_beside_the_trace(tmp_path, monkeypatch, capsys):
+    # the dot in the directory name is not the trace's suffix
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.d").mkdir()
+    assert main(["gen-kernel", "chain", "--iters", "3", "--out", "run.d/chain"]) == 0
+    assert capsys.readouterr().out == ("wrote 3 events to run.d/chain and the machine "
+                                       "to run.d/chain.cfg\n")
+    assert sorted(path.name for path in (tmp_path / "run.d").iterdir()) == ["chain", "chain.cfg"]
+    assert not (tmp_path / "run.cfg").exists()
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier file\n"])
+def test_gen_kernel_rejects_one_path_for_trace_and_config(tmp_path, capsys, existing):
+    same = tmp_path / "same.cfg"
+    if existing is not None:
+        same.write_text(existing)
+    assert main(["gen-kernel", "chain", "--iters", "3", "--out", str(same)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sensim: error: cannot write ")
+    assert (same.read_text() if same.exists() else None) == existing
+    assert sorted(path.name for path in tmp_path.iterdir()) == (["same.cfg"] if existing else [])
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier trace\n"])
+def test_gen_kernel_failure_leaves_no_new_trace(tmp_path, capsys, existing):
+    # the config cannot be opened, so neither file is written
+    (tmp_path / "x.cfg").mkdir()
+    trace = tmp_path / "x.trace"
+    if existing is not None:
+        trace.write_text(existing)
+    assert main(["gen-kernel", "chain", "--iters", "3", "--out", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("sensim: error: ")
+    assert (trace.read_text() if trace.exists() else None) == existing
+
+
 def test_missing_trace_exits_one(port_block_files, capsys):
     _, cfg = port_block_files
     rc = main(["simulate", "missing.trace", "--config", cfg])

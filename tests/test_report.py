@@ -1,5 +1,4 @@
 import json
-import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,9 +8,9 @@ from hypothesis import strategies as st
 from sensim.corpus import gen_jacobi_like, gen_port_block
 from sensim.engine import PcStats, SimResult, simulate
 from sensim.machine import MachineConfig, Resource
-from sensim.report import (_dumps, emit_heatmap, format_instruction_table,
-                           format_run_report, render_instruction_table, run_report,
-                           run_report_json, table_columns)
+from sensim.report import (emit_heatmap, format_instruction_table, format_run_report,
+                           render_instruction_table, run_report, run_report_json,
+                           table_columns)
 from sensim.sensitivity import SensitivityPoint, SensitivityReport, sweep_single
 from sensim.trace import InstructionEvent
 
@@ -110,33 +109,6 @@ def test_run_report_json_byte_stable():
 
 def _reference_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
-
-
-_LEAVES = st.one_of(
-    st.text(),
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-2**64),
-    st.floats(),
-    st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
-    st.booleans(),
-    st.none(),
-)
-_DOCS = st.recursive(
-    _LEAVES,
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=40)
-
-
-@settings(deadline=None)
-@given(_DOCS)
-def test_json_writer_matches_json_dumps(doc):
-    assert _dumps(doc, "\n") == _reference_json(doc)
-
-
-@pytest.mark.parametrize("value", [object(), {1: 2}, [b"x"], {"a": {1.5}}])
-def test_json_writer_rejects_what_it_cannot_write(value):
-    with pytest.raises(TypeError):
-        _dumps(value, "\n")
 
 
 def test_run_report_json_equals_json_dumps():
