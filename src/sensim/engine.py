@@ -92,14 +92,14 @@ class Schedule:
     branch_mispredicted: int
 
 
-def bind_semantics(event: InstructionEvent,
-                   config: MachineConfig) -> tuple[tuple[int, ...], float, str]:
-    """Resource ids, latency and label for one event under a config.
+def bind_semantics(event: InstructionEvent, config: MachineConfig
+                   ) -> tuple[tuple[int, ...], float, str, tuple[str, ...]]:
+    """Resource ids, latency, label and resource names for one event.
 
     Inline resources+latency take precedence over the kind table; the
-    frontend resource, when configured, is appended once to the multiset.
-    The result depends only on (kind, resources, latency), so callers may
-    memoize on that triple.
+    frontend resource, when configured, is appended once to the ids, not to
+    the names.  The result depends only on (kind, resources, latency), so
+    callers may memoize on that triple.
     """
     if event.resources is not None:
         names = event.resources
@@ -118,12 +118,12 @@ def bind_semantics(event: InstructionEvent,
         raise TraceError(f"unknown resource: {exc.args[0]!r}") from None
     if config.frontend_id is not None:
         ids.append(config.frontend_id)
-    return tuple(ids), latency, label
+    return tuple(ids), latency, label, names
 
 
 def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) -> Schedule:
     """Resolve a trace and precompute everything timing does not change."""
-    hierarchy = CacheHierarchy(config.cache_levels) if config.cache_levels else None
+    hierarchy = CacheHierarchy(config.cache_levels)  # no levels: every lookup is free
     predictor = PredictorState(config.branch) if config.branch.enabled else None
     line_size = config.line_size
     last_path = len(config.cache_levels) - 1
@@ -148,8 +148,6 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                     for line in line_accesses(addr, size, line_size)))
             keys, per_line = memo
             all_keys.extend(keys)
-            if hierarchy is None:
-                continue
             for line, line_keys in per_line:
                 end = min(hierarchy.lookup_and_fill(line), last_path)
                 if end >= 1:
@@ -158,7 +156,6 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                         pc_row[i] += 1
         return tuple(all_keys), tuple(ops)
 
-    frontend_appended = config.frontend_id is not None
     semantics_memo: dict[tuple, tuple] = {}
     # pc -> (label, latency, explicit resource names) of its first event, and
     # a row of uses per column (resources, then cache levels) plus its count
@@ -170,14 +167,11 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         sem = semantics_memo.get(sem_key)
         if sem is None:
             sem = semantics_memo[sem_key] = bind_semantics(event, config)
-        resources, latency, label = sem
+        resources, latency, label, names = sem
 
         entry = pcs.get(event.pc)
         if entry is None:
-            explicit = resources[:-1] if frontend_appended else resources
-            entry = pcs[event.pc] = (label, latency,
-                                     tuple(resource_names[i] for i in explicit),
-                                     [0] * (len(columns) + 1))
+            entry = pcs[event.pc] = (label, latency, names, [0] * (len(columns) + 1))
         pc_row = entry[3]
         pc_row[-1] += 1
         for rid in resources:
@@ -198,7 +192,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         steps.append((resources, latency, event.reg_reads, event.reg_writes,
                       read_keys, write_keys, loads + stores, penalty))
 
-    levels = hierarchy.levels if hierarchy is not None else []
+    levels = hierarchy.levels
     return Schedule(
         steps=steps,
         resource_uses={name: sum(entry[3][i] for entry in pcs.values())
@@ -217,17 +211,18 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
 
 def run_schedule(schedule: Schedule, config: MachineConfig,
                  record_event_times: bool = False,
-                 critical: set[frozenset[int]] | None = None) -> SimResult:
+                 critical: set[frozenset[str]] | None = None) -> SimResult:
     """Run the timing recurrence for one (possibly weight-derived) config.
 
     Only what a weight can change is computed here; the counts come from the
     schedule and are shared by every result built from it.  Given a set,
-    `critical` gets the ids of each distinct set of resources that alone
+    `critical` gets the names of each distinct set of resources that alone
     reached an event's start: their availability equals it and is strictly
     above the window floor and every shadow the event reads.
     """
     if len(schedule.resource_uses) != len(config.resources):
         raise ValueError("schedule was built against a different machine")
+    names = [*schedule.resource_uses]
     gaps = [r.gap for r in config.resources]
     cache_gaps = [l.gap for l in config.cache_levels]
     cache_avail = [0.0] * len(schedule.cache_stats)
@@ -281,7 +276,7 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
             if v > t:
                 t = v
         if critical is not None and t > ready:
-            critical.add(frozenset([rid for rid in resources if avail[rid] == t]))
+            critical.add(frozenset([names[rid] for rid in resources if avail[rid] == t]))
         t_end = t + latency * lat_scale
         for rid in resources:
             a = avail[rid]
@@ -315,7 +310,7 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         resource_uses=schedule.resource_uses,
         per_pc=schedule.per_pc,
         cache_stats=schedule.cache_stats,
-        gaps=dict(zip([*schedule.resource_uses, *schedule.cache_stats], gaps + cache_gaps)),
+        gaps=dict(zip([*names, *schedule.cache_stats], gaps + cache_gaps)),
         branch_predicted=schedule.branch_predicted,
         branch_mispredicted=schedule.branch_mispredicted,
         event_end_times=tuple(t_ends) if t_ends is not None else None)

@@ -145,23 +145,25 @@ def _container(opening: str, items: list[str], closing: str, newline: str) -> st
 
 
 def format_run_report(result: SimResult) -> str:
+    """The run report's fixed-size sections as text."""
+    doc = run_report(result)
     lines = [
-        f"total cycles   {_fmt(result.total_cycles)}",
-        f"instructions   {result.instruction_count}",
-        f"ipc            {_finite(result.ipc):.3f}",
+        f"total cycles   {_fmt(doc['total_cycles'])}",
+        f"instructions   {doc['instructions']}",
+        f"ipc            {doc['ipc']:.3f}",
         "",
         "resource        uses      busy  occupancy",
     ]
-    for name, uses in sorted(result.resource_uses.items()):
-        busy, occ = _busy(result, name, uses)
-        lines.append(f"{name:<12} {uses:>8} {busy:>9.2f} {_finite(occ, 100):>9.1f}%")
-    if result.cache_stats:
+    for name, r in doc["resources"].items():
+        lines.append(f"{name:<12} {r['uses']:>8} {r['busy']:>9.2f} "
+                     f"{_finite(r['occupancy'], 100):>9.1f}%")
+    if doc["caches"]:
         lines += ["", "cache level     hits    misses  transfers"]
-        for name, c in result.cache_stats.items():
-            lines.append(f"{name:<12} {c.hits:>8} {c.misses:>9} {c.transfers:>10}")
-    if result.branch_predicted:
-        lines += ["", f"branches predicted {result.branch_predicted}, "
-                      f"mispredicted {result.branch_mispredicted}"]
+        for name, c in doc["caches"].items():
+            lines.append(f"{name:<12} {c['hits']:>8} {c['misses']:>9} {c['transfers']:>10}")
+    if doc["branch"]["predicted"]:
+        lines += ["", "branches predicted {predicted}, mispredicted {mispredicted}"
+                      .format_map(doc["branch"])]
     return "\n".join(lines) + "\n"
 
 

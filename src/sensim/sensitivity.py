@@ -50,6 +50,10 @@ from .engine import Schedule, build_schedule, run_schedule
 from .machine import MachineConfig, apply_weights
 from .trace import InstructionEvent
 
+DEFAULT_WEIGHTS = (1.01, 1.05, 1.10, 1.15)
+DEFAULT_THRESHOLD = 0.01
+SUBSET_RUN_CAP = 1000
+
 
 @dataclass(frozen=True)
 class SensitivityPoint:
@@ -137,14 +141,12 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
         slots.append(index[key])
     keys = list(index)
     schedule = build_schedule(trace, config)
-    critical: set[frozenset[int]] = set()
+    critical: set[frozenset[str]] = set()
     base_time = run_schedule(schedule, config, critical=critical).total_cycles
-    names = [r.name for r in config.resources]
-    critical_names = [frozenset(names[i] for i in c) for c in critical]
-    resources = frozenset(names)
+    resources = frozenset(schedule.resource_uses)
     # points the critical sets settle are at the base time at any weight
     live = [i for i, (params, _) in enumerate(keys)
-            if not params <= resources or any(c <= params for c in critical_names)]
+            if not params <= resources or any(c <= params for c in critical)]
     maximal = [i for i in live
                if not _dominated(keys[i], (keys[j] for j in live if j != i))]
     with _point_runner(schedule, configs, workers, len(live)) as run:
@@ -178,7 +180,8 @@ def sweep_subsets(trace: Iterable[InstructionEvent], config: MachineConfig,
     return _sweep(trace, config, jobs, workers)
 
 
-def classify(report: SensitivityReport, threshold: float = 0.01) -> list[BottleneckVerdict]:
+def classify(report: SensitivityReport,
+             threshold: float = DEFAULT_THRESHOLD) -> list[BottleneckVerdict]:
     """One verdict per parameter set, sorted by descending best speedup."""
     if not 0 <= threshold < inf:
         raise ValueError("threshold must be a finite number >= 0")
@@ -192,11 +195,6 @@ def classify(report: SensitivityReport, threshold: float = 0.01) -> list[Bottlen
         for params, s in best.items()]
     verdicts.sort(key=lambda v: (-v.speedup, v.parameters))
     return verdicts
-
-
-DEFAULT_WEIGHTS = (1.01, 1.05, 1.10, 1.15)
-DEFAULT_THRESHOLD = 0.01
-SUBSET_RUN_CAP = 1000
 
 
 def power_subsets(parameters: Sequence[str], max_size: int = 3) -> list[tuple[str, ...]]:

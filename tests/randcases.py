@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from sensim.machine import CacheLevelConfig, MachineConfig, Resource
 from sensim.trace import BranchInfo, InstructionEvent, MemAccess
@@ -55,3 +56,31 @@ def random_trace(rng: random.Random, config: MachineConfig,
             mem_reads=mem_reads, mem_writes=mem_writes,
             branch=BranchInfo()))
     return events
+
+
+# hierarchies random_config does not draw: random_trace gives a machine
+# without caches no memory traffic, and its hierarchies end in a
+# geometry-less MEM
+MEMORY_SHAPES = ("no caches", "L1 only", "sized last level")
+
+
+def memory_case(rng: random.Random, shape: str,
+                max_events: int = 120) -> tuple[list[InstructionEvent], MachineConfig]:
+    """A random machine with the hierarchy `shape`, and a random trace whose
+    events mostly load or store: half the accesses share 64 bytes, so loads
+    wait on stores, and half spread over a footprint that misses every level."""
+    line = rng.choice((16, 32, 64))
+    levels = (CacheLevelConfig("L1", gap=1.0, total_size=line * 2 * 4,
+                               associativity=2, line_size=line),
+              CacheLevelConfig("L2", gap=rng.choice((0.5, 1.0, 2.0)),
+                               total_size=line * 4 * 8, associativity=4, line_size=line))
+    config = replace(random_config(rng),
+                     cache_levels={"no caches": (), "L1 only": levels[:1],
+                                   "sized last level": levels}[shape])
+    trace = []
+    for event in random_trace(rng, config, max_events):
+        accesses = [(MemAccess(rng.randrange(0, rng.choice((64, 4096)), 4),
+                               rng.choice((1, 4, 8))),)
+                    if rng.random() < p else () for p in (0.7, 0.4)]
+        trace.append(replace(event, mem_reads=accesses[0], mem_writes=accesses[1]))
+    return trace, config

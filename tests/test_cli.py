@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from sensim.cli import main
+from sensim.cli import _default_workers, main
 
 
 @pytest.fixture()
@@ -571,3 +572,11 @@ def test_overflowed_speedup_percentage_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "sensim: error: simulated time overflowed\n"
     assert captured.out == ""
+
+
+def test_default_workers_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _default_workers() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert _default_workers() == 1

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from oracles import RefTimingModel
-from randcases import random_config, random_trace
+from randcases import MEMORY_SHAPES, memory_case, random_config, random_trace
 from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule, simulate
 from sensim.machine import (INST_LAT, BranchConfig, CacheLevelConfig, MachineConfig, Resource,
@@ -327,6 +327,14 @@ def test_reruns_share_the_schedule_counts():
     assert fast.resource_uses is base.resource_uses
 
 
+def test_run_schedule_rejects_another_machines_schedule():
+    trace, config = gen_port_block()
+    schedule = build_schedule(trace, config)
+    other = replace(config, resources=config.resources + (Resource("extra", 1.0),))
+    with pytest.raises(ValueError, match="schedule was built against a different machine"):
+        run_schedule(schedule, other)
+
+
 def test_shadow_memory_monotone_over_run():
     # a location's dependency timestamp never decreases: later cheaper stores
     # cannot hide an earlier expensive one
@@ -347,7 +355,8 @@ def test_shadow_memory_monotone_over_run():
 def _reference_cases():
     """Corpus kernels and randcases machines, widened to reach every term of
     the model: some events store the bytes they load, and on a machine with a
-    frontend the branch unit is on and some events branch."""
+    frontend the branch unit is on and some events branch.  Then each memory
+    shape randcases draws apart, loads and stores included."""
     yield gen_port_block()
     yield gen_jacobi_like(30)
     yield gen_stream(60, footprint=4096)
@@ -374,6 +383,9 @@ def _reference_cases():
                     target=0x2000 + 4 * rng.randint(0, 3)))
             trace.append(event)
         yield trace, config
+    for shape in MEMORY_SHAPES:
+        for _ in range(3):
+            yield memory_case(rng, shape)
 
 
 def test_end_times_match_the_reference_model():
@@ -396,5 +408,11 @@ def test_end_times_match_the_reference_model():
             reached.add("branch penalty")
         if config.kinds:
             reached.add("kind table")
+        levels = config.cache_levels
+        if not levels and any(e.mem_reads for e in trace):
+            reached.add("memory traffic without caches")
+        if levels and not levels[-1].is_backstop and result.cache_stats[levels[-1].name].misses:
+            reached.add("miss at every level" if len(levels) > 1 else "miss at the only level")
     assert reached == {"frontend", "cache bandwidth", "load and store of the same bytes",
-                       "branch penalty", "kind table"}
+                       "branch penalty", "kind table", "memory traffic without caches",
+                       "miss at every level", "miss at the only level"}

@@ -220,9 +220,13 @@ def _machine(**parts):
     return MachineConfig(resources=(Resource("p0", 1.0),), **parts)
 
 
+_L1 = CacheLevelConfig("L1", gap=1.0, total_size=64, associativity=2, line_size=16)
+
+
 # a kind's resources given as one string were read as one name per character;
 # a part of the wrong type in a MachineConfig failed later with an
-# AttributeError or a TypeError, or was written under another name
+# AttributeError or a TypeError, or was written under another name.  The last
+# rows are values of the right type out of their range
 @pytest.mark.parametrize("build,message", [
     (lambda: InstructionKind("k", "p0", 1.0), "resources must be a tuple"),
     (lambda: InstructionKind("k", ("p0", 1), 1.0), "resources must be strings"),
@@ -248,11 +252,29 @@ def _machine(**parts):
     (lambda: BranchConfig(misprediction_penalty=True), "misprediction_penalty must be a number"),
     (lambda: BranchConfig(misprediction_penalty="5"), "misprediction_penalty must be a number"),
     (lambda: BranchConfig(misprediction_penalty=10**400), "misprediction_penalty is out of range"),
+    (lambda: CacheLevelConfig("L1", gap=1.0, total_size=96, associativity=1, line_size=48),
+     "line size must be a power of two"),
+    (lambda: BranchConfig(history_lengths=[4, 8]), "history_lengths must be a tuple"),
+    (lambda: BranchConfig(btb_sets=0), "BTB geometry must be at least 1 set and 1 way"),
+    (lambda: BranchConfig(btb_ways=0), "BTB geometry must be at least 1 set and 1 way"),
+    (lambda: BranchConfig(tage_entries_log2=0), "tage_entries_log2 must be >= 1"),
+    (lambda: _machine(latency_scale=0), "latency_scale must be finite and > 0"),
+    (lambda: _machine(latency_scale=-1.0), "latency_scale must be finite and > 0"),
+    (lambda: _machine(latency_scale=math.inf), "latency_scale must be finite and > 0"),
+    (lambda: _machine(latency_scale=math.nan), "latency_scale must be finite and > 0"),
+    (lambda: _machine(cache_levels=(_L1, CacheLevelConfig("L1", gap=4.0))),
+     "cache level names must be unique"),
+    (lambda: _machine(cache_levels=(CacheLevelConfig("MEM", gap=4.0), _L1)),
+     "only the last cache level may omit geometry"),
 ], ids=["kind-resources-string", "kind-resources-int", "kind-latency-string", "kind-name-int",
         "gap-string", "gap-huge-int", "resource-name-int", "level-gap-string",
         "latency-scale-string", "kinds-value-string", "kinds-name-mismatch", "branch-dict",
         "frontend-list", "resources-entry-string", "resources-list", "cache-levels-list",
-        "branch-enabled-string", "penalty-bool", "penalty-string", "penalty-huge-int"])
+        "branch-enabled-string", "penalty-bool", "penalty-string", "penalty-huge-int",
+        "line-not-power-of-two", "history-list", "btb-sets-zero", "btb-ways-zero",
+        "entries-log2-zero", "latency-scale-zero", "latency-scale-negative",
+        "latency-scale-inf", "latency-scale-nan", "level-names-repeat",
+        "backstop-before-last"])
 def test_fields_built_in_python_check_their_types(build, message):
     with pytest.raises(ConfigError, match=message) as err:
         build()

@@ -248,6 +248,19 @@ def test_heatmap_svg_intensity_tracks_speedup():
     assert fills["bar-a"] == "#000000"   # the peak is fully saturated
 
 
+def test_heatmap_svg_leaves_a_missing_cell_empty():
+    # each parameter was swept at one of the two weights only
+    report = SensitivityReport(base_time=4.0, points=[
+        SensitivityPoint(("a",), 1.5, 3.0, 1 / 3),
+        SensitivityPoint(("b",), 2.0, 2.0, 1.0),
+    ])
+    root = ET.fromstring(emit_heatmap(report, "svg"))
+    svg = "{http://www.w3.org/2000/svg}"
+    cells = {bar.get("id"): [rect.get("y") for rect in bar.iter(svg + "rect")]
+             for bar in root.iter(svg + "g")}
+    assert cells == {"bar-a": ["52"], "bar-b": ["30"]}  # the larger weight is drawn higher
+
+
 def test_heatmap_svg_escapes_parameter_names():
     names = ['a"b', "c&d", "e<f", "g>h"]
     report = SensitivityReport(base_time=4.0, points=[

@@ -7,9 +7,9 @@ from randcases import random_config, random_trace
 from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule
 from sensim.machine import MachineConfig, Resource, accelerable_parameters, apply_weights
-from sensim.sensitivity import (DEFAULT_WEIGHTS, SensitivityPoint, SensitivityReport,
-                                classify, power_subsets, speedup, sweep_single,
-                                sweep_subsets)
+from sensim.sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, SensitivityPoint,
+                                SensitivityReport, classify, power_subsets, speedup,
+                                sweep_single, sweep_subsets)
 from sensim.trace import InstructionEvent
 
 PORTS = ["p0", "p1", "p2", "p3", "p5", "p6"]
@@ -126,6 +126,7 @@ def test_classify_threshold_and_order():
     assert verdicts[0].parameters == ("p1",)
     speedups = [v.speedup for v in verdicts]
     assert speedups == sorted(speedups, reverse=True)
+    assert classify(report) == classify(report, DEFAULT_THRESHOLD) == verdicts
 
 
 def test_classify_all_zero_finds_nothing():
@@ -218,8 +219,7 @@ def _critical_sets(schedule, config):
     """The base run's critical resource sets, as sets of names."""
     critical = set()
     run_schedule(schedule, config, critical=critical)
-    names = [r.name for r in config.resources]
-    return [frozenset(names[i] for i in ids) for ids in critical]
+    return critical
 
 
 def _settled_by_critical_sets(config, critical, max_size):
@@ -259,8 +259,9 @@ def test_sweep_reruns_only_points_that_can_differ(run_calls):
     reference = _brute_force(trace, config, [((p,), top) for p in params])
     moved = sum(p.time != reference.base_time for p in reference.points)
     assert 0 < moved < len(params)
-    settled = len(_settled_by_critical_sets(
-        config, _critical_sets(build_schedule(trace, config), config), 1))
+    critical = _critical_sets(build_schedule(trace, config), config)
+    assert critical == {frozenset({"FRONTEND"}), frozenset({"p23"})}
+    settled = len(_settled_by_critical_sets(config, critical, 1))
     report = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
     assert len(run_calls) == 1 + len(params) - settled + 3 * moved == 14
     assert len(report.points) == len(params) * len(DEFAULT_WEIGHTS)

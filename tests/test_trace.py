@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sensim.trace
 from sensim.corpus import KERNELS, generate
 from sensim.engine import bind_semantics
 from sensim.machine import load_config
@@ -79,6 +80,9 @@ def test_access_size_limit():
     '{"pc":0,"kind":"x","branch":{"kind":"indirect","taken":true,"target":"x"}}',
     '{"pc":0,"kind":"x","branch":{"kind":7,"taken":true,"target":4}}',
     '{"pc":0,"kind":"x","mem_reads":[{"addr":true,"size":8}]}',
+    '{"pc":0,"kind":"x","reg_reads":5}',
+    '{"pc":0,"kind":"x","branch":{"kind":"direct","taken":true,"target":4,"x":1}}',
+    '{"pc":0,"kind":"x","branch":5}',
 ])
 def test_malformed_records(record):
     with pytest.raises(TraceError):
@@ -109,12 +113,14 @@ def test_malformed_records(record):
      "addr and size must be integers"),
     (lambda: {"pc": 0, "kind": "x", "branch": BranchInfo("conditional", 1, 4)},
      "taken a boolean"),
+    (lambda: {"pc": 0, "kind": "x", "branch": BranchInfo("jump", True, 4)},
+     "unknown branch kind 'jump'"),
 ], ids=[  # each of the first eight keeps its id from when trace errors had three subclasses
     "fields0-MalformedRecord", "fields1-MalformedRecord", "fields2-MalformedRecord",
     "fields3-NegativeLatency", "fields4-MalformedRecord", "fields5-MalformedRecord",
     "fields6-OverflowingAccess", "fields7-MalformedRecord",
     "pc-string", "resources-list", "resources-string", "latency-string", "latency-huge-int",
-    "reg-reads-float", "access-addr-string", "branch-taken-int"])
+    "reg-reads-float", "access-addr-string", "branch-taken-int", "branch-kind-unknown"])
 def test_event_built_in_python_is_validated(fields, message):
     with pytest.raises(TraceError, match=message) as err:
         InstructionEvent(seq=0, **fields())
@@ -208,6 +214,19 @@ def test_round_trip_one_event():
         mem_reads=(MemAccess(100, 8),), mem_writes=(MemAccess(200, 4),),
         branch=BranchInfo(kind="conditional", taken=True, target=32))
     assert parse(write_trace([event])) == [event]
+
+
+def test_write_trace_memo_starts_over_when_full(monkeypatch):
+    # a full memo is cleared, so a recurring event is encoded again, to the same line
+    a, b, c = (InstructionEvent(pc=pc, kind="k") for pc in (0, 4, 8))
+    encoded = []
+    monkeypatch.setattr(sensim.trace, "_MEMO_EVENTS", 2)
+    monkeypatch.setattr(sensim.trace, "_encode_record",
+                        lambda record, encode=sensim.trace._encode_record:
+                        encoded.append(record["pc"]) or encode(record))
+    events = [a, b, a, c, a, b]
+    assert write_trace(events) == "".join(f'{{"pc":{e.pc},"kind":"k"}}\n' for e in events)
+    assert encoded == [0, 4, 8, 0, 4]
 
 
 def test_round_trip_port_block():
@@ -342,9 +361,10 @@ def test_resolve_kind_lookup_appends_frontend():
                {"resources": ["p016", "p01", "p015", "p0156", "p23"], "latency": 4}}}
     """)
     ev = InstructionEvent(seq=0, pc=0, kind="vaddsd-load")
-    ids, latency, label = bind_semantics(ev, cfg)
-    names = [cfg.resources[i].name for i in ids]
-    assert names == ["p016", "p01", "p015", "p0156", "p23", "FRONTEND"]
+    ids, latency, label, names = bind_semantics(ev, cfg)
+    assert [cfg.resources[i].name for i in ids] == ["p016", "p01", "p015", "p0156", "p23",
+                                                    "FRONTEND"]
+    assert names == ("p016", "p01", "p015", "p0156", "p23")
     assert latency == 4.0
     assert label == "vaddsd-load"
 
@@ -355,8 +375,9 @@ def test_resolve_inline_with_frontend():
      "frontend": "FRONTEND", "window": 8}
     """)
     ev = InstructionEvent(seq=0, pc=0, resources=("p4",), latency=4.0)
-    ids, latency, label = bind_semantics(ev, cfg)
+    ids, latency, label, names = bind_semantics(ev, cfg)
     assert [cfg.resources[i].name for i in ids] == ["p4", "FRONTEND"]
+    assert names == ("p4",)
     assert (latency, label) == (4.0, "")
 
 
@@ -366,8 +387,9 @@ def test_resolve_inline_overrides_kind():
      "kinds": {"mul": {"resources": ["p0", "p0"], "latency": 3}}}
     """)
     ev = InstructionEvent(seq=0, pc=0, kind="mul", resources=("p0",), latency=1.0)
-    ids, latency, label = bind_semantics(ev, cfg)
+    ids, latency, label, names = bind_semantics(ev, cfg)
     assert len(ids) == 1
+    assert names == ("p0",)
     assert latency == 1.0
     assert label == "mul"
 
