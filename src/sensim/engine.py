@@ -9,6 +9,10 @@ is set; memory shadow is max-merged); the end time enters the instruction
 window.  The total is the max end time over the trace.  Each line access
 also folds its wait into its bytes' shadow; no wait depends on a start
 time, so loads and stores are charged in one pass after the shadows are read.
+Memory shadow has one key per block: the addresses between two cut points,
+where the cuts are every access's start and end and every line boundary
+inside an access.  Every read, write and fold covers whole blocks, so all
+bytes of a block always hold one value, and a block's key stands for them.
 
 Two phases keep reruns cheap.  `build_schedule` resolves the trace once and
 computes everything timing-independent into a Schedule: the cache hit level
@@ -77,8 +81,9 @@ class SimResult:
 # Step layout (plain tuples keep the timing loop lean):
 #   (resources, latency, reg_reads, reg_writes, read_keys, write_keys,
 #    mem_ops, penalty)
-# where mem_ops holds one (path_end, fold_keys, is_load) per line access,
-# loads first.
+# where the key fields list the start address of each shadow block the
+# accesses cover, and mem_ops holds one (path_end, fold_keys, is_load) per
+# line access that crosses a level, loads first.
 @dataclass(frozen=True)
 class Schedule:
     """Timing-independent digest of a trace resolved against a config: the
@@ -131,30 +136,39 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     columns = resource_names + tuple(l.name for l in config.cache_levels)
     n_res = len(resource_names)
     key_memo: dict[tuple[int, int], tuple] = {}
+    cuts: set[int] = set()
+    key_lists: list[list[int]] = []  # coarsened from bytes to blocks after the loop
 
     def access_plan(accesses, pc_row, is_load):
-        """Per access: shadow keys plus (path_end, keys-in-line, is_load)
-        bandwidth ops."""
-        all_keys = []
+        """Shadow keys of the accesses plus a (path_end, fold keys, is_load)
+        bandwidth op per line that crosses a level."""
         ops = []
         for acc in accesses:
             addr, size = acc.addr, acc.size
             memo = key_memo.get((addr, size))
             if memo is None:
-                # one key per byte; a line's keys are a slice of the access's
-                keys = tuple(range(addr, addr + size))
-                memo = key_memo[(addr, size)] = (keys, tuple(
-                    (line, keys[max(line - addr, 0):line + line_size - addr])
-                    for line in line_accesses(addr, size, line_size)))
-            keys, per_line = memo
-            all_keys.extend(keys)
-            for line, line_keys in per_line:
+                keys = list(range(addr, addr + size))
+                lines = line_accesses(addr, size, line_size)
+                if len(lines) == 1:  # the line's fold covers the whole access
+                    per_line = ((lines[0], keys),)
+                else:
+                    per_line = tuple((line, keys[max(line - addr, 0):line + line_size - addr])
+                                     for line in lines)
+                    key_lists.extend(k for _, k in per_line)
+                key_lists.append(keys)
+                cuts.update(lines[1:], (addr, addr + size))
+                memo = key_memo[(addr, size)] = (keys, per_line)
+            for line, fold_keys in memo[1]:
                 end = min(hierarchy.lookup_and_fill(line), last_path)
                 if end >= 1:
-                    ops.append((end, line_keys, is_load))
+                    ops.append((end, fold_keys, is_load))
                     for i in range(n_res + 1, n_res + end + 1):
                         pc_row[i] += 1
-        return tuple(all_keys), tuple(ops)
+        if len(accesses) == 1:
+            return memo[0], tuple(ops)
+        keys = [k for acc in accesses for k in key_memo[acc.addr, acc.size][0]]
+        key_lists.append(keys)
+        return keys, tuple(ops)
 
     semantics_memo: dict[tuple, tuple] = {}
     # pc -> (label, latency, explicit resource names) of its first event, and
@@ -177,8 +191,11 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         for rid in resources:
             pc_row[rid] += 1
 
-        read_keys, loads = access_plan(event.mem_reads, pc_row, True)
-        write_keys, stores = access_plan(event.mem_writes, pc_row, False)
+        read_keys = loads = write_keys = stores = ()
+        if event.mem_reads:
+            read_keys, loads = access_plan(event.mem_reads, pc_row, True)
+        if event.mem_writes:
+            write_keys, stores = access_plan(event.mem_writes, pc_row, False)
 
         penalty = 0.0
         if predictor is not None and event.branch.kind != "none":
@@ -192,6 +209,8 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         steps.append((resources, latency, event.reg_reads, event.reg_writes,
                       read_keys, write_keys, loads + stores, penalty))
 
+    for keys in key_lists:  # in place: every step sharing a list sees its blocks
+        keys[:] = filter(cuts.__contains__, keys)
     levels = hierarchy.levels
     return Schedule(
         steps=steps,

@@ -58,17 +58,14 @@ def table_columns(rows: list[Row]) -> list[str]:
 def format_instruction_table(rows: list[Row]) -> str:
     """Fixed-width text rendering; percentages use one decimal, half-even."""
     columns = table_columns(rows)
-    header = ["PC", "KIND"] + columns + ["LAT/RES"]
-    body = []
-    for stats, shares in rows:
-        tail = f"{stats.latency:g}/" + " ".join(stats.resources)
-        body.append([f"0x{stats.pc:x}", stats.label or "-"]
-                    + [f"{shares.get(c, 0.0):.1f}%" for c in columns]
-                    + [tail])
-    widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-             for line in [header] + body]
-    return "\n".join(lines) + "\n"
+    header = ("PC", "KIND", *columns, "LAT/RES")
+    body = [(f"0x{stats.pc:x}", stats.label or "-",
+             *[f"{shares.get(c, 0.0):.1f}%" for c in columns],
+             f"{stats.latency:g}/" + " ".join(stats.resources))
+            for stats, shares in rows]
+    widths = [max(map(len, cells)) for cells in zip(header, *body)]
+    row = "  ".join(f"%-{w}s" for w in widths)  # each cell left-justified to its width
+    return "".join((row % line).rstrip() + "\n" for line in [header, *body])
 
 
 def run_report(result: SimResult) -> dict:

@@ -84,3 +84,29 @@ def memory_case(rng: random.Random, shape: str,
                     if rng.random() < p else () for p in (0.7, 0.4)]
         trace.append(replace(event, mem_reads=accesses[0], mem_writes=accesses[1]))
     return trace, config
+
+
+def block_case(rng: random.Random, shape: str,
+               max_events: int = 60) -> tuple[list[InstructionEvent], MachineConfig]:
+    """A `memory_case` machine, and its trace with every record loading and
+    storing 1-3 ranges of 1-24 bytes at any address: most ranges fall in 160
+    bytes, so they straddle lines and overlap within and across records, some
+    start inside the range before them, some repeat it, and the rest spread
+    over a footprint that misses every level."""
+    trace, config = memory_case(rng, shape, max_events)
+
+    def ranges() -> tuple[MemAccess, ...]:
+        picked = []
+        for _ in range(rng.randint(1, 3)):
+            mode = rng.random() if picked else 1.0
+            if mode < 0.2:
+                picked.append(picked[-1])
+            elif mode < 0.5:
+                prev = picked[-1]
+                picked.append(MemAccess(prev.addr + rng.randrange(prev.size), rng.randint(1, 24)))
+            else:
+                picked.append(MemAccess(rng.randrange(rng.choice((160, 160, 4096))),
+                                        rng.randint(1, 24)))
+        return tuple(picked)
+
+    return [replace(event, mem_reads=ranges(), mem_writes=ranges()) for event in trace], config

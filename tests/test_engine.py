@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 from oracles import RefTimingModel
-from randcases import MEMORY_SHAPES, memory_case, random_config, random_trace
+from randcases import MEMORY_SHAPES, block_case, memory_case, random_config, random_trace
+from sensim.caches import line_accesses
 from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule, simulate
 from sensim.machine import (INST_LAT, BranchConfig, CacheLevelConfig, MachineConfig, Resource,
@@ -416,3 +417,49 @@ def test_end_times_match_the_reference_model():
     assert reached == {"frontend", "cache bandwidth", "load and store of the same bytes",
                        "branch penalty", "kind table", "memory traffic without caches",
                        "miss at every level", "miss at the only level"}
+
+
+@pytest.mark.parametrize("shape", MEMORY_SHAPES)
+def test_block_keys_match_the_byte_keyed_reference(shape):
+    """Ranges that straddle lines, overlap and repeat give the reference's
+    end times, whose shadow memory has a key per byte, for every parameter."""
+    rng = random.Random(71 + MEMORY_SHAPES.index(shape))
+    straddles = transfers = 0
+    for _ in range(4):
+        trace, config = block_case(rng, shape)
+        for weights in [{}] + [{name: w} for name in accelerable_parameters(config)
+                               for w in (1.01, 2.0, 1e6)]:
+            weighted = apply_weights(config, weights)
+            result = simulate(trace, weighted, record_event_times=True)
+            assert list(result.event_end_times) == \
+                RefTimingModel(weighted).end_times(trace), weights
+        straddles += sum(len(line_accesses(acc.addr, acc.size, config.line_size)) > 1
+                         for e in trace for acc in e.mem_reads + e.mem_writes)
+        transfers += sum(c.transfers for c in result.cache_stats.values())
+    assert straddles
+    assert transfers or shape != "sized last level"  # only there do lines cross a level
+
+
+def test_shadow_keys_are_the_blocks_no_access_splits():
+    trace, config = gen_jacobi_like(30)
+    eights = 0
+    for event, step in zip(trace, build_schedule(trace, config).steps):
+        for accesses, keys in ((event.mem_reads, step[4]), (event.mem_writes, step[5])):
+            if [acc.size for acc in accesses] == [8]:
+                assert keys == [accesses[0].addr]
+                eights += 1
+    assert eights > 30
+
+    # [0,8) and [4,12) cut each other at 4 and 8; [124,132) is cut at the
+    # line boundary 128, and each of its lines folds into its own block
+    levels = (CacheLevelConfig("L1", gap=1.0, total_size=1024, associativity=2, line_size=64),
+              CacheLevelConfig("MEM", gap=2.0))
+    config = _one_port_config(cache_levels=levels)
+    loads = [(MemAccess(0, 8),), (MemAccess(4, 8),), (MemAccess(124, 8),),
+             (MemAccess(0, 8), MemAccess(4, 8))]
+    events = [InstructionEvent(pc=4 * i, resources=(), latency=1.0, mem_reads=reads)
+              for i, reads in enumerate(loads)]
+    steps = build_schedule(events, config).steps
+    assert [step[4] for step in steps] == [[0, 4], [4, 8], [124, 128], [0, 4, 4, 8]]
+    assert [step[6] for step in steps] == [((1, [0, 4], True),), (),
+                                           ((1, [124], True), (1, [128], True)), ()]

@@ -88,6 +88,36 @@ def test_instruction_table_text_renders_one_decimal():
     assert "4/p016 p01 p015 p0156 p23" in text
 
 
+
+def _padded_table(rows):
+    """The text table rendered cell by cell with `ljust`, then each line
+    right-stripped: the rendering the row template must reproduce."""
+    columns = table_columns(rows)
+    header = ["PC", "KIND"] + columns + ["LAT/RES"]
+    body = [[f"0x{stats.pc:x}", stats.label or "-"]
+            + [f"{shares.get(c, 0.0):.1f}%" for c in columns]
+            + [f"{stats.latency:g}/" + " ".join(stats.resources)] for stats, shares in rows]
+    widths = [max(len(line[i]) for line in [header] + body) for i in range(len(header))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+                     for line in [header] + body) + "\n"
+
+
+def test_instruction_table_template_matches_cell_padding():
+    wide = "port_with_a_name_wider_than_any_cell_" * 3
+    rows = [
+        (PcStats(0x10, "", 1, 0.0, (), {}), {}),
+        (PcStats(0xFFFFFFFFFFFF, "kind %s with %% and a long name " * 4, 2, 1e16,
+                 ("p0", wide), {"p0": 2, wide: 2}), {"p0": 12.345, wide: 100.0}),
+        (PcStats(0x20, "", 3, 1.5, (wide, "  "), {wide: 3}), {wide: 0.05}),
+        (PcStats(0x30, "é\tx ", 1, 5e-324, ("p0",), {"p0": 1}), {"p0": 0.0}),
+    ]
+    for table in (rows, rows[:1], rows[2:], []):
+        assert format_instruction_table(table) == _padded_table(table)
+    trace, config = gen_jacobi_like(50)
+    rows = render_instruction_table(simulate(trace, config))
+    assert format_instruction_table(rows) == _padded_table(rows)
+
+
 def test_run_report_fields():
     trace, config = gen_port_block()
     doc = run_report(simulate(trace, config))
