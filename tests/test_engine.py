@@ -442,13 +442,13 @@ def test_block_keys_match_the_byte_keyed_reference(shape):
 
 def test_shadow_keys_are_the_blocks_no_access_splits():
     trace, config = gen_jacobi_like(30)
-    eights = 0
+    accesses = 0
     for event, step in zip(trace, build_schedule(trace, config).steps):
-        for accesses, keys in ((event.mem_reads, step[4]), (event.mem_writes, step[5])):
-            if [acc.size for acc in accesses] == [8]:
-                assert keys == [accesses[0].addr]
-                eights += 1
-    assert eights > 30
+        for side, keys in ((event.mem_reads, step[4]), (event.mem_writes, step[5])):
+            assert [acc.size for acc in side] == [8] * len(side)
+            assert list(keys) == [acc.addr for acc in side]  # one key per 8-byte access
+            accesses += len(side)
+    assert accesses == 360
 
     # [0,8) and [4,12) cut each other at 4 and 8; [124,132) is cut at the
     # line boundary 128, and each of its lines folds into its own block
