@@ -13,16 +13,22 @@ Memory shadow has one key per block: the addresses between two cut points,
 where the cuts are every access's start and end and every line boundary
 inside an access.  Every read, write and fold covers whole blocks, so all
 bytes of a block always hold one value, and a block's key stands for them.
+Every time also carries a bit mask over `accelerable_parameters(config)`:
+the parameters that one dependency path reaching it avoids.  A max keeps the
+mask of the term that first reached it; a resource's gap clears that
+resource, a cache level's gap its `*_THR` and the window floor `INST_WINDOW`.
+`INST_LAT`'s bit is never set, since every path ends with a latency.
 
 Two phases keep reruns cheap.  `build_schedule` resolves the trace once and
 computes everything timing-independent into a Schedule: the cache hit level
 and branch verdict of each event, and the finished per-pc, per-resource,
 cache and branch counts.  `run_schedule` then computes only what a weight
-changes: the total, the IPC, the gaps it ran with, and optionally each
-event's end time; every result built from one schedule shares its counts,
-from which `report` derives busy time, occupancy and shares.  This is exact,
-not an approximation: cache replacement and branch prediction depend only on
-the event stream, never on simulated time.
+changes: the total, the IPC, the gaps it ran with, the parameters the
+total's path avoids, and optionally each event's end time; every result
+built from one schedule shares its counts, from which `report` derives busy
+time, occupancy and shares.  This is exact, not an approximation: cache
+replacement and branch prediction depend only on the event stream, never on
+simulated time.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Iterable
 
 from .branch import PredictorState, misprediction_delay
 from .caches import CacheHierarchy, line_accesses
-from .machine import MachineConfig
+from .machine import MachineConfig, accelerable_parameters
 from .trace import InstructionEvent, TraceError
 
 
@@ -76,6 +82,7 @@ class SimResult:
     branch_predicted: int
     branch_mispredicted: int
     event_end_times: tuple[float, ...] | None = None
+    avoided: frozenset[str] = frozenset()  # the parameters one path to the total avoids
 
 
 # Step layout (plain tuples keep the timing loop lean):
@@ -229,19 +236,14 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
 
 
 def run_schedule(schedule: Schedule, config: MachineConfig,
-                 record_event_times: bool = False,
-                 critical: set[frozenset[str]] | None = None) -> SimResult:
+                 record_event_times: bool = False) -> SimResult:
     """Run the timing recurrence for one (possibly weight-derived) config.
 
     Only what a weight can change is computed here; the counts come from the
-    schedule and are shared by every result built from it.  Given a set,
-    `critical` gets the names of each distinct set of resources that alone
-    reached an event's start: their availability equals it and is strictly
-    above the window floor and every shadow the event reads.
+    schedule and are shared by every result built from it.
     """
     if len(schedule.resource_uses) != len(config.resources):
         raise ValueError("schedule was built against a different machine")
-    names = [*schedule.resource_uses]
     gaps = [r.gap for r in config.resources]
     cache_gaps = [l.gap for l in config.cache_levels]
     cache_avail = [0.0] * len(schedule.cache_stats)
@@ -249,14 +251,25 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     lat_scale = config.latency_scale
     capacity = config.window_capacity
     fe = config.frontend_id if config.frontend_id is not None else -1
+    # mask bits: the resources, INST_LAT, INST_WINDOW, then each *_THR
+    params = accelerable_parameters(config)
+    n_res = len(gaps)
+    every = ((1 << len(params)) - 1) & ~(1 << n_res)
+    not_window = every & ~(1 << n_res + 1)
+    not_own = [every & ~(1 << rid) for rid in range(n_res)]
+    level_masks = [every & ~(1 << n_res + 1 + i) for i in range(len(cache_gaps))]
+    avail_masks = [every] * n_res
 
     window: deque[float] = deque()
     window_pop = window.popleft
     window_add = window.append
-    t_min = 0.0
-    total = 0.0
+    window_masks: deque[int] = deque()  # the mask of each window entry
+    t_min = total = 0.0
+    floor_mask = total_mask = every
     shadow_reg: dict[int, float] = {}
     shadow_mem: dict[int, float] = {}
+    reg_masks: dict[int, int] = {}  # the mask of each shadow entry
+    mem_masks: dict[int, int] = {}
     sr_get = shadow_reg.get
     sm_get = shadow_mem.get
     t_ends: list[float] | None = [] if record_event_times else None
@@ -265,51 +278,66 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
          mem_ops, penalty) in schedule.steps:
         if len(window) == capacity:
             evicted = window_pop()
+            evicted_mask = window_masks.popleft()
             if evicted > t_min:
                 t_min = evicted
+                floor_mask = evicted_mask & not_window
         t = t_min
+        mask = floor_mask
         for r in reg_reads:
             v = sr_get(r, 0.0)
             if v > t:
                 t = v
+                mask = reg_masks[r]
         for k in read_keys:
             v = sm_get(k, 0.0)
             if v > t:
                 t = v
+                mask = mem_masks[k]
         for end, fold_keys, is_load in mem_ops:
+            # a positive wait is a sum of one level's gaps
             a = 0.0
             for i in range(1, end + 1):
                 v = cache_avail[i]
                 if v > a:
                     a = v
+                    level = i
                 cache_avail[i] = v + cache_gaps[i]
             if a > 0.0:
+                a_mask = level_masks[level]
                 if is_load and a > t:
                     t = a
+                    mask = a_mask
                 for k in fold_keys:
                     if sm_get(k, 0.0) < a:
                         shadow_mem[k] = a
-        ready = t
+                        mem_masks[k] = a_mask
         for rid in resources:
             v = avail[rid]
             if v > t:
                 t = v
-        if critical is not None and t > ready:
-            critical.add(frozenset([names[rid] for rid in resources if avail[rid] == t]))
+                mask = avail_masks[rid]
         t_end = t + latency * lat_scale
         for rid in resources:
             a = avail[rid]
-            avail[rid] = (a if a > t_min else t_min) + gaps[rid]
+            if a <= t_min:  # else a's mask is already clear of rid's bit
+                a = t_min
+                avail_masks[rid] = floor_mask & not_own[rid]
+            avail[rid] = a + gaps[rid]
         for r in reg_writes:
             shadow_reg[r] = t_end
+            reg_masks[r] = mask
         for k in write_keys:
             if sm_get(k, 0.0) < t_end:
                 shadow_mem[k] = t_end
+                mem_masks[k] = mask
         if penalty:
             avail[fe] += penalty
         window_add(t_end)
+        window_masks.append(mask)
         if t_end > total:
             total = t_end
+            total_mask = mask
         if t_ends is not None:
             t_ends.append(t_end)
 
@@ -329,10 +357,11 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         resource_uses=schedule.resource_uses,
         per_pc=schedule.per_pc,
         cache_stats=schedule.cache_stats,
-        gaps=dict(zip([*names, *schedule.cache_stats], gaps + cache_gaps)),
+        gaps=dict(zip([*schedule.resource_uses, *schedule.cache_stats], gaps + cache_gaps)),
         branch_predicted=schedule.branch_predicted,
         branch_mispredicted=schedule.branch_mispredicted,
-        event_end_times=tuple(t_ends) if t_ends is not None else None)
+        event_end_times=tuple(t_ends) if t_ends is not None else None,
+        avoided=frozenset(n for i, n in enumerate(params) if total_mask >> i & 1))
 
 
 def simulate(trace: Iterable[InstructionEvent], config: MachineConfig,

@@ -8,40 +8,30 @@ per (parameters, weight) point; points are independent and may run on worker
 processes, with results merged by key so output never depends on completion
 order.
 
-Most points of a sweep need no rerun at all, because the model is monotone.
-Every piece of timing state (resource and cache-level availability, the
-window floor, the register and memory shadows) is built from the parameters
-by `max`, `+` and multiplication by a non-negative latency, and under IEEE
-round-to-nearest each of these is monotone in its operands.  A weight w >= 1
-can only lower a gap or the latency scale, or raise the window capacity, and
-a parameter left out of a set is at weight 1, which changes nothing.  So the
-total time T(S, w) of parameter set S accelerated by w is non-increasing in
-all weights jointly: if set(S) is a subset of set(S2) and w <= w2, then
-(S2, w2) dominates (S, w) and base >= T(S, w) >= T(S2, w2), exactly.  A
-sweep therefore runs in two phases over one worker pool.  Phase 1 reruns the
-maximal points, those no other requested point dominates.  Phase 2 reruns
-only the points no phase-1 point at exactly the base time dominates; every
-other point is squeezed to the base time and is settled without a run.
+Most points of a sweep need no rerun.  The model is monotone: every piece
+of timing state (resource and cache-level availability, the window floor,
+the register and memory shadows) is built from the parameters by `max`, `+`
+and multiplication by a non-negative latency, each monotone in its operands
+under IEEE round-to-nearest, and a weight w >= 1 can only lower a gap or the
+latency scale, or raise the window capacity.  So no point ends later than
+the base run.
 
-Before both phases, the base run's critical resource sets settle more points
-(the slack view of Fields, Bodik & Hill, ISCA 2002).  The base run records
-each distinct set of resources that alone reached an instruction's start:
-those whose availability equals it, strictly above the window floor and the
-register and memory shadows.  A point whose parameters are all resources and
-contain no recorded set has every start time equal to the base run's, at any
-weight, by induction over instructions: while earlier times are equal, so
-are the window floor, both shadows (cache-bandwidth folds do not depend on
-time) and every resource outside the set, and resources inside it can only
-fall; at each instruction a term outside the set reached the start, so the
-max stays put.  `INST_LAT` is never settled this way, since it moves every
-end time; nor are `INST_WINDOW`, which moves the window floor, and `*_THR`,
-which moves the bandwidth folds into the memory shadow.
+Nor does a point end earlier if its parameters all lie in the base run's
+`avoided` set.  Every time is at least the sum, rounded in order, along any
+dependency path into it.  `avoided` names what one path attaining the base
+total never uses (see `engine`): no gap of those resources or cache levels,
+and no window floor if it holds `INST_WINDOW`, since a larger window drops
+floor edges.  Weights on those parameters keep every edge and operand of
+that path, so the total stays at least the base total and equals it, bit
+for bit.  This needs one path; a union over tied paths fails, since each
+tie may be reached by a different path.  A point whose config equals the
+base config (weight 1, or a window weight that rounds back to its capacity)
+is settled too.  Every other point is rerun.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import inf
 from typing import Iterable, Sequence
@@ -94,15 +84,13 @@ def _run_point(index: int) -> float:
     return run_schedule(schedule, configs[index]).total_cycles
 
 
-@contextmanager
-def _point_runner(schedule: Schedule, configs: list[MachineConfig],
-                  workers: int | None, runs: int):
-    """Yield run(indices) -> totals, one pool of up to `runs` workers shared
-    by every call; no pool starts for a single run."""
+def _run_points(schedule: Schedule, configs: list[MachineConfig],
+                indices: list[int], workers: int | None) -> list[float]:
+    """The totals of the points at `indices`; no pool starts for one run."""
     global _WORKER_STATE
     _WORKER_STATE = (schedule, configs)
     try:
-        if workers and workers > 1 and runs > 1 and hasattr(os, "fork"):
+        if workers and workers > 1 and len(indices) > 1 and hasattr(os, "fork"):
             # fork workers inherit the schedule and configs; only indices
             # and totals cross the pipe
             import multiprocessing
@@ -110,19 +98,12 @@ def _point_runner(schedule: Schedule, configs: list[MachineConfig],
 
             context = multiprocessing.get_context("fork")
             with futures.ProcessPoolExecutor(
-                    max_workers=min(workers, runs),
+                    max_workers=min(workers, len(indices)),
                     mp_context=context) as pool:
-                yield lambda indices: list(pool.map(_run_point, indices))
-        else:
-            yield lambda indices: [_run_point(i) for i in indices]
+                return list(pool.map(_run_point, indices))
+        return [_run_point(i) for i in indices]
     finally:
         _WORKER_STATE = None
-
-
-def _dominated(key: tuple[frozenset, float],
-               by: Iterable[tuple[frozenset, float]]) -> bool:
-    names, w = key
-    return any(names <= other and w <= w2 for other, w2 in by)
 
 
 def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
@@ -139,29 +120,18 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
             index[key] = len(configs)
             configs.append(apply_weights(config, dict.fromkeys(params, w)))
         slots.append(index[key])
-    keys = list(index)
     schedule = build_schedule(trace, config)
-    critical: set[frozenset[str]] = set()
-    base_time = run_schedule(schedule, config, critical=critical).total_cycles
-    resources = frozenset(schedule.resource_uses)
-    # points the critical sets settle are at the base time at any weight
-    live = [i for i, (params, _) in enumerate(keys)
-            if not params <= resources or any(c <= params for c in critical)]
-    maximal = [i for i in live
-               if not _dominated(keys[i], (keys[j] for j in live if j != i))]
-    with _point_runner(schedule, configs, workers, len(live)) as run:
-        times = dict(zip(maximal, run(maximal)))
-        at_base = [keys[i] for i in maximal if times[i] == base_time]
-        rest = [i for i in live
-                if i not in times and not _dominated(keys[i], at_base)]
-        if rest:
-            times.update(zip(rest, run(rest)))
+    base = run_schedule(schedule, config)
+    # every other point is at the base time at any weight
+    live = [i for i, (params, _) in enumerate(index)
+            if not params <= base.avoided and configs[i] != config]
+    times = dict(zip(live, _run_points(schedule, configs, live, workers)))
     points = []
     for (params, w), slot in zip(jobs, slots):
-        t = times.get(slot, base_time)
+        t = times.get(slot, base.total_cycles)
         points.append(SensitivityPoint(parameters=params, weight=w, time=t,
-                                       speedup=speedup(base_time, t)))
-    return SensitivityReport(base_time=base_time, points=points)
+                                       speedup=speedup(base.total_cycles, t)))
+    return SensitivityReport(base_time=base.total_cycles, points=points)
 
 
 def sweep_single(trace: Iterable[InstructionEvent], config: MachineConfig,

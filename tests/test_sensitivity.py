@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 import sensim.sensitivity
-from randcases import random_config, random_trace
+from randcases import MEMORY_SHAPES, block_case, memory_case, random_config, random_trace
 from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule
 from sensim.machine import MachineConfig, Resource, accelerable_parameters, apply_weights
@@ -215,56 +216,72 @@ def run_calls(monkeypatch):
     return calls
 
 
-def _critical_sets(schedule, config):
-    """The base run's critical resource sets, as sets of names."""
-    critical = set()
-    run_schedule(schedule, config, critical=critical)
-    return critical
+def _jacobi_both_branch_settings():
+    trace, config = gen_jacobi_like(200)
+    yield "jacobi", (trace, config)
+    yield "jacobi-branch", (trace, replace(config, branch=replace(config.branch, enabled=True)))
 
 
-def _settled_by_critical_sets(config, critical, max_size):
-    """Resource-only subsets up to `max_size` that contain no critical set."""
-    return [s for s in power_subsets([r.name for r in config.resources], max_size)
-            if not any(c <= set(s) for c in critical)]
-
-
-def test_critical_set_rule_is_exact():
-    # every start time, not just the total, is the base run's at any weight
-    cases = [("portblock", gen_port_block()), ("jacobi", gen_jacobi_like(200)),
-             ("stream", gen_stream(500))]
+def test_avoided_parameters_are_exact():
+    # every subset of the names the base run's path avoids keeps the base
+    # total, bit for bit, at any weight
+    cases = [("portblock", gen_port_block()), *_jacobi_both_branch_settings(),
+             ("stream", gen_stream(500)), ("chain", gen_latency_chain(200))]
     rng = random.Random(43)
     for k in range(10):
         config = random_config(rng)
         cases.append((f"rand{k}", (random_trace(rng, config, max_events=60), config)))
+    for shape in MEMORY_SHAPES:
+        cases += [(f"memory {shape}", memory_case(rng, shape)),
+                  (f"block {shape}", block_case(rng, shape))]
     checked = 0
     for name, (trace, config) in cases:
         schedule = build_schedule(trace, config)
-        base = run_schedule(schedule, config, record_event_times=True).event_end_times
-        for subset in _settled_by_critical_sets(config, _critical_sets(schedule, config), 3):
+        base = run_schedule(schedule, config)
+        for subset in power_subsets(sorted(base.avoided), 3):
             for w in (1.01, 2.0, 1e6):
                 accelerated = apply_weights(config, dict.fromkeys(subset, w))
-                ends = run_schedule(schedule, accelerated, record_event_times=True)
-                assert ends.event_end_times == base, (name, subset, w)
+                total = run_schedule(schedule, accelerated).total_cycles
+                assert total == base.total_cycles, (name, subset, w)
                 checked += 1
-    assert checked > 300
+    assert checked > 2500
+
+
+def test_avoided_parameters_are_every_single_that_stays_at_base():
+    # on these traces no tie hides a parameter that never moves the total
+    cases = [*_jacobi_both_branch_settings(), ("stream", gen_stream(500)),
+             ("chain", gen_latency_chain(200))]
+    for name, (trace, config) in cases:
+        schedule = build_schedule(trace, config)
+        base = run_schedule(schedule, config)
+        at_base = {p for p in accelerable_parameters(config)
+                   if all(run_schedule(schedule, apply_weights(config, {p: w})).total_cycles
+                          == base.total_cycles for w in (1.01, 1.15, 2.0, 1e6))}
+        assert base.avoided == at_base, name
 
 
 def test_sweep_reruns_only_points_that_can_differ(run_calls):
-    # one base run, one run per parameter the critical sets leave live at the
-    # largest weight, and the three smaller weights only for parameters that
-    # moved at the largest
+    # one base run, then one run per point that moves: the base run's path
+    # avoids the parameters of every other point, or its config is the base's
     trace, config = gen_jacobi_like(200)
     params = accelerable_parameters(config)
-    top = max(DEFAULT_WEIGHTS)
-    reference = _brute_force(trace, config, [((p,), top) for p in params])
+    reference = _brute_force(trace, config,
+                             [((p,), w) for p in params for w in DEFAULT_WEIGHTS])
     moved = sum(p.time != reference.base_time for p in reference.points)
-    assert 0 < moved < len(params)
-    critical = _critical_sets(build_schedule(trace, config), config)
-    assert critical == {frozenset({"FRONTEND"}), frozenset({"p23"})}
-    settled = len(_settled_by_critical_sets(config, critical, 1))
     report = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
-    assert len(run_calls) == 1 + len(params) - settled + 3 * moved == 14
-    assert len(report.points) == len(params) * len(DEFAULT_WEIGHTS)
+    assert report == reference
+    assert len(run_calls) == 1 + moved == 9
+
+
+def test_subset_sweep_reruns_only_points_that_move(run_calls):
+    # the sweep is exact (test_settled_sweeps_equal_brute_force), so its own
+    # report says which points moved
+    trace, config = gen_jacobi_like(200)
+    subsets = power_subsets(accelerable_parameters(config), 3)
+    report = sweep_subsets(trace, config, subsets, 1.15, workers=1)
+    moved = sum(p.time != report.base_time for p in report.points)
+    assert len(report.points) == len(subsets) == 575
+    assert len(run_calls) == 1 + moved == 199
 
 
 @pytest.mark.parametrize("params, weights", [
@@ -272,7 +289,7 @@ def test_sweep_reruns_only_points_that_can_differ(run_calls):
     (["p1", "p0"], [2.0]),
 ], ids=["all-settle", "one-runs"])
 def test_no_pool_starts_for_at_most_one_run(monkeypatch, params, weights):
-    # on portblock only p1 and p6 ever alone set a start time
+    # on portblock the base run's path avoids p0, p2, p3 and p5, not p1
     import multiprocessing
 
     trace, config = gen_port_block()
@@ -291,12 +308,12 @@ def test_duplicate_points_run_once_and_keep_their_places(run_calls):
     report = sweep_subsets(trace, config, subsets, 2.0, workers=1)
     assert [p.parameters for p in report.points] == subsets
     assert report.points[1].time == report.points[2].time
-    # the base run, then the one maximal set {p0, p1}, which moved, then {p1}
+    # the base run, then one run each for {p1} and {p0, p1}, which both move
     assert len(run_calls) == 3
 
 
 def test_bad_weight_raises_even_where_its_point_would_settle():
-    # p0 never alone sets a start time, so both points would settle, but a
+    # the base run's path avoids p0, so both points would settle, but a
     # weight below 1 breaks the monotonicity that settling rests on
     trace, config = gen_port_block()
     with pytest.raises(ValueError, match="weight for 'p0'"):
