@@ -6,12 +6,13 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from itertools import islice
 
 from . import corpus
 from .engine import simulate
 from .machine import accelerable_parameters, apply_weights, dump_config, load_config
 from .report import (emit_heatmap, format_instruction_table, format_run_report,
-                     format_sensitivity, render_instruction_table, run_report_json)
+                     format_sensitivity, render_instruction_table, run_report_pieces)
 from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, SensitivityReport,
                           classify, power_subsets, sweep_single, sweep_subsets)
 from .trace import TraceError, _trace_lines, parse_trace
@@ -124,12 +125,13 @@ def _cmd_simulate(args) -> int:
     with _load_inputs(args) as (trace, config):
         result = simulate(trace, config)
     rows = render_instruction_table(result) if args.per_instruction else None
-    if args.report == "json":
-        sys.stdout.write(run_report_json(result, rows))
+    if args.report == "json":  # in blocks of pieces: one write per piece costs more
+        pieces = run_report_pieces(result, rows)
+        sys.stdout.writelines(iter(lambda: "".join(islice(pieces, 4096)), ""))
     else:
         sys.stdout.write(format_run_report(result))
         if rows:
-            sys.stdout.write("\n" + format_instruction_table(rows))
+            sys.stdout.writelines(("\n", format_instruction_table(rows)))
     return 0
 
 

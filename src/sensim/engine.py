@@ -44,7 +44,7 @@ from .machine import MachineConfig, accelerable_parameters
 from .trace import InstructionEvent, TraceError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PcStats:
     """Per-static-pc accounting over a trace; label, latency and resources
     are those of the pc's first event."""

@@ -10,6 +10,7 @@ concurrency levels.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import inf
@@ -59,8 +60,9 @@ def format_instruction_table(rows: list[Row]) -> str:
     """Fixed-width text rendering; percentages use one decimal, half-even."""
     columns = table_columns(rows)
     header = ("PC", "KIND", *columns, "LAT/RES")
+    percent = cache("{:.1f}%".format)  # shares take few distinct values
     body = [(f"0x{stats.pc:x}", stats.label or "-",
-             *[f"{shares.get(c, 0.0):.1f}%" for c in columns],
+             *[percent(shares.get(c, 0.0)) for c in columns],
              f"{stats.latency:g}/" + " ".join(stats.resources))
             for stats, shares in rows]
     widths = [max(map(len, cells)) for cells in zip(header, *body)]
@@ -99,30 +101,35 @@ _TABLE_ROW = ('{\n   "count": %d,\n   "kind": %s,\n   "latency": %s,\n   "pc": "
 
 def run_report_json(result: SimResult, instruction_rows: list[Row] | None = None) -> str:
     """The run report, its `per_pc` rows and any instruction rows, as json.dumps(
-    sort_keys=True, indent=1, separators=(",", ": ")) writes them.  A row's parts
-    are rendered once per distinct value: render_instruction_table's int uses
-    and shares >= +0.0 may key a memo."""
+    sort_keys=True, indent=1, separators=(",", ": ")) writes them."""
+    return "".join(run_report_pieces(result, instruction_rows))
+
+
+def run_report_pieces(result: SimResult, rows: list[Row] | None = None) -> Iterator[str]:
+    """run_report_json's text in order, each `per_pc` entry and instruction row
+    rendered when the consumer reaches it; every check that can fail runs in
+    this call.  A row's parts are rendered once per distinct value, which
+    render_instruction_table's int uses and shares >= +0.0 may key."""
     # JSON text holds no raw newline, so each section is indented as a whole
-    texts = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
-             for key, value in run_report(result).items()}
+    sections = {key: (f'"{key}": ' + json.dumps(value, sort_keys=True, indent=1).replace(
+        "\n", "\n "),) for key, value in run_report(result).items()}
     string = cache(encode_basestring_ascii)
-    names = cache(lambda resources: _container("[", [*map(string, resources)], "]", "\n   "))
-    uses = cache(lambda items: _container("{", [f"{string(k)}: {v!r}" for k, v in sorted(items)],
-                                          "}", "\n   "))
-    per_pc = [_PC_ROW % (key, s.count, string(s.label), _float_str(s.latency),
-                         names(s.resources), uses(tuple(s.resource_uses.items())))
-              for key, s in sorted((f"0x{pc:x}", s) for pc, s in result.per_pc.items())]
-    texts["per_pc"] = _container("{", per_pc, "}", "\n ")
-    if instruction_rows is not None:
-        shares = cache(lambda items: _container(
-            "{", [f"{string(k)}: {_float_str(round(v, 1))}" for k, v in sorted(items)],
-            "}", "\n   "))
-        table = [_TABLE_ROW % (s.count, string(s.label), _float_str(s.latency), s.pc,
-                               names(s.resources), shares(tuple(row_shares.items())))
-                 for s, row_shares in instruction_rows]
-        texts["instruction_table"] = _container("[", table, "]", "\n ")
-    return _container("{", [f"{string(key)}: {text}" for key, text in sorted(texts.items())],
-                      "}", "\n") + "\n"
+    names = cache(lambda rs: "".join(_container("[", [(string(r),) for r in rs], "]", "\n   ")))
+    uses = cache(lambda items: "".join(_container(
+        "{", [(f"{string(k)}: {v!r}",) for k, v in sorted(items)], "}", "\n   ")))
+    sections["per_pc"] = _container('"per_pc": {', (
+        (_PC_ROW % (key, s.count, string(s.label), _float_str(s.latency),
+                    names(s.resources), uses(tuple(s.resource_uses.items()))),)
+        for key, s in sorted((f"0x{pc:x}", s) for pc, s in result.per_pc.items())), "}", "\n ")
+    if rows is not None:
+        shares = cache(lambda items: "".join(_container(
+            "{", [(f"{string(k)}: {_float_str(round(v, 1))}",) for k, v in sorted(items)],
+            "}", "\n   ")))
+        sections["instruction_table"] = _container('"instruction_table": [', (
+            (_TABLE_ROW % (s.count, string(s.label), _float_str(s.latency), s.pc,
+                           names(s.resources), shares(tuple(row_shares.items()))),)
+            for s, row_shares in rows), "]", "\n ")
+    return _container("{", (pieces for _, pieces in sorted(sections.items())), "}\n", "\n")
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -133,12 +140,14 @@ def _float_str(value: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-def _container(opening: str, items: list[str], closing: str, newline: str) -> str:
-    """A list or object from its items' text; `newline` is a line break and its own indent."""
-    if not items:
-        return opening + closing
-    inner = newline + " "
-    return opening + inner + ("," + inner).join(items) + newline + closing
+def _container(opening: str, item_pieces: Iterable, closing: str, newline: str) -> Iterator[str]:
+    """A list or object in pieces; `newline` is a line break and its own indent."""
+    separator = opening + newline + " "
+    for pieces in item_pieces:
+        yield separator
+        yield from pieces
+        separator = "," + newline + " "
+    yield newline + closing if separator[0] == "," else opening + closing
 
 
 def format_run_report(result: SimResult) -> str:
@@ -165,9 +174,7 @@ def format_run_report(result: SimResult) -> str:
 
 
 def _fmt(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
-    return repr(value)
+    return str(int(value)) if value == int(value) else repr(value)
 
 
 def _escape(text: str) -> str:

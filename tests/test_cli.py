@@ -1,9 +1,14 @@
+import io
 import json
 import os
+import sys
 
 import pytest
 
+from sensim import corpus
 from sensim.cli import _default_workers, main
+from sensim.engine import simulate
+from sensim.report import render_instruction_table, run_report_json
 
 
 @pytest.fixture()
@@ -31,6 +36,26 @@ def test_simulate_json_report(port_block_files, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["total_cycles"] == 4.0
     assert doc["format_version"] == 1
+
+
+class _CountedWrites(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_streamed_json_report_is_the_joined_report(tmp_path, monkeypatch):
+    # 3,000 pcs give two rows each, too many pieces for one block
+    assert main(["gen-kernel", "chain", "--iters", "3000", "--out",
+                 str(tmp_path / "c.trace")]) == 0
+    monkeypatch.setattr(sys, "stdout", _CountedWrites())
+    assert main(["simulate", str(tmp_path / "c.trace"), "--config", str(tmp_path / "c.cfg"),
+                 "--report", "json", "--per-instruction"]) == 0
+    result = simulate(*corpus.generate("chain", iters=3000))
+    assert sys.stdout.getvalue() == run_report_json(result, render_instruction_table(result))
+    assert sys.stdout.writes > 1
 
 
 def test_simulate_table_with_per_instruction(port_block_files, capsys):
@@ -484,7 +509,9 @@ def test_overflowed_busy_time_exits_one(tmp_path, capsys):
     cfg = tmp_path / "b.cfg"
     cfg.write_text('{"resources": [{"name": "r", "gap": 1e308}], "window": 4}')
     assert main(["simulate", str(trace), "--config", str(cfg), "--report", "json"]) == 1
-    assert capsys.readouterr().err == "sensim: error: simulated time overflowed\n"
+    captured = capsys.readouterr()
+    assert captured.err == "sensim: error: simulated time overflowed\n"
+    assert captured.out == ""
 
 
 def _reject_constant(name):

@@ -1,16 +1,17 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sensim.corpus import gen_jacobi_like, gen_port_block
+from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block
 from sensim.engine import PcStats, SimResult, simulate
 from sensim.machine import MachineConfig, Resource
 from sensim.report import (emit_heatmap, format_instruction_table, format_run_report,
                            render_instruction_table, run_report, run_report_json,
-                           table_columns)
+                           run_report_pieces, table_columns)
 from sensim.sensitivity import SensitivityPoint, SensitivityReport, sweep_single
 from sensim.trace import InstructionEvent
 
@@ -220,6 +221,25 @@ def test_row_writer_matches_json_dumps(result):
         ref = _pre_change_document(result, given_rows)
         assert run_report_json(result, given_rows) == json.dumps(
             ref, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+
+
+def test_streamed_report_holds_a_fraction_of_itself():
+    # 10,000 pcs: each per_pc entry and table row is rendered when it is reached
+    result = simulate(*gen_latency_chain(10_000))
+    assert len(result.per_pc) == 10_000
+    rows = render_instruction_table(result)
+    for given_rows in (rows, None):
+        assert "".join(run_report_pieces(result, given_rows)) == run_report_json(
+            result, given_rows) == _reference_json(_pre_change_document(result, given_rows)) + "\n"
+    length = len(run_report_json(result, rows))
+    tracemalloc.start()
+    try:
+        for _ in run_report_pieces(result, rows):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 2
 
 
 def test_format_run_report_smoke():
