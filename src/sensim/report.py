@@ -60,7 +60,7 @@ def format_instruction_table(rows: list[Row]) -> str:
     """Fixed-width text rendering; percentages use one decimal, half-even."""
     columns = table_columns(rows)
     header = ("PC", "KIND", *columns, "LAT/RES")
-    percent = cache("{:.1f}%".format)  # shares take few distinct values
+    percent = cache("{:.1f}%".format)  # shares take few distinct values, none -0.0
     body = [(f"0x{stats.pc:x}", stats.label or "-",
              *[percent(shares.get(c, 0.0)) for c in columns],
              f"{stats.latency:g}/" + " ".join(stats.resources))
