@@ -21,9 +21,8 @@ from .trace import TraceError, _trace_lines, parse_trace
 def _default_workers() -> int:
     """CPUs this process may run on (its affinity mask, which cpuset limits
     narrow), at most 4."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(4, len(os.sched_getaffinity(0)))
-    return min(4, os.cpu_count() or 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, usable or 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,8 +63,8 @@ def _build_parser() -> _Parser:
     sens.add_argument("--heatmap", default=None, metavar="OUT.csv|OUT.svg",
                       help="write the (parameter, weight) grid to a file")
     sens.add_argument("--workers", type=int, default=_default_workers(),
-                      help="worker processes for the sweep fan-out (>= 1; "
-                           "default: usable CPUs, at most 4)")
+                      help="processes that run the sweep's points, the parent "
+                           "included (>= 1; default: usable CPUs, at most 4)")
 
     gen = sub.add_parser("gen-kernel", help="write a built-in kernel trace + config")
     gen.set_defaults(run=_cmd_gen_kernel)

@@ -258,10 +258,8 @@ class MachineConfig:
 
 def accelerable_parameters(config: MachineConfig) -> list[str]:
     """All names `apply_weights` accepts for this config, in report order."""
-    names = [r.name for r in config.resources]
-    names += [INST_LAT, INST_WINDOW]
-    names += [f"{l.name}{_THR_SUFFIX}" for l in config.cache_levels[1:]]
-    return names
+    return ([r.name for r in config.resources] + [INST_LAT, INST_WINDOW]
+            + [f"{l.name}{_THR_SUFFIX}" for l in config.cache_levels[1:]])
 
 
 def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineConfig:

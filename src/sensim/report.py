@@ -190,8 +190,7 @@ def _param_key(parameters: tuple[str, ...]) -> str:
 def heatmap_csv(report: SensitivityReport) -> str:
     """CSV rows parameter,weight,time,speedup sorted by (parameter, weight)."""
     lines = ["parameter,weight,time,speedup"]
-    points = sorted(report.points, key=lambda p: (_param_key(p.parameters), p.weight))
-    for p in points:
+    for p in sorted(report.points, key=lambda p: (_param_key(p.parameters), p.weight)):
         lines.append(f"{_param_key(p.parameters)},{_fmt(p.weight)},"
                      f"{_fmt(p.time)},{_fmt(p.speedup)}")
     return "\n".join(lines) + "\n"
@@ -234,11 +233,10 @@ def heatmap_svg(report: SensitivityReport) -> str:
             parts.append(f'<rect x="{x}" y="{y}" width="{cell_w - 4}" '
                          f'height="{cell_h - 2}" fill="{_RAMP[level]}" '
                          'stroke="#999" stroke-width="0.5"/>')
-        parts.append("</g>")
-        parts.append(f'<text x="{x}" y="{top + cell_h * len(weights) + 16}" '
-                     f'font-family="monospace" font-size="11" '
-                     f'transform="rotate(35 {x} {top + cell_h * len(weights) + 16})">'
-                     f"{_escape(key)}</text>")
+        parts += ["</g>", f'<text x="{x}" y="{top + cell_h * len(weights) + 16}" '
+                  f'font-family="monospace" font-size="11" '
+                  f'transform="rotate(35 {x} {top + cell_h * len(weights) + 16})">'
+                  f"{_escape(key)}</text>"]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

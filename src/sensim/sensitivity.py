@@ -4,9 +4,10 @@ and rank the resulting speedups to find bottlenecks.
 A parameter set accelerated by weight w that yields base/accelerated - 1
 above the threshold is a bottleneck.  Every rerun shares one precomputed
 schedule, so a sweep costs one structural pass plus at most one timing pass
-per (parameters, weight) point; points are independent and may run on worker
-processes, with results merged by key so output never depends on completion
-order.
+per (parameters, weight) point.  Points are independent: N processes, the
+parent included, run strided shares of them, each forked child inheriting
+the schedule, and results are merged by key, so output never depends on the
+process count or completion order.
 
 Most points of a sweep need no rerun.  The model is monotone: every piece
 of timing state (resource and cache-level availability, the window floor,
@@ -31,6 +32,7 @@ is settled too.  Every other point is rerun.
 
 from __future__ import annotations
 
+import marshal
 import os
 from dataclasses import dataclass, field
 from math import inf
@@ -76,34 +78,41 @@ def speedup(base: float, accelerated: float) -> float:
     return base / accelerated - 1
 
 
-_WORKER_STATE: tuple[Schedule, list[MachineConfig]] | None = None
-
-
-def _run_point(index: int) -> float:
-    schedule, configs = _WORKER_STATE
-    return run_schedule(schedule, configs[index]).total_cycles
-
-
 def _run_points(schedule: Schedule, configs: list[MachineConfig],
-                indices: list[int], workers: int | None) -> list[float]:
-    """The totals of the points at `indices`; no pool starts for one run."""
-    global _WORKER_STATE
-    _WORKER_STATE = (schedule, configs)
-    try:
-        if workers and workers > 1 and len(indices) > 1 and hasattr(os, "fork"):
-            # fork workers inherit the schedule and configs; only indices
-            # and totals cross the pipe
-            import multiprocessing
-            from concurrent import futures
+                indices: list[int], workers: int | None) -> dict[int, float]:
+    """The totals of the points at `indices`, keyed by index.  The parent
+    reruns the share of a child that fails and reaps every child on any path."""
+    def run(share: list[int]) -> list[float]:
+        return [run_schedule(schedule, configs[i]).total_cycles for i in share]
 
-            context = multiprocessing.get_context("fork")
-            with futures.ProcessPoolExecutor(
-                    max_workers=min(workers, len(indices)),
-                    mp_context=context) as pool:
-                return list(pool.map(_run_point, indices))
-        return [_run_point(i) for i in indices]
+    n = min(workers or 1, len(indices) or 1) if hasattr(os, "fork") else 1
+    shares = [indices[k::n] for k in range(n)]
+    children, replies = [], []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child exits 0 once its reply is written, else 1
+                try:
+                    os.write(write, marshal.dumps(run(share)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, read, share))
+        times = dict(zip(shares[0], run(shares[0])))
     finally:
-        _WORKER_STATE = None
+        for pid, read, share in children:
+            with open(read, "rb") as reply:
+                data = reply.read()
+            replies.append((share, data if os.waitpid(pid, 0)[1] == 0 else b""))
+    for share, data in replies:
+        try:
+            totals = marshal.loads(data)
+        except (EOFError, ValueError):
+            totals = ()
+        times.update(zip(share, totals if len(totals) == len(share) else run(share)))
+    return times
 
 
 def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
@@ -125,7 +134,7 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
     # every other point is at the base time at any weight
     live = [i for i, (params, _) in enumerate(index)
             if not params <= base.avoided and configs[i] != config]
-    times = dict(zip(live, _run_points(schedule, configs, live, workers)))
+    times = _run_points(schedule, configs, live, workers)
     points = []
     for (params, w), slot in zip(jobs, slots):
         t = times.get(slot, base.total_cycles)
@@ -157,14 +166,9 @@ def classify(report: SensitivityReport,
         raise ValueError("threshold must be a finite number >= 0")
     best: dict[tuple[str, ...], float] = {}
     for point in report.points:
-        cur = best.get(point.parameters)
-        if cur is None or point.speedup > cur:
-            best[point.parameters] = point.speedup
-    verdicts = [
-        BottleneckVerdict(parameters=params, speedup=s, is_bottleneck=s > threshold)
-        for params, s in best.items()]
-    verdicts.sort(key=lambda v: (-v.speedup, v.parameters))
-    return verdicts
+        best[point.parameters] = max(point.speedup, best.get(point.parameters, -inf))
+    return sorted((BottleneckVerdict(parameters=params, speedup=s, is_bottleneck=s > threshold)
+                   for params, s in best.items()), key=lambda v: (-v.speedup, v.parameters))
 
 
 def power_subsets(parameters: Sequence[str], max_size: int = 3) -> list[tuple[str, ...]]:

@@ -97,6 +97,25 @@ def test_cli_imports_no_heavy_module():
     assert heavy == []
 
 
+def test_sensitivity_command_loads_no_process_pool_module(tmp_path):
+    # the sweep forks its workers itself; a pool would cost its imports on
+    # every command
+    trace, config = tmp_path / "block.trace", tmp_path / "block.cfg"
+    code = ("import json, sys; from sensim.cli import main; "
+            f"main(['gen-kernel', 'portblock', '--out', {str(trace)!r}]); "
+            f"main(['sensitivity', {str(trace)!r}, '--config', {str(config)!r}, "
+            "'--workers', '2']); "
+            "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "p1                          3.37%  yes\n" in out  # the sweep ran
+    loaded = json.loads(out.splitlines()[-1])
+    assert "sensim.sensitivity" in loaded
+    assert [m for m in loaded
+            if m.split(".")[0] == "multiprocessing" or m.startswith("concurrent")] == []
+
+
 # the seed's size: the same model should never need more code than it had
 SEED_LINES = 2129
 

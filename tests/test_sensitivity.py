@@ -1,3 +1,5 @@
+import marshal
+import os
 import random
 from dataclasses import replace
 
@@ -189,7 +191,7 @@ def _reference_cases():
         yield f"rand{k}", (random_trace(rng, config, max_events=60), config)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])  # 3 gives uneven strided shares
 def test_settled_sweeps_equal_brute_force(workers):
     weights = (1.01, 1.05, 1.10, 1.15, 2.0, 1.0, 1e6)
     for name, (trace, config) in _reference_cases():
@@ -290,16 +292,65 @@ def test_subset_sweep_reruns_only_points_that_move(run_calls):
 ], ids=["all-settle", "one-runs"])
 def test_no_pool_starts_for_at_most_one_run(monkeypatch, params, weights):
     # on portblock the base run's path avoids p0, p2, p3 and p5, not p1
-    import multiprocessing
-
     trace, config = gen_port_block()
     serial = sweep_single(trace, config, params, weights, workers=1)
 
-    def no_pool(*args):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a process was started")
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(sensim.sensitivity.os, "fork", no_fork)
     assert sweep_single(trace, config, params, weights, workers=2) == serial
+
+
+class _ShortReplies:
+    """`marshal` as a child sees it when its reply is cut off."""
+
+    loads = staticmethod(marshal.loads)
+
+    @staticmethod
+    def dumps(totals):
+        return marshal.dumps(totals)[:-1]
+
+
+@pytest.mark.parametrize("failure", ["raises", "short-reply"])
+def test_a_failed_childs_share_reruns_in_the_parent(monkeypatch, run_calls, failure):
+    trace, config = gen_jacobi_like(200)
+    params = accelerable_parameters(config)
+    serial = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
+    del run_calls[:]
+    parent = os.getpid()
+    counting_run_schedule = sensim.sensitivity.run_schedule
+
+    def failing_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("a child failed")
+        return counting_run_schedule(*args, **kwargs)
+
+    if failure == "raises":
+        monkeypatch.setattr(sensim.sensitivity, "run_schedule", failing_in_a_child)
+    else:
+        monkeypatch.setattr(sensim.sensitivity, "marshal", _ShortReplies)
+    assert sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=3) == serial
+    # the parent ran the base run and every one of the 8 points that move:
+    # a child's calls are counted in the child's copy of the list
+    assert len(run_calls) == 9
+
+
+def test_a_failed_parent_share_raises_and_leaves_no_child(monkeypatch):
+    trace, config = gen_jacobi_like(200)
+    parent = os.getpid()
+
+    def failing_in_the_parent(schedule, run_config, *args):
+        if os.getpid() == parent and run_config != config:  # not the base run
+            raise RuntimeError("the parent's share failed")
+        return run_schedule(schedule, run_config, *args)
+
+    monkeypatch.setattr(sensim.sensitivity, "run_schedule", failing_in_the_parent)
+    with pytest.raises(RuntimeError, match="the parent's share failed"):
+        sweep_single(trace, config, accelerable_parameters(config), DEFAULT_WEIGHTS,
+                     workers=3)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_duplicate_points_run_once_and_keep_their_places(run_calls):
