@@ -154,8 +154,6 @@ def _cmd_sensitivity(args) -> int:
         weights = [float(w) for w in args.weights.split(",") if w.strip()]
         if not weights:
             raise ValueError("--weights names no weight")
-        if args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         if args.resources == "all":
             parameters = accelerable_parameters(config)
         else:

@@ -5,9 +5,9 @@ A parameter set accelerated by weight w that yields base/accelerated - 1
 above the threshold is a bottleneck.  Every rerun shares one precomputed
 schedule, so a sweep costs one structural pass plus at most one timing pass
 per (parameters, weight) point.  Points are independent: N processes, the
-parent included, run strided shares of them, each forked child inheriting
-the schedule, and results are merged by key, so output never depends on the
-process count or completion order.
+parent included, run strided shares of them, and forked children write their
+totals into one shared map by point; the parent runs any share no child
+finished, so output never depends on the process count or completion order.
 
 Most points of a sweep need no rerun.  The model is monotone: every piece
 of timing state (resource and cache-level availability, the window floor,
@@ -32,7 +32,7 @@ is settled too.  Every other point is rerun.
 
 from __future__ import annotations
 
-import marshal
+import mmap
 import os
 from dataclasses import dataclass, field
 from math import inf
@@ -79,65 +79,61 @@ def speedup(base: float, accelerated: float) -> float:
 
 
 def _run_points(schedule: Schedule, configs: list[MachineConfig],
-                indices: list[int], workers: int | None) -> dict[int, float]:
-    """The totals of the points at `indices`, keyed by index.  The parent
-    reruns the share of a child that fails and reaps every child on any path."""
-    def run(share: list[int]) -> list[float]:
-        return [run_schedule(schedule, configs[i]).total_cycles for i in share]
+                workers: int) -> list[float]:
+    """The totals of `configs`, in order.  Forked children write theirs into
+    one shared map of doubles by index, and the parent reads it only once it
+    has reaped every child.  A share runs in the parent if it is the parent's
+    own, if `os.fork` failed for it, or if its child did not exit 0."""
+    totals = memoryview(mmap.mmap(-1, 8 * (len(configs) or 1))).cast("d")
 
-    n = min(workers or 1, len(indices) or 1) if hasattr(os, "fork") else 1
-    shares = [indices[k::n] for k in range(n)]
-    children, replies = [], []
+    def run(share: range) -> None:
+        for i in share:
+            totals[i] = run_schedule(schedule, configs[i]).total_cycles
+
+    n = min(workers, len(configs) or 1) if hasattr(os, "fork") else 1
+    shares = [range(k, len(configs), n) for k in range(n)]
+    children, in_parent = [], []
     try:
         for share in shares[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child exits 0 once its reply is written, else 1
+            try:
+                pid = os.fork()
+            except OSError:
+                in_parent.append(share)
+                continue
+            if pid == 0:  # the child exits 0 once its totals are written, else 1
                 try:
-                    os.write(write, marshal.dumps(run(share)))
+                    run(share)
                     os._exit(0)
                 finally:
                     os._exit(1)
-            os.close(write)
-            children.append((pid, read, share))
-        times = dict(zip(shares[0], run(shares[0])))
+            children.append((pid, share))
+        run(shares[0])
     finally:
-        for pid, read, share in children:
-            with open(read, "rb") as reply:
-                data = reply.read()
-            replies.append((share, data if os.waitpid(pid, 0)[1] == 0 else b""))
-    for share, data in replies:
-        try:
-            totals = marshal.loads(data)
-        except (EOFError, ValueError):
-            totals = ()
-        times.update(zip(share, totals if len(totals) == len(share) else run(share)))
-    return times
+        in_parent += [share for pid, share in children if os.waitpid(pid, 0)[1]]
+    for share in in_parent:
+        run(share)
+    return totals.tolist()[:len(configs)]
 
 
 def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
            jobs: list[tuple[tuple[str, ...], float]],
            workers: int | None) -> SensitivityReport:
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     # one config per distinct point, built in job order so a bad name or
     # weight raises before the trace is read
-    index: dict[tuple[frozenset, float], int] = {}
-    configs = []
-    slots = []
-    for params, w in jobs:
-        key = (frozenset(params), w)
-        if key not in index:
-            index[key] = len(configs)
-            configs.append(apply_weights(config, dict.fromkeys(params, w)))
-        slots.append(index[key])
+    configs = {(frozenset(params), w): apply_weights(config, dict.fromkeys(params, w))
+               for params, w in jobs}
     schedule = build_schedule(trace, config)
     base = run_schedule(schedule, config)
     # every other point is at the base time at any weight
-    live = [i for i, (params, _) in enumerate(index)
-            if not params <= base.avoided and configs[i] != config]
-    times = _run_points(schedule, configs, live, workers)
+    live = [key for key, accelerated in configs.items()
+            if not key[0] <= base.avoided and accelerated != config]
+    times = dict(zip(live, _run_points(schedule, [configs[key] for key in live],
+                                       workers or 1)))
     points = []
-    for (params, w), slot in zip(jobs, slots):
-        t = times.get(slot, base.total_cycles)
+    for params, w in jobs:
+        t = times.get((frozenset(params), w), base.total_cycles)
         points.append(SensitivityPoint(parameters=params, weight=w, time=t,
                                        speedup=speedup(base.total_cycles, t)))
     return SensitivityReport(base_time=base.total_cycles, points=points)

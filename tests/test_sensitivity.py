@@ -1,6 +1,6 @@
-import marshal
 import os
 import random
+import signal
 from dataclasses import replace
 
 import pytest
@@ -191,16 +191,23 @@ def _reference_cases():
         yield f"rand{k}", (random_trace(rng, config, max_events=60), config)
 
 
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])  # 3 gives uneven strided shares
 def test_settled_sweeps_equal_brute_force(workers):
     weights = (1.01, 1.05, 1.10, 1.15, 2.0, 1.0, 1e6)
+    descriptors = _open_descriptors()
     for name, (trace, config) in _reference_cases():
         params = accelerable_parameters(config)
         single = sweep_single(trace, config, params, weights, workers=workers)
+        assert _open_descriptors() == descriptors, name
         assert single == _brute_force(
             trace, config, [((p,), w) for p in params for w in weights]), name
         subsets = power_subsets(params, 3)
         grouped = sweep_subsets(trace, config, subsets, 1.15, workers=workers)
+        assert _open_descriptors() == descriptors, name
         assert grouped == _brute_force(
             trace, config, [(s, 1.15) for s in subsets]), name
 
@@ -302,17 +309,7 @@ def test_no_pool_starts_for_at_most_one_run(monkeypatch, params, weights):
     assert sweep_single(trace, config, params, weights, workers=2) == serial
 
 
-class _ShortReplies:
-    """`marshal` as a child sees it when its reply is cut off."""
-
-    loads = staticmethod(marshal.loads)
-
-    @staticmethod
-    def dumps(totals):
-        return marshal.dumps(totals)[:-1]
-
-
-@pytest.mark.parametrize("failure", ["raises", "short-reply"])
+@pytest.mark.parametrize("failure", ["raises", "killed"])
 def test_a_failed_childs_share_reruns_in_the_parent(monkeypatch, run_calls, failure):
     trace, config = gen_jacobi_like(200)
     params = accelerable_parameters(config)
@@ -323,17 +320,52 @@ def test_a_failed_childs_share_reruns_in_the_parent(monkeypatch, run_calls, fail
 
     def failing_in_a_child(*args, **kwargs):
         if os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("a child failed")
         return counting_run_schedule(*args, **kwargs)
 
-    if failure == "raises":
-        monkeypatch.setattr(sensim.sensitivity, "run_schedule", failing_in_a_child)
-    else:
-        monkeypatch.setattr(sensim.sensitivity, "marshal", _ShortReplies)
+    monkeypatch.setattr(sensim.sensitivity, "run_schedule", failing_in_a_child)
     assert sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=3) == serial
     # the parent ran the base run and every one of the 8 points that move:
     # a child's calls are counted in the child's copy of the list
     assert len(run_calls) == 9
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_fork_runs_its_share_in_the_parent(monkeypatch):
+    trace, config = gen_jacobi_like(200)
+    params = accelerable_parameters(config)
+    serial = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
+    descriptors = _open_descriptors()
+    fork, forks = os.fork, []
+
+    def failing_second_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("out of processes")
+        return fork()
+
+    monkeypatch.setattr(sensim.sensitivity.os, "fork", failing_second_fork)
+    assert sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=3) == serial
+    assert len(forks) == 2
+    assert _open_descriptors() == descriptors
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_below_one_raise_before_the_trace_is_read():
+    def unread_trace():
+        raise AssertionError("the trace was read")
+        yield
+
+    _, config = gen_port_block()
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}$"):
+            sweep_single(unread_trace(), config, PORTS, [2.0], workers=workers)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}$"):
+            sweep_subsets(unread_trace(), config, [PORTS], 2.0, workers=workers)
 
 
 def test_a_failed_parent_share_raises_and_leaves_no_child(monkeypatch):
