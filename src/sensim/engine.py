@@ -13,11 +13,13 @@ Memory shadow has one key per block: the addresses between two cut points,
 where the cuts are every access's start and end and every line boundary
 inside an access.  Every read, write and fold covers whole blocks, so all
 bytes of a block always hold one value, and a block's key stands for them.
-Every time also carries a bit mask over `accelerable_parameters(config)`:
-the parameters that one dependency path reaching it avoids.  A max keeps the
-mask of the term that first reached it; a resource's gap clears that
-resource, a cache level's gap its `*_THR` and the window floor `INST_WINDOW`.
-`INST_LAT`'s bit is never set, since every path ends with a latency.
+Every window and shadow entry is one (time, mask) pair, the mask a bit set
+over `accelerable_parameters(config)`: the parameters one dependency path to
+that time avoids.  A max keeps the pair of the term first to reach it; a
+resource's gap clears that resource, a cache level's gap its `*_THR` and the
+window floor `INST_WINDOW`.  `INST_LAT`'s bit is never set, since every path
+ends with a latency.  Availability, rewritten at every use, keeps its masks
+in a parallel list.
 
 Two phases keep reruns cheap.  `build_schedule` resolves the trace once and
 computes everything timing-independent into a Schedule: the cache hit level
@@ -258,18 +260,17 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     not_window = every & ~(1 << n_res + 1)
     not_own = [every & ~(1 << rid) for rid in range(n_res)]
     level_masks = [every & ~(1 << n_res + 1 + i) for i in range(len(cache_gaps))]
+    # not paired: avail is rewritten at every use, and a pair per use cost a run 11-18 %
     avail_masks = [every] * n_res
 
-    window: deque[float] = deque()
+    window: deque[tuple[float, int]] = deque()  # (time, mask), as is each shadow
     window_pop = window.popleft
     window_add = window.append
-    window_masks: deque[int] = deque()  # the mask of each window entry
     t_min = total = 0.0
     floor_mask = total_mask = every
-    shadow_reg: dict[int, float] = {}
-    shadow_mem: dict[int, float] = {}
-    reg_masks: dict[int, int] = {}  # the mask of each shadow entry
-    mem_masks: dict[int, int] = {}
+    unset = (0.0, every)
+    shadow_reg: dict[int, tuple[float, int]] = {}
+    shadow_mem: dict[int, tuple[float, int]] = {}
     sr_get = shadow_reg.get
     sm_get = shadow_mem.get
     t_ends: list[float] | None = [] if record_event_times else None
@@ -277,23 +278,20 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     for (resources, latency, reg_reads, reg_writes, read_keys, write_keys,
          mem_ops, penalty) in schedule.steps:
         if len(window) == capacity:
-            evicted = window_pop()
-            evicted_mask = window_masks.popleft()
+            evicted, evicted_mask = window_pop()
             if evicted > t_min:
                 t_min = evicted
                 floor_mask = evicted_mask & not_window
         t = t_min
         mask = floor_mask
         for r in reg_reads:
-            v = sr_get(r, 0.0)
-            if v > t:
-                t = v
-                mask = reg_masks[r]
+            v = sr_get(r, unset)
+            if v[0] > t:
+                t, mask = v
         for k in read_keys:
-            v = sm_get(k, 0.0)
-            if v > t:
-                t = v
-                mask = mem_masks[k]
+            v = sm_get(k, unset)
+            if v[0] > t:
+                t, mask = v
         for end, fold_keys, is_load in mem_ops:
             # a positive wait is a sum of one level's gaps
             a = 0.0
@@ -304,20 +302,19 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
                     level = i
                 cache_avail[i] = v + cache_gaps[i]
             if a > 0.0:
-                a_mask = level_masks[level]
+                wait = (a, level_masks[level])
                 if is_load and a > t:
-                    t = a
-                    mask = a_mask
+                    t, mask = wait
                 for k in fold_keys:
-                    if sm_get(k, 0.0) < a:
-                        shadow_mem[k] = a
-                        mem_masks[k] = a_mask
+                    if sm_get(k, unset)[0] < a:
+                        shadow_mem[k] = wait
         for rid in resources:
             v = avail[rid]
             if v > t:
                 t = v
                 mask = avail_masks[rid]
         t_end = t + latency * lat_scale
+        done = (t_end, mask)
         for rid in resources:
             a = avail[rid]
             if a <= t_min:  # else a's mask is already clear of rid's bit
@@ -325,16 +322,13 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
                 avail_masks[rid] = floor_mask & not_own[rid]
             avail[rid] = a + gaps[rid]
         for r in reg_writes:
-            shadow_reg[r] = t_end
-            reg_masks[r] = mask
+            shadow_reg[r] = done
         for k in write_keys:
-            if sm_get(k, 0.0) < t_end:
-                shadow_mem[k] = t_end
-                mem_masks[k] = mask
+            if sm_get(k, unset)[0] < t_end:
+                shadow_mem[k] = done
         if penalty:
             avail[fe] += penalty
-        window_add(t_end)
-        window_masks.append(mask)
+        window_add(done)
         if t_end > total:
             total = t_end
             total_mask = mask

@@ -369,6 +369,8 @@ def _dumped(part, keys: dict[str, str], **given) -> dict:
 
 def dump_config(config: MachineConfig) -> str:
     """Serialize a configuration back to its JSON text form."""
+    if config.latency_scale != 1.0:
+        raise ConfigError(f"latency_scale {config.latency_scale} has no config key")
     b = config.branch
     doc = _dumped(
         config, _CONFIG_KEYS,

@@ -44,7 +44,7 @@ from .trace import InstructionEvent
 
 DEFAULT_WEIGHTS = (1.01, 1.05, 1.10, 1.15)
 DEFAULT_THRESHOLD = 0.01
-SUBSET_RUN_CAP = 1000
+SUBSET_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ def power_subsets(parameters: Sequence[str], max_size: int = 3) -> list[tuple[st
     for size in range(1, min(max_size, len(parameters)) + 1):
         for combo in combinations(parameters, size):
             out.append(combo)
-            if len(out) > SUBSET_RUN_CAP:
+            if len(out) > SUBSET_CAP:
                 raise ValueError(
-                    f"subset sweep would need more than {SUBSET_RUN_CAP} runs; "
+                    f"subset sweep would need more than {SUBSET_CAP} parameter sets; "
                     "give explicit subsets instead")
     return out

@@ -461,6 +461,19 @@ def test_nonpositive_workers_exits_one(port_block_files, capsys, workers):
     assert captured.out == ""
 
 
+def test_subsets_over_the_cap_exit_one(tmp_path, capsys):
+    # jacobi's 15 parameters make 1,940 sets up to size 4
+    trace = str(tmp_path / "jacobi.trace")
+    assert main(["gen-kernel", "jacobi", "--iters", "10", "--out", trace]) == 0
+    capsys.readouterr()
+    assert main(["sensitivity", trace, "--config", str(tmp_path / "jacobi.cfg"),
+                 "--subsets", "auto:4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("sensim: error: subset sweep would need more than 1000 "
+                            "parameter sets; give explicit subsets instead\n")
+    assert captured.out == ""
+
+
 def test_sensitivity_of_empty_trace_exits_one(tmp_path, port_block_files, capsys):
     # every point of an empty trace is settled at the base time without a
     # rerun, and each still goes through speedup(), which rejects a zero time

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sensim.corpus import gen_jacobi_like
 from sensim.machine import (INST_LAT, INST_WINDOW, BranchConfig, CacheLevelConfig, ConfigError,
                             InstructionKind, MachineConfig, Resource, accelerable_parameters,
                             apply_weights, builtin_config, dump_config, load_config)
@@ -90,6 +91,20 @@ def test_unknown_frontend_rejected():
 def test_dump_round_trip():
     cfg = load_config(builtin_config("skylake-like"))
     assert load_config(dump_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("param", ["p23", INST_WINDOW, "L2_THR"])
+def test_accelerated_config_round_trips(param):
+    config = apply_weights(gen_jacobi_like(10)[1], {param: 2.0})
+    assert load_config(dump_config(config)) == config
+
+
+def test_dump_rejects_a_latency_scale_it_cannot_write():
+    # no config key holds the scale, so a dump would load back at 1.0
+    config = apply_weights(gen_jacobi_like(10)[1], {INST_LAT: 2.0})
+    assert config.latency_scale == 0.5
+    with pytest.raises(ConfigError, match="latency_scale"):
+        dump_config(config)
 
 
 def test_accelerable_parameters_order():

@@ -269,6 +269,24 @@ def test_avoided_parameters_are_every_single_that_stays_at_base():
         assert base.avoided == at_base, name
 
 
+def test_a_tied_max_keeps_its_first_term(run_calls):
+    # p6 never moves portblock's total, yet the base run's path does not
+    # avoid it: where p6's term ties another, the max keeps the first, so
+    # p6's points rerun
+    trace, config = gen_port_block()
+    schedule = build_schedule(trace, config)
+    base = run_schedule(schedule, config)
+    assert base.avoided == {"p0", "p2", "p3", "p5"}
+    assert all(run_schedule(schedule, apply_weights(config, {"p6": w})).total_cycles
+               == base.total_cycles == 4.0 for w in (1.01, 1.15, 2.0, 1e6))
+    params = accelerable_parameters(config)
+    sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
+    assert len(run_calls) == 14
+    del run_calls[:]
+    sweep_subsets(trace, config, power_subsets(params, 3), 1.15, workers=1)
+    assert len(run_calls) == 79
+
+
 def test_sweep_reruns_only_points_that_can_differ(run_calls):
     # one base run, then one run per point that moves: the base run's path
     # avoids the parameters of every other point, or its config is the base's
