@@ -21,25 +21,16 @@ class Prediction:
     target: int | None
 
 
-def _fold(value: int, length: int, width: int) -> int:
-    """XOR-fold the low `length` bits of `value` into `width` bits."""
-    value &= (1 << length) - 1
-    out = 0
-    while value:
-        out ^= value & ((1 << width) - 1)
-        value >>= width
-    return out
-
-
 class PredictorState:
     """Mutable predictor state, private to one simulation run.
 
     The direction predictor keeps a bimodal base table of 2-bit counters and,
     per history length, a tagged table of (tag, 3-bit counter, useful bit)
     indexed by pc hashed with that slice of the global history.  The provider
-    is the longest-history tag hit; the base table answers otherwise.  The
-    history is folded once per update, for every table's index and tag, so a
-    lookup only hashes the pc into those folds.
+    is the longest-history tag hit; the base table answers otherwise.  Each
+    table's index fold and 12- and 11-bit tag folds of its history slice are
+    shift registers that every branch advances in O(1) (Seznec & Michaud,
+    JILP 2006), so a lookup only hashes the pc into them.
     """
 
     def __init__(self, config):
@@ -53,14 +44,12 @@ class PredictorState:
         self.useful = [[0] * n for _ in range(tables)]
         self._ghr_mask = (1 << config.history_lengths[-1]) - 1
         self.btb: list[list[tuple[int, int]]] = [[] for _ in range(config.btb_sets)]
-        self._set_history(0)
-
-    def _set_history(self, ghr: int) -> None:
-        self.ghr = ghr
-        bits = self.config.tage_entries_log2
-        self._folds = [(_fold(ghr, n, bits),
-                        _fold(ghr, n, _TAG_BITS) ^ (_fold(ghr, n, _TAG_BITS - 1) << 1))
-                       for n in self.config.history_lengths]
+        self.ghr = 0
+        # per fold: the history bit it drops, its width less one, its mask and
+        # the bit that the dropped outcome sits on after the rotation
+        self._registers = [(n - 1, w - 1, (1 << w) - 1, n % w) for n in config.history_lengths
+                           for w in (config.tage_entries_log2, _TAG_BITS, _TAG_BITS - 1)]
+        self._folds = [0] * len(self._registers)
 
     def _lookup(self, pc: int) -> tuple[list[tuple[int, int]], int | None, int | None, bool]:
         """The pc's (index, tag) in every tagged table; the provider and
@@ -68,8 +57,9 @@ class PredictorState:
         and the predicted direction."""
         hashed = pc ^ (pc >> self.config.tage_entries_log2)
         mask = self._mask
-        slots = [((hashed ^ f_index) & mask, (pc ^ f_tag) & _TAG_MASK)
-                 for f_index, f_tag in self._folds]
+        folds = iter(self._folds)
+        slots = [((hashed ^ f_index) & mask, (pc ^ f_tag ^ (f_tag11 << 1)) & _TAG_MASK)
+                 for f_index, f_tag, f_tag11 in zip(folds, folds, folds)]
         provider = alt = None
         for table in range(len(slots) - 1, -1, -1):
             idx, tag = slots[table]
@@ -96,7 +86,9 @@ class PredictorState:
     def update(self, pc: int, taken: bool, target: int) -> Prediction:
         """Train tables with the actual outcome; returns what `predict` gave before."""
         slots, provider, alt, predicted = self._lookup(pc)
-        prediction = Prediction(taken=predicted, target=self.btb_lookup(pc))
+        ways = self.btb[pc % self.config.btb_sets]
+        hit = next((i for i, (tag, _) in enumerate(ways) if tag == pc), None)
+        prediction = Prediction(taken=predicted, target=None if hit is None else ways[hit][1])
         base_idx = pc & self._mask
 
         if provider is not None:
@@ -125,14 +117,16 @@ class PredictorState:
                 for table in longer:
                     self.useful[table][slots[table][0]] = 0
 
-        self._set_history(((self.ghr << 1) | int(taken)) & self._ghr_mask)
+        # rotate each fold left by one, take the outcome in at bit 0 and drop
+        # the outcome `length` branches back, now at bit `length % width`
+        ghr, bit = self.ghr, int(taken)
+        self._folds = [((f << 1 | f >> high) & mask) ^ bit ^ ((ghr >> last & 1) << out)
+                       for f, (last, high, mask, out) in zip(self._folds, self._registers)]
+        self.ghr = (ghr << 1 | bit) & self._ghr_mask
 
         if target:
-            ways = self.btb[pc % self.config.btb_sets]
-            for i, (tag, _) in enumerate(ways):
-                if tag == pc:
-                    del ways[i]
-                    break
+            if hit is not None:
+                del ways[hit]
             ways.insert(0, (pc, target))
             del ways[self.config.btb_ways:]
         return prediction

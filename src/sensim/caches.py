@@ -40,7 +40,8 @@ def plru_touch(bits: int, associativity: int, way: int) -> int:
 
 class CacheLevelState:
     """Tag arrays, PLRU bits and hit/miss counters for one level; the memory
-    backstop has no sets (`n_sets == 0`) and always hits."""
+    backstop has no sets (`n_sets == 0`) and always hits.  `touch[w]` is the
+    (keep, set) mask pair that points every set's PLRU tree away from way w."""
 
     def __init__(self, config: CacheLevelConfig):
         self.name = config.name
@@ -53,27 +54,29 @@ class CacheLevelState:
             self.n_sets = config.total_size // (self.ways * self.line_size)
             self.sets: list[list[int | None]] = [[None] * self.ways for _ in range(self.n_sets)]
             self.plru = [0] * self.n_sets
+            full = (1 << (self.ways - 1)) - 1
+            self.touch = [(plru_touch(full, self.ways, w), plru_touch(0, self.ways, w))
+                          for w in range(self.ways)]
 
     def access(self, line: int) -> bool:
-        """Hit test in one scan of the set: a hit promotes the line's way; a
-        miss installs the line in the first free way, else the PLRU victim.
-        Ways fill in order and are never emptied, so the free ways are the
-        set's tail and the scan stops at the first one."""
+        """A hit promotes the line's way; a miss installs the line in the
+        first free way, else the PLRU victim.  Ways fill in order and are never
+        emptied, so the free ways are the set's tail and a set is full when its
+        last way is.  The set is searched by the list's C scans (`in`, `index`),
+        and the way's touch masks update the PLRU bits in one step."""
         if not self.n_sets:
             return True
         si = (line // self.line_size) % self.n_sets
         ways = self.sets[si]
-        for w, tag in enumerate(ways):
-            if tag == line:
-                self.plru[si] = plru_touch(self.plru[si], self.ways, w)
-                return True
-            if tag is None:
-                break
+        hit = line in ways
+        if hit:
+            w = ways.index(line)
         else:
-            w = plru_victim(self.plru[si], self.ways)
-        ways[w] = line
-        self.plru[si] = plru_touch(self.plru[si], self.ways, w)
-        return False
+            w = ways.index(None) if ways[-1] is None else plru_victim(self.plru[si], self.ways)
+            ways[w] = line
+        keep, put = self.touch[w]
+        self.plru[si] = self.plru[si] & keep | put
+        return hit
 
 
 class CacheHierarchy:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -203,11 +204,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a command's objects live until it ends and its cycles are few and fixed in
+    # number, so collecting frees nothing early; forked sweep workers inherit this
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"sensim: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

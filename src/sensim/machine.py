@@ -130,6 +130,8 @@ class CacheLevelConfig:
                 f"cache level {self.name!r}: size must divide into assoc x line sets")
         if self.total_size // self.line_size > 1 << 21:  # more may not fit in memory
             raise ConfigError(f"cache level {self.name!r}: at most {1 << 21} lines")
+        if self.associativity > 1 << 10:  # the PLRU touch masks grow with its square
+            raise ConfigError(f"cache level {self.name!r}: at most {1 << 10} ways")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -206,10 +207,19 @@ def _random_geometry(rng):
                                                             rng.randint(1, 5))))
 
 
+# the folds are shift registers that drop the bit `length` branches back at
+# bit `length % width`: lengths just below, at and just above multiples of the
+# widths (the default 10-bit index and the 12- and 11-bit tags), the longest
+# history, and the widest indexes
+_NEAR_MULTIPLES = sorted({m * w + d for w in (10, 11, 12) for m in (1, 2, 3) for d in (-1, 0, 1)})
+_EDGE_GEOMETRIES = [(10, _NEAR_MULTIPLES), (12, [11, 12, 13, 1000]), (16, [15, 16, 17, 4096])]
+
+
 def test_predictor_matches_reference_tage():
     rng = random.Random(41)
-    for _ in range(10):
-        config = _random_geometry(rng)
+    edges = [_loaded_branch(enabled=True, btb_sets=8, btb_ways=2, tage_entries_log2=bits,
+                            history_lengths=lengths) for bits, lengths in _EDGE_GEOMETRIES]
+    for config in itertools.chain((_random_geometry(rng) for _ in range(10)), edges):
         state = PredictorState(config)
         ref = RefTage(config.btb_sets, config.btb_ways, config.tage_entries_log2,
                       config.history_lengths)

@@ -185,8 +185,8 @@ def test_hierarchy_matches_reference_on_random_traces(seed):
     geoms = []
     total = 0
     for _ in range(rng.randint(1, 3)):
-        assoc = rng.choice((1, 2, 4, 8))
-        sets = rng.choice((2, 4, 8, 16))
+        assoc = rng.choice((1, 2, 4, 8, 16, 32, 1024))
+        sets = 1 if assoc == 1024 else rng.choice((2, 4, 8, 16))  # 1,024 ways: the limit
         size = sets * assoc * line
         while size <= total:
             sets *= 2
@@ -196,6 +196,6 @@ def test_hierarchy_matches_reference_on_random_traces(seed):
     h = CacheHierarchy(tuple(
         _level(size, assoc, line, name=f"C{i}") for i, (size, assoc, line) in enumerate(geoms)))
     ref = RefHierarchy(geoms)
-    for _ in range(1000):
+    for _ in range(3000):  # enough to fill a one-set 1,024-way level and evict from it
         addr = line * rng.randrange(4 * total // line)
         assert h.lookup_and_fill(addr) == ref.access(addr)

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 from sensim import corpus
 from sensim.cli import _default_workers, main
 from sensim.engine import simulate
+from sensim.machine import load_config
 from sensim.report import render_instruction_table, run_report_json
 
 
@@ -204,6 +206,40 @@ def test_missing_trace_exits_one(port_block_files, capsys):
     rc = main(["simulate", "missing.trace", "--config", cfg])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def collector():
+    """Leaves the cyclic collector as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def test_command_runs_with_the_collector_off_and_leaves_it_as_found(
+        port_block_files, monkeypatch, capsys, collector):
+    trace, cfg = port_block_files
+    seen = []
+    monkeypatch.setattr("sensim.cli.load_config",
+                        lambda text: (seen.append(gc.isenabled()), load_config(text))[1])
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        for path, rc in ((trace, 0), ("missing.trace", 1)):
+            assert main(["simulate", path, "--config", cfg]) == rc
+            assert gc.isenabled() is enabled
+    assert seen == [False] * 4
+
+
+def test_cyclic_garbage_of_a_command_does_not_grow_with_the_trace(tmp_path, capsys, collector):
+    gc.disable()
+    found = []
+    for iters in (20, 200):
+        out = str(tmp_path / f"j{iters}.trace")
+        assert main(["gen-kernel", "jacobi", "--iters", str(iters), "--out", out]) == 0
+        gc.collect()
+        assert main(["simulate", out, "--config", str(tmp_path / f"j{iters}.cfg")]) == 0
+        found.append(gc.collect())
+    assert found[0] == found[1]
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -76,6 +76,12 @@ def test_cache_at_the_line_limit_loads():
     assert load_config(_one_level(64 * 2**21, 8, 64)).cache_levels[0].total_size == 2**27
 
 
+def test_cache_at_the_way_limit_loads_and_over_it_is_rejected():
+    assert load_config(_one_level(64 * 1024, 1024, 64)).cache_levels[0].associativity == 1024
+    with pytest.raises(ConfigError, match="at most 1024 ways"):
+        load_config(_one_level(64 * 2048, 2048, 64))
+
+
 def test_kind_with_unknown_resource_rejected():
     with pytest.raises(ConfigError, match="unknown resource: 'p9'"):
         load_config('{"resources": [{"name": "p0", "gap": 1}], "window": 4,'
