@@ -146,7 +146,9 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     n_res = len(resource_names)
     key_memo: dict[tuple[int, int], tuple] = {}
     cuts: set[int] = set()
-    key_lists: list[list[int]] = []  # coarsened from bytes to blocks after the loop
+    # (start, end) pairs until the loop ends, then the cuts between them; the
+    # resolution is not idempotent, so each list is registered exactly once
+    key_lists: list[list[int]] = []
 
     def access_plan(accesses, pc_row, is_load):
         """Shadow keys of the accesses plus a (path_end, fold keys, is_load)
@@ -156,12 +158,12 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
             addr, size = acc.addr, acc.size
             memo = key_memo.get((addr, size))
             if memo is None:
-                keys = list(range(addr, addr + size))
+                keys = [addr, addr + size]
                 lines = line_accesses(addr, size, line_size)
                 if len(lines) == 1:  # the line's fold covers the whole access
                     per_line = ((lines[0], keys),)
                 else:
-                    per_line = tuple((line, keys[max(line - addr, 0):line + line_size - addr])
+                    per_line = tuple((line, [max(line, addr), min(line + line_size, addr + size)])
                                      for line in lines)
                     key_lists.extend(k for _, k in per_line)
                 key_lists.append(keys)
@@ -193,8 +195,9 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         resources, latency, label, names = sem
 
         entry = pcs.get(event.pc)
-        if entry is None:
-            entry = pcs[event.pc] = (label, latency, names, [0] * (len(columns) + 1))
+        if entry is None:  # the memo merges -0.0 with 0.0: keep the record's own zero
+            own = latency if latency or event.latency is None else event.latency
+            entry = pcs[event.pc] = (label, own, names, [0] * (len(columns) + 1))
         pc_row = entry[3]
         pc_row[-1] += 1
         for rid in resources:
@@ -218,8 +221,11 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         steps.append((resources, latency, event.reg_reads, event.reg_writes,
                       read_keys, write_keys, loads + stores, penalty))
 
+    order = sorted(cuts)
+    at = {cut: i for i, cut in enumerate(order)}
     for keys in key_lists:  # in place: every step sharing a list sees its blocks
-        keys[:] = filter(cuts.__contains__, keys)
+        bounds = iter(keys)
+        keys[:] = [k for start, end in zip(bounds, bounds) for k in order[at[start]:at[end]]]
     levels = hierarchy.levels
     return Schedule(
         steps=steps,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from math import inf
 
 from .engine import PcStats, SimResult
@@ -108,36 +107,29 @@ def run_report_json(result: SimResult, instruction_rows: list[Row] | None = None
 def run_report_pieces(result: SimResult, rows: list[Row] | None = None) -> Iterator[str]:
     """run_report_json's text in order, each `per_pc` entry and instruction row
     rendered when the consumer reaches it; every check that can fail runs in
-    this call.  A row's parts are rendered once per distinct value, which
-    render_instruction_table's int uses and shares >= +0.0 may key."""
-    # JSON text holds no raw newline, so each section is indented as a whole
-    sections = {key: (f'"{key}": ' + json.dumps(value, sort_keys=True, indent=1).replace(
-        "\n", "\n "),) for key, value in run_report(result).items()}
-    string = cache(encode_basestring_ascii)
-    names = cache(lambda rs: "".join(_container("[", [(string(r),) for r in rs], "]", "\n   ")))
-    uses = cache(lambda items: "".join(_container(
-        "{", [(f"{string(k)}: {v!r}",) for k, v in sorted(items)], "}", "\n   ")))
+    this call.  A row's label, resources, uses and shares are rendered once per
+    distinct value, which render_instruction_table's int uses and shares >= +0.0
+    may key.  Latencies are not: records and kinds accept -0.0, which a cache
+    would merge with 0.0, and reject non-finite ones, so float.__repr__ is
+    json.dumps's text for them."""
+    def dumps(value, indent: str = "   ") -> str:  # JSON text holds no raw newline
+        return json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + indent)
+
+    sections = {key: (f'"{key}": ' + dumps(value, " "),)
+                for key, value in run_report(result).items()}
+    text = cache(dumps)  # a label, or a resources tuple as an array
+    uses = cache(lambda items: dumps(dict(items)))
     sections["per_pc"] = _container('"per_pc": {', (
-        (_PC_ROW % (key, s.count, string(s.label), _float_str(s.latency),
-                    names(s.resources), uses(tuple(s.resource_uses.items()))),)
+        (_PC_ROW % (key, s.count, text(s.label), float.__repr__(s.latency),
+                    text(s.resources), uses(tuple(s.resource_uses.items()))),)
         for key, s in sorted((f"0x{pc:x}", s) for pc, s in result.per_pc.items())), "}", "\n ")
     if rows is not None:
-        shares = cache(lambda items: "".join(_container(
-            "{", [(f"{string(k)}: {_float_str(round(v, 1))}",) for k, v in sorted(items)],
-            "}", "\n   ")))
+        shares = cache(lambda items: dumps({k: round(v, 1) for k, v in items}))
         sections["instruction_table"] = _container('"instruction_table": [', (
-            (_TABLE_ROW % (s.count, string(s.label), _float_str(s.latency), s.pc,
-                           names(s.resources), shares(tuple(row_shares.items()))),)
+            (_TABLE_ROW % (s.count, text(s.label), float.__repr__(s.latency), s.pc,
+                           text(s.resources), shares(tuple(row_shares.items()))),)
             for s, row_shares in rows), "]", "\n ")
     return _container("{", (pieces for _, pieces in sorted(sections.items())), "}\n", "\n")
-
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_str(value: float) -> str:
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
 
 
 def _container(opening: str, item_pieces: Iterable, closing: str, newline: str) -> Iterator[str]:

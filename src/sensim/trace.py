@@ -16,8 +16,8 @@ from typing import Iterable, Iterator
 
 ADDRESS_BITS = 64
 _ADDRESS_LIMIT = 1 << ADDRESS_BITS
-# the schedule build lists a distinct range's bytes before it merges them into
-# shadow blocks; a longer range is split over list entries
+# bounds a record's line lookups, fold lists and shadow keys; a longer range is
+# split over list entries
 MAX_ACCESS_BYTES = 4096
 
 BRANCH_KINDS = ("none", "conditional", "direct", "indirect")

@@ -123,8 +123,9 @@ class RefTage:
     Written from the branch unit's description: a bimodal base table of 2-bit
     counters, and one tagged table of (12-bit tag, 3-bit counter, useful bit)
     per history length, indexed by the pc hashed with that many of the latest
-    outcomes.  The history is kept as a list of outcomes and re-folded bit by
-    bit on every lookup.  The BTB is a list of sets, most recent entry first.
+    outcomes.  The history is kept as an int of outcomes, the newest at bit 0,
+    and every lookup re-folds its slice from scratch by XORing width-bit
+    chunks.  The BTB is a list of sets, most recent entry first.
     """
 
     TAG_BITS = 12
@@ -140,15 +141,16 @@ class RefTage:
         self.tags = [[-1] * self.n for _ in self.lengths]
         self.ctrs = [[0] * self.n for _ in self.lengths]
         self.useful = [[0] * self.n for _ in self.lengths]
-        self.outcomes: list[bool] = []  # oldest first
+        self.history = 0  # outcome i branches back at bit i
         self.btb: list[list[tuple[int, int]]] = [[] for _ in range(btb_sets)]
 
     def fold(self, length: int, width: int) -> int:
         """The outcome i branches back lands on bit i mod width, XORed in."""
         out = 0
-        for i in range(min(length, len(self.outcomes))):
-            if self.outcomes[-1 - i]:
-                out ^= 1 << (i % width)
+        history = self.history & ((1 << length) - 1)
+        while history:
+            out ^= history & ((1 << width) - 1)
+            history >>= width
         return out
 
     def slot(self, pc: int, table: int) -> tuple[int, int]:
@@ -210,8 +212,7 @@ class RefTage:
                 for t in longer:
                     self.useful[t][self.slot(pc, t)[0]] = 0
 
-        self.outcomes.append(taken)
-        del self.outcomes[:-self.lengths[-1]]
+        self.history = (self.history << 1 | taken) & ((1 << self.lengths[-1]) - 1)
 
         if target != 0:
             entries = [e for e in self.btb[pc % self.btb_sets] if e[0] != pc]

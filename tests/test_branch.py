@@ -209,10 +209,12 @@ def _random_geometry(rng):
 
 # the folds are shift registers that drop the bit `length` branches back at
 # bit `length % width`: lengths just below, at and just above multiples of the
-# widths (the default 10-bit index and the 12- and 11-bit tags), the longest
-# history, and the widest indexes
+# widths (the default 10-bit index and the 12- and 11-bit tags), the widest
+# indexes, and the longest history, alone so that every misprediction without
+# a tag hit allocates into it
 _NEAR_MULTIPLES = sorted({m * w + d for w in (10, 11, 12) for m in (1, 2, 3) for d in (-1, 0, 1)})
-_EDGE_GEOMETRIES = [(10, _NEAR_MULTIPLES), (12, [11, 12, 13, 1000]), (16, [15, 16, 17, 4096])]
+_EDGE_GEOMETRIES = [(10, _NEAR_MULTIPLES), (12, [11, 12, 13, 1000]), (16, [15, 16, 17]),
+                    (16, [4096])]
 
 
 def test_predictor_matches_reference_tage():
@@ -229,7 +231,8 @@ def test_predictor_matches_reference_tage():
         # inserted into the BTB
         pcs = [rng.randrange(1 << 16) for _ in range(rng.randint(2, 8))]
         periods = {pc: rng.randint(1, 6) for pc in pcs}
-        for step in range(1200):
+        # the 4,096-bit history drops its first outcome at branch 4,097
+        for step in range(5000 if 4096 in config.history_lengths else 1200):
             pc = pcs[step % len(pcs)] if rng.random() < 0.8 else rng.choice(pcs)
             if periods[pc] > 3:
                 taken = rng.random() < 0.5

@@ -60,6 +60,21 @@ def test_streamed_json_report_is_the_joined_report(tmp_path, monkeypatch):
     assert sys.stdout.writes > 1
 
 
+def test_signed_zero_latencies_keep_their_signs(tmp_path, capsys):
+    # the two records bind alike, and -0.0 == 0.0, yet json.dumps tells them apart
+    trace, cfg = _files_with(tmp_path, record='{"pc":0,"resources":["p0"],"latency":-0.0}\n'
+                                              '{"pc":4,"resources":["p0"],"latency":0.0}')
+    capsys.readouterr()
+    assert main(["simulate", trace, "--config", cfg, "--report", "json",
+                 "--per-instruction"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[1] for line in out.splitlines() if '"latency"' in line] == [
+        "-0.0,", "0.0,", "-0.0,", "0.0,"]  # table rows, then per_pc entries
+    doc = json.loads(out)
+    assert [row["pc"] for row in doc["instruction_table"]] == ["0x0", "0x4"]
+    assert list(doc["per_pc"]) == ["0x0", "0x4"]
+
+
 def test_simulate_table_with_per_instruction(port_block_files, capsys):
     trace, cfg = port_block_files
     capsys.readouterr()

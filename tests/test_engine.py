@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from sensim.caches import line_accesses
 from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule, simulate
 from sensim.machine import (INST_LAT, BranchConfig, CacheLevelConfig, MachineConfig, Resource,
-                            accelerable_parameters, apply_weights)
+                            accelerable_parameters, apply_weights, builtin_config, load_config)
 from sensim.report import run_report
 from sensim.trace import BranchInfo, InstructionEvent, MemAccess
 
@@ -451,15 +452,37 @@ def test_shadow_keys_are_the_blocks_no_access_splits():
     assert accesses == 360
 
     # [0,8) and [4,12) cut each other at 4 and 8; [124,132) is cut at the
-    # line boundary 128, and each of its lines folds into its own block
+    # line boundary 128, and each of its lines folds into its own block.
+    # [200,350) spans three lines, and the later step reading [310,330) and
+    # [315,325), which overlap across the line boundary 320, cuts the folds
+    # of its last two lines; that step's lines are already in L1, so it has no op
     levels = (CacheLevelConfig("L1", gap=1.0, total_size=1024, associativity=2, line_size=64),
               CacheLevelConfig("MEM", gap=2.0))
     config = _one_port_config(cache_levels=levels)
     loads = [(MemAccess(0, 8),), (MemAccess(4, 8),), (MemAccess(124, 8),),
-             (MemAccess(0, 8), MemAccess(4, 8))]
+             (MemAccess(0, 8), MemAccess(4, 8)), (MemAccess(200, 150),),
+             (MemAccess(310, 20), MemAccess(315, 10))]
     events = [InstructionEvent(pc=4 * i, resources=(), latency=1.0, mem_reads=reads)
               for i, reads in enumerate(loads)]
     steps = build_schedule(events, config).steps
-    assert [step[4] for step in steps] == [[0, 4], [4, 8], [124, 128], [0, 4, 4, 8]]
-    assert [step[6] for step in steps] == [((1, [0, 4], True),), (),
-                                           ((1, [124], True), (1, [128], True)), ()]
+    assert [step[4] for step in steps] == [
+        [0, 4], [4, 8], [124, 128], [0, 4, 4, 8], [200, 256, 310, 315, 320, 325, 330],
+        [310, 315, 320, 325, 315, 320]]
+    assert [step[6] for step in steps] == [
+        ((1, [0, 4], True),), (), ((1, [124], True), (1, [128], True)), (),
+        ((1, [200], True), (1, [256, 310, 315], True), (1, [320, 325, 330], True)), ()]
+
+
+def test_schedule_build_memory_does_not_grow_with_range_bytes():
+    # 200 loads of distinct 4,096-byte ranges: a range's keys are its blocks,
+    # so the build holds no entry per byte
+    config = load_config(builtin_config("skylake-like"))
+    events = [InstructionEvent(pc=4 * i, kind="mov-load", mem_reads=(MemAccess(4099 * i, 4096),))
+              for i in range(200)]
+    tracemalloc.start()
+    try:
+        build_schedule(events, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -191,6 +191,9 @@ def _result(total_cycles, per_pc):
 
 
 _ONE_PC = {0x9: PcStats(0x9, 'a"\\', 2, 1.5, ("p0",), {"p0": 2})}
+# equal latencies that print differently, in both orders
+_SIGNED_ZEROS = {pc: PcStats(pc, "", 1, latency, ("p0",), {"p0": 1})
+                 for pc, latency in ((0x1, -0.0), (0x2, 0.0), (0x3, -0.0))}
 
 
 @st.composite
@@ -201,7 +204,7 @@ def _results(draw):
         pc=pc, label=draw(st.sampled_from(["", "vaddsd-load", 'a"b', "c\\d", "\x00\x1f",
                                           "\u00e9\u2028\U0001f600"]) | st.text(max_size=3)),
         count=draw(st.integers(1, 10**6)),
-        latency=draw(st.sampled_from([0.0, 5e-324, 1.5, 1e16])),
+        latency=draw(st.sampled_from([0.0, -0.0, 5e-324, 1.5, 1e16])),
         resources=tuple(draw(st.lists(st.sampled_from(_COLUMNS), max_size=3))),
         resource_uses=draw(st.dictionaries(st.sampled_from(_COLUMNS), st.integers(1, 10**6),
                                            max_size=4)))
@@ -214,6 +217,7 @@ def _results(draw):
 @example(_result(0.0, {}))
 @example(_result(0.0, _ONE_PC))
 @example(_result(4.0, {}))
+@example(_result(4.0, _SIGNED_ZEROS))
 def test_row_writer_matches_json_dumps(result):
     rows = render_instruction_table(result)
     assert (rows == []) == (result.total_cycles == 0 or not result.per_pc)
