@@ -9,14 +9,13 @@ driven once per trace and its verdicts reused across accelerated reruns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _TAG_BITS = 12
 _TAG_MASK = (1 << _TAG_BITS) - 1
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     taken: bool
     target: int | None
 

@@ -36,18 +36,16 @@ simulated time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import inf
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .branch import PredictorState, misprediction_delay
 from .caches import CacheHierarchy, line_accesses
 from .machine import MachineConfig, accelerable_parameters
-from .trace import InstructionEvent, TraceError
+from .trace import InstructionEvent, MemAccess, TraceError
 
 
-@dataclass(frozen=True, slots=True)
-class PcStats:
+class PcStats(NamedTuple):
     """Per-static-pc accounting over a trace; label, latency and resources
     are those of the pc's first event."""
 
@@ -59,15 +57,13 @@ class PcStats:
     resource_uses: dict[str, int]
 
 
-@dataclass(frozen=True)
-class LevelCounters:
+class LevelCounters(NamedTuple):
     hits: int
     misses: int
     transfers: int
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """Counts, timing and the gap of every resource and cache level for one run.
 
     `resource_uses`, `per_pc` and `cache_stats` are the schedule's own
@@ -93,8 +89,7 @@ class SimResult:
 # where the key fields list the start address of each shadow block the
 # accesses cover, and mem_ops holds one (path_end, fold_keys, is_load) per
 # line access that crosses a level, loads first.
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Timing-independent digest of a trace resolved against a config: the
     steps the timing recurrence walks, plus every count no weight changes."""
 
@@ -144,7 +139,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     resource_names = tuple(r.name for r in config.resources)
     columns = resource_names + tuple(l.name for l in config.cache_levels)
     n_res = len(resource_names)
-    key_memo: dict[tuple[int, int], tuple] = {}
+    key_memo: dict[MemAccess, tuple] = {}
     cuts: set[int] = set()
     # (start, end) pairs until the loop ends, then the cuts between them; the
     # resolution is not idempotent, so each list is registered exactly once
@@ -155,9 +150,9 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         bandwidth op per line that crosses a level."""
         ops = []
         for acc in accesses:
-            addr, size = acc.addr, acc.size
-            memo = key_memo.get((addr, size))
+            memo = key_memo.get(acc)  # an access equals its (addr, size)
             if memo is None:
+                addr, size = acc
                 keys = [addr, addr + size]
                 lines = line_accesses(addr, size, line_size)
                 if len(lines) == 1:  # the line's fold covers the whole access
@@ -168,7 +163,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                     key_lists.extend(k for _, k in per_line)
                 key_lists.append(keys)
                 cuts.update(lines[1:], (addr, addr + size))
-                memo = key_memo[(addr, size)] = (keys, per_line)
+                memo = key_memo[acc] = (keys, per_line)
             for line, fold_keys in memo[1]:
                 end = min(hierarchy.lookup_and_fill(line), last_path)
                 if end >= 1:
@@ -177,7 +172,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                         pc_row[i] += 1
         if len(accesses) == 1:
             return memo[0], tuple(ops)
-        keys = [k for acc in accesses for k in key_memo[acc.addr, acc.size][0]]
+        keys = [k for acc in accesses for k in key_memo[acc][0]]
         key_lists.append(keys)
         return keys, tuple(ops)
 
@@ -187,38 +182,40 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     pcs: dict[int, tuple[str, float, tuple[str, ...], list[int]]] = {}
     steps = []
     predicted = mispredicted = 0
-    for event in events:
-        sem_key = (event.kind, event.resources, event.latency)
+    for event in events:  # unpacked once: a record's fields cost more read one by one
+        (pc, kind, inline_names, inline_latency, reg_reads, reg_writes, mem_reads, mem_writes,
+         branch) = event
+        sem_key = (kind, inline_names, inline_latency)
         sem = semantics_memo.get(sem_key)
         if sem is None:
             sem = semantics_memo[sem_key] = bind_semantics(event, config)
         resources, latency, label, names = sem
 
-        entry = pcs.get(event.pc)
+        entry = pcs.get(pc)
         if entry is None:  # the memo merges -0.0 with 0.0: keep the record's own zero
-            own = latency if latency or event.latency is None else event.latency
-            entry = pcs[event.pc] = (label, own, names, [0] * (len(columns) + 1))
+            own = latency if latency or inline_latency is None else inline_latency
+            entry = pcs[pc] = (label, own, names, [0] * (len(columns) + 1))
         pc_row = entry[3]
         pc_row[-1] += 1
         for rid in resources:
             pc_row[rid] += 1
 
         read_keys = loads = write_keys = stores = ()
-        if event.mem_reads:
-            read_keys, loads = access_plan(event.mem_reads, pc_row, True)
-        if event.mem_writes:
-            write_keys, stores = access_plan(event.mem_writes, pc_row, False)
+        if mem_reads:
+            read_keys, loads = access_plan(mem_reads, pc_row, True)
+        if mem_writes:
+            write_keys, stores = access_plan(mem_writes, pc_row, False)
 
         penalty = 0.0
-        if predictor is not None and event.branch.kind != "none":
-            branch = event.branch
-            prediction = predictor.update(event.pc, branch.taken, branch.target)
-            penalty = misprediction_delay(prediction, branch.taken, branch.target, config.branch)
+        if predictor is not None and branch.kind != "none":
+            _, taken, target = branch
+            prediction = predictor.update(pc, taken, target)
+            penalty = misprediction_delay(prediction, taken, target, config.branch)
             predicted += 1
             if penalty:
                 mispredicted += 1
 
-        steps.append((resources, latency, event.reg_reads, event.reg_writes,
+        steps.append((resources, latency, reg_reads, reg_writes,
                       read_keys, write_keys, loads + stores, penalty))
 
     order = sorted(cuts)
@@ -231,8 +228,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         steps=steps,
         resource_uses={name: sum(entry[3][i] for entry in pcs.values())
                        for i, name in enumerate(resource_names)},
-        per_pc={pc: PcStats(pc=pc, label=label, count=row[-1], latency=latency,
-                            resources=names,
+        per_pc={pc: PcStats(pc=pc, label=label, count=row[-1], latency=latency, resources=names,
                             resource_uses={c: n for c, n in zip(columns, row) if n})
                 for pc, (label, latency, names, row) in pcs.items()},
         # a line crosses level i (i >= 1) exactly when level i-1 missed it

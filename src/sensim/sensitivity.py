@@ -35,8 +35,9 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import inf
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .engine import Schedule, build_schedule, run_schedule
 from .machine import MachineConfig, apply_weights
@@ -47,8 +48,7 @@ DEFAULT_THRESHOLD = 0.01
 SUBSET_CAP = 1000
 
 
-@dataclass(frozen=True)
-class SensitivityPoint:
+class SensitivityPoint(NamedTuple):
     """Outcome of one rerun with `parameters` accelerated by `weight`."""
 
     parameters: tuple[str, ...]
@@ -64,8 +64,7 @@ class SensitivityReport:
     verdicts: list[BottleneckVerdict] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class BottleneckVerdict:
+class BottleneckVerdict(NamedTuple):
     parameters: tuple[str, ...]
     speedup: float
     is_bottleneck: bool
@@ -120,10 +119,15 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
            workers: int | None) -> SensitivityReport:
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    # one config per distinct point, built in job order so a bad name or
-    # weight raises before the trace is read
-    configs = {(frozenset(params), w): apply_weights(config, dict.fromkeys(params, w))
-               for params, w in jobs}
+    # one config per point, built in job order so a bad name or weight, or a
+    # repeated parameter or point, raises before the trace is read
+    configs = {}
+    for params, w in jobs:
+        key = (frozenset(params), w)
+        if len(key[0]) < len(params) or key in configs:
+            raise ValueError(f"{'+'.join(params)} at weight {w} " + (
+                "is swept twice" if key in configs else "names a parameter twice"))
+        configs[key] = apply_weights(config, dict.fromkeys(params, w))
     schedule = build_schedule(trace, config)
     base = run_schedule(schedule, config)
     # every other point is at the base time at any weight
@@ -169,8 +173,6 @@ def classify(report: SensitivityReport,
 
 def power_subsets(parameters: Sequence[str], max_size: int = 3) -> list[tuple[str, ...]]:
     """All non-empty parameter subsets up to `max_size`, capped in count."""
-    from itertools import combinations
-
     out: list[tuple[str, ...]] = []
     for size in range(1, min(max_size, len(parameters)) + 1):
         for combo in combinations(parameters, size):

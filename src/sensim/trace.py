@@ -10,7 +10,7 @@ machine.
 from __future__ import annotations
 
 import json
-from dataclasses import KW_ONLY, InitVar, dataclass, fields
+from collections import namedtuple
 from math import isfinite
 from typing import Iterable, Iterator
 
@@ -34,105 +34,110 @@ class TraceError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, slots=True)
-class MemAccess:
+class _Record(tuple):
+    """Base of the record types: the call, `_make` (namedtuple's own skips
+    `__new__`), `_replace`, copy and pickle all run the checking `__new__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class MemAccess(_Record, namedtuple("MemAccess", "addr size")):
     """One byte range touched by an instruction."""
 
-    addr: int
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.addr) is not int or type(self.size) is not int:
+    def __new__(cls, addr: int, size: int):
+        if type(addr) is not int or type(size) is not int:
             raise TraceError("memory access addr and size must be integers")
-        if self.size < 1:
+        if size < 1:
             raise TraceError("memory access size must be >= 1")
-        if self.size > MAX_ACCESS_BYTES:
-            raise TraceError(f"memory access size {self.size} is over {MAX_ACCESS_BYTES} bytes")
-        if self.addr < 0 or self.addr + self.size > _ADDRESS_LIMIT:
+        if size > MAX_ACCESS_BYTES:
+            raise TraceError(f"memory access size {size} is over {MAX_ACCESS_BYTES} bytes")
+        if addr < 0 or addr + size > _ADDRESS_LIMIT:
             raise TraceError(
-                f"access [{self.addr}, +{self.size}) leaves the {ADDRESS_BITS}-bit "
-                "address space")
+                f"access [{addr}, +{size}) leaves the {ADDRESS_BITS}-bit address space")
+        return tuple.__new__(cls, (addr, size))
 
 
-@dataclass(frozen=True, slots=True)
-class BranchInfo:
+class BranchInfo(_Record, namedtuple("BranchInfo", "kind taken target")):
     """A record's actual branch outcome; kind "none" for a non-branch."""
 
-    kind: str = "none"
-    taken: bool = False
-    target: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (type(self.kind) is not str or type(self.taken) is not bool
-                or type(self.target) is not int):
+    def __new__(cls, kind: str = "none", taken: bool = False, target: int = 0):
+        if type(kind) is not str or type(taken) is not bool or type(target) is not int:
             raise TraceError("branch kind must be a string, taken a boolean "
                              "and target an integer")
-        if self.kind not in BRANCH_KINDS:
-            raise TraceError(f"unknown branch kind {self.kind!r}")
-        if self.kind == "none" and (self.taken or self.target != 0):
+        if kind not in BRANCH_KINDS:
+            raise TraceError(f"unknown branch kind {kind!r}")
+        if kind == "none" and (taken or target != 0):
             raise TraceError("non-branch records cannot be taken or have a target")
-        if self.kind == "direct" and not self.taken:
+        if kind == "direct" and not taken:
             raise TraceError("direct branches are always taken")
+        return tuple.__new__(cls, (kind, taken, target))
 
 
-@dataclass(frozen=True, slots=True)
-class InstructionEvent:
+class InstructionEvent(_Record, namedtuple(
+        "InstructionEvent", "pc kind resources latency reg_reads reg_writes mem_reads "
+                            "mem_writes branch")):
     """One dynamic instruction occurrence.
 
     Construction checks every field's type and value, from a file or from
     Python, and raises a TraceError naming the first check that fails.  An
     integer latency is stored as a float.  `seq`, a record's position in a
-    trace file, is checked when given and then dropped: events that differ
-    only in position are equal."""
+    trace file, is keyword-only, checked when given and then dropped: events
+    that differ only in position are equal, and `event.seq` is None."""
 
-    pc: int
-    kind: str | None = None
-    resources: tuple[str, ...] | None = None
-    latency: float | None = None
-    reg_reads: tuple[int, ...] = ()
-    reg_writes: tuple[int, ...] = ()
-    mem_reads: tuple[MemAccess, ...] = ()
-    mem_writes: tuple[MemAccess, ...] = ()
-    branch: BranchInfo = BranchInfo()
-    _: KW_ONLY
-    seq: InitVar[int | None] = None
+    __slots__ = ()
+    seq = None
 
-    def __post_init__(self, seq):
+    def __new__(cls, pc: int, kind: str | None = None,
+                resources: tuple[str, ...] | None = None, latency: float | None = None,
+                reg_reads: tuple[int, ...] = (), reg_writes: tuple[int, ...] = (),
+                mem_reads: tuple[MemAccess, ...] = (), mem_writes: tuple[MemAccess, ...] = (),
+                branch: BranchInfo = BranchInfo(), *, seq: int | None = None):
         if seq is not None and (type(seq) is not int or seq < 0):
             raise TraceError("seq must be an integer >= 0")
-        if type(self.pc) is not int:
+        if type(pc) is not int:
             raise TraceError("pc is required and must be an integer")
-        if self.pc < 0:
+        if pc < 0:
             raise TraceError("pc must be >= 0")
-        if self.kind is not None and type(self.kind) is not str:
+        if kind is not None and type(kind) is not str:
             raise TraceError("kind must be a string")
-        if self.resources is not None:
-            _check_entries(self.resources, str, "resources")
-        _check_entries(self.reg_reads, int, "reg_reads")
-        _check_entries(self.reg_writes, int, "reg_writes")
-        _check_entries(self.mem_reads, MemAccess, "mem_reads")
-        _check_entries(self.mem_writes, MemAccess, "mem_writes")
-        if type(self.branch) is not BranchInfo:
+        if resources is not None:
+            _check_entries(resources, str, "resources")
+        _check_entries(reg_reads, int, "reg_reads")
+        _check_entries(reg_writes, int, "reg_writes")
+        _check_entries(mem_reads, MemAccess, "mem_reads")
+        _check_entries(mem_writes, MemAccess, "mem_writes")
+        if type(branch) is not BranchInfo:
             raise TraceError("branch must be a BranchInfo")
-        latency = self.latency
-        if (self.resources is None) != (latency is None):
+        if (resources is None) != (latency is None):
             raise TraceError("resources and latency must be given together")
         if latency is None:
-            if self.kind is None:
+            if kind is None:
                 raise TraceError("record needs a kind or inline resources+latency")
-            return
-        if type(latency) is not float:
-            if type(latency) is not int:
-                raise TraceError("latency must be a number")
-            try:
-                latency = float(latency)
-            except OverflowError:
-                raise TraceError("latency is out of range") from None
-            object.__setattr__(self, "latency", latency)
-        if not isfinite(latency):
-            raise TraceError(f"latency {latency} is not a finite number")
-        if latency < 0:
-            raise TraceError(f"latency {latency} is negative")
+        else:
+            if type(latency) is not float:
+                if type(latency) is not int:
+                    raise TraceError("latency must be a number")
+                try:
+                    latency = float(latency)
+                except OverflowError:
+                    raise TraceError("latency is out of range") from None
+            if not isfinite(latency):
+                raise TraceError(f"latency {latency} is not a finite number")
+            if latency < 0:
+                raise TraceError(f"latency {latency} is negative")
+        return tuple.__new__(cls, (pc, kind, resources, latency, reg_reads, reg_writes,
+                                   mem_reads, mem_writes, branch))
 
 
 def _check_entries(values, entry_type: type, name: str) -> None:
@@ -144,7 +149,7 @@ def _check_entries(values, entry_type: type, name: str) -> None:
 
 
 _ARRAY_FIELDS = ("resources", "reg_reads", "reg_writes", "mem_reads", "mem_writes")
-_RECORD_FIELDS = {f.name for f in fields(InstructionEvent)} | {"seq"}
+_RECORD_FIELDS = {*InstructionEvent._fields, "seq"}
 # lines parse_trace's memo holds before it is cleared; a loop body of up to
 # this many distinct records is parsed at most twice, and memory stays bounded
 _MEMO_LINES = 4096
@@ -165,9 +170,8 @@ def _parse_record(raw_line: str) -> tuple[InstructionEvent, int | None]:
         raise TraceError("invalid record: nested too deeply") from None
     if not isinstance(raw, dict):
         raise TraceError("record must be an object")
-    unknown = set(raw) - _RECORD_FIELDS
-    if unknown:
-        raise TraceError(f"unknown field {sorted(unknown)[0]!r}")
+    if not _RECORD_FIELDS.issuperset(raw):
+        raise TraceError(f"unknown field {sorted(set(raw) - _RECORD_FIELDS)[0]!r}")
     for name in _ARRAY_FIELDS:
         values = raw.get(name)
         if values is None:
@@ -245,12 +249,11 @@ def _trace_lines(events: Iterable[InstructionEvent]) -> Iterator[str]:
             if event.reg_writes:
                 record["reg_writes"] = event.reg_writes
             if event.mem_reads:
-                record["mem_reads"] = [{"addr": a.addr, "size": a.size} for a in event.mem_reads]
+                record["mem_reads"] = [a._asdict() for a in event.mem_reads]
             if event.mem_writes:
-                record["mem_writes"] = [{"addr": a.addr, "size": a.size} for a in event.mem_writes]
+                record["mem_writes"] = [a._asdict() for a in event.mem_writes]
             if event.branch.kind != "none":
-                record["branch"] = {"kind": event.branch.kind, "taken": event.branch.taken,
-                                    "target": event.branch.target}
+                record["branch"] = event.branch._asdict()
             if len(memo) == _MEMO_EVENTS:
                 memo.clear()
             known = memo[id(event)] = event, _encode_record(record) + "\n"

@@ -82,7 +82,7 @@ def memory_case(rng: random.Random, shape: str,
         accesses = [(MemAccess(rng.randrange(0, rng.choice((64, 4096)), 4),
                                rng.choice((1, 4, 8))),)
                     if rng.random() < p else () for p in (0.7, 0.4)]
-        trace.append(replace(event, mem_reads=accesses[0], mem_writes=accesses[1]))
+        trace.append(event._replace(mem_reads=accesses[0], mem_writes=accesses[1]))
     return trace, config
 
 
@@ -109,4 +109,4 @@ def block_case(rng: random.Random, shape: str,
                                         rng.randint(1, 24)))
         return tuple(picked)
 
-    return [replace(event, mem_reads=ranges(), mem_writes=ranges()) for event in trace], config
+    return [event._replace(mem_reads=ranges(), mem_writes=ranges()) for event in trace], config

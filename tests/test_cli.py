@@ -525,6 +525,27 @@ def test_subsets_over_the_cap_exit_one(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("options,message", [
+    (["--resources", "p0,p0", "--weights", "1.5"], "p0 at weight 1.5 is swept twice"),
+    (["--resources", "p0", "--weights", "1.5,1.5"], "p0 at weight 1.5 is swept twice"),
+    (["--subsets", "p0,p0"], "p0+p0 at weight 1.15 names a parameter twice"),
+    (["--subsets", "p0,INST_LAT;INST_LAT,p0"], "INST_LAT+p0 at weight 1.15 is swept twice"),
+], ids=["resource-twice", "weight-twice", "group-names-p0-twice", "one-set-twice"])
+def test_a_repeated_sweep_point_exits_one_and_removes_its_heatmap(tmp_path, capsys, options,
+                                                                  message):
+    trace = tmp_path / "c.trace"
+    assert main(["gen-kernel", "chain", "--iters", "5", "--out", str(trace)]) == 0
+    # a bad last record shows that the points are checked before the trace is read
+    with open(trace, "a", encoding="utf-8") as fh:
+        fh.write("not a record\n")
+    capsys.readouterr()
+    heatmap = tmp_path / "d.csv"
+    assert main(["sensitivity", str(trace), "--config", str(tmp_path / "c.cfg"),
+                 "--heatmap", str(heatmap), *options]) == 1
+    assert capsys.readouterr() == ("", f"sensim: error: {message}\n")
+    assert not heatmap.exists()
+
+
 def test_sensitivity_of_empty_trace_exits_one(tmp_path, port_block_files, capsys):
     # every point of an empty trace is settled at the base time without a
     # rerun, and each still goes through speedup(), which rejects a zero time

@@ -285,7 +285,7 @@ def _monotonicity_cases():
         for event in random_trace(rng, branchy, max_events=80):
             kind = rng.choice(("none", "none", "conditional", "direct", "indirect"))
             if kind != "none":
-                event = replace(event, branch=BranchInfo(
+                event = event._replace(branch=BranchInfo(
                     kind=kind, taken=kind != "conditional" or rng.random() < 0.6,
                     target=0x2000 + 4 * rng.randint(0, 3)))
             trace.append(event)
@@ -377,10 +377,10 @@ def _reference_cases():
                 acc = event.mem_reads[0]
                 way = config.cache_levels[0].total_size // config.cache_levels[0].associativity
                 evict = tuple(MemAccess(acc.addr + k * way, 1) for k in (1, 2))
-                event = replace(event, mem_writes=rng.choice(((), evict)) + event.mem_reads)
+                event = event._replace(mem_writes=rng.choice(((), evict)) + event.mem_reads)
             if config.branch.enabled and rng.random() < 0.4:
                 kind = rng.choice(("conditional", "direct", "indirect"))
-                event = replace(event, branch=BranchInfo(
+                event = event._replace(branch=BranchInfo(
                     kind=kind, taken=kind != "conditional" or rng.random() < 0.6,
                     target=0x2000 + 4 * rng.randint(0, 3)))
             trace.append(event)

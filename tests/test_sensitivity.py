@@ -403,14 +403,23 @@ def test_a_failed_parent_share_raises_and_leaves_no_child(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_duplicate_points_run_once_and_keep_their_places(run_calls):
-    trace, config = gen_port_block()
-    subsets = [("p1",), ("p1", "p0"), ("p0", "p1"), ("p1",)]
-    report = sweep_subsets(trace, config, subsets, 2.0, workers=1)
-    assert [p.parameters for p in report.points] == subsets
-    assert report.points[1].time == report.points[2].time
-    # the base run, then one run each for {p1} and {p0, p1}, which both move
-    assert len(run_calls) == 3
+def test_repeated_points_raise_before_the_trace_is_read(run_calls):
+    events, config = gen_port_block()
+    for sweep, message in [
+            (lambda trace: sweep_subsets(trace, config, [("p1",), ("p1", "p0"), ("p0", "p1")],
+                                         2.0),
+             "p0\\+p1 at weight 2.0 is swept twice"),
+            (lambda trace: sweep_subsets(trace, config, [("p1", "p0", "p1")], 2.0),
+             "p1\\+p0\\+p1 at weight 2.0 names a parameter twice"),
+            (lambda trace: sweep_single(trace, config, ["p0", "p1", "p0"], [2.0]),
+             "p0 at weight 2.0 is swept twice"),
+            (lambda trace: sweep_single(trace, config, ["p0"], [1.5, 2, 1.5]),
+             "p0 at weight 1.5 is swept twice")]:
+        trace = iter(events)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(trace)
+        assert next(trace) is events[0]  # not one record was read
+    assert run_calls == []
 
 
 def test_bad_weight_raises_even_where_its_point_would_settle():

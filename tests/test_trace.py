@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -125,6 +127,69 @@ def test_event_built_in_python_is_validated(fields, message):
     with pytest.raises(TraceError, match=message) as err:
         InstructionEvent(seq=0, **fields())
     assert err.value.line is None
+
+
+# Unchecked instances, forged past the checks with tuple.__new__, and the message
+# of the first check each fails: every way to build a record from one must raise.
+_FORGED = [
+    (MemAccess, (0, 0), "memory access size must be >= 1"),
+    (MemAccess, (2**64 - 4, 8), "leaves the 64-bit address space"),
+    (BranchInfo, ("direct", False, 4), "direct branches are always taken"),
+    (BranchInfo, ("none", 1, 0), "taken a boolean"),
+    (InstructionEvent, (-1, "x", None, None, (), (), (), (), BranchInfo()), "pc must be >= 0"),
+    (InstructionEvent, (0, "x", None, None, [1], (), (), (), BranchInfo()),
+     "reg_reads must be a tuple"),
+    (InstructionEvent, (0, None, ("p0",), float("inf"), (), (), (), (), BranchInfo()),
+     "latency inf is not a finite number"),
+    (InstructionEvent, (0, "x", None, None, (), (), ((0, 8),), (), BranchInfo()),
+     "mem_reads entries must be MemAccess values"),
+]
+_VALID = {MemAccess: MemAccess(0, 8), BranchInfo: BranchInfo(),
+          InstructionEvent: InstructionEvent(pc=0, kind="x")}
+_PATHS = {
+    "call": lambda cls, forged: cls(*forged),
+    "make": lambda cls, forged: cls._make(forged),
+    "replace": lambda cls, forged: _VALID[cls]._replace(**forged._asdict()),
+    "copy": lambda cls, forged: copy.copy(forged),
+    "deepcopy": lambda cls, forged: copy.deepcopy(forged),
+    **{f"pickle{protocol}": lambda cls, forged, protocol=protocol:
+       pickle.loads(pickle.dumps(forged, protocol))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+@pytest.mark.parametrize("path", _PATHS)
+@pytest.mark.parametrize("cls,fields,message", _FORGED)
+def test_every_construction_path_checks_the_fields(cls, fields, message, path):
+    forged = tuple.__new__(cls, fields)
+    with pytest.raises(TraceError, match=message):
+        _PATHS[path](cls, forged)
+
+
+@pytest.mark.parametrize("path", _PATHS)
+def test_every_construction_path_keeps_a_valid_record(path):
+    for cls, record in _VALID.items():
+        rebuilt = _PATHS[path](cls, record)
+        assert type(rebuilt) is cls and rebuilt == record
+
+
+@pytest.mark.parametrize("record", _VALID.values(), ids=lambda record: type(record).__name__)
+def test_records_are_immutable_tuples_without_a_dict(record):
+    assert not hasattr(record, "__dict__")
+    assert record == tuple(record)  # equal to a plain tuple of the same fields
+    for name in (*record._fields, "seq", "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+
+
+def test_seq_is_checked_but_not_stored():
+    with pytest.raises(TraceError, match="seq must be an integer >= 0"):
+        InstructionEvent(seq=-1, pc=0, kind="x")
+    event = InstructionEvent(seq=7, pc=0, kind="x")
+    assert event.seq is None and "seq" not in event._fields and len(event) == 9
+    assert event == InstructionEvent(pc=0, kind="x")
+    with pytest.raises(TypeError):  # keyword-only
+        InstructionEvent(0, "x", None, None, (), (), (), (), BranchInfo(), 7)
 
 
 def test_int_latency_is_stored_as_a_float():
@@ -328,7 +393,7 @@ _FIELDS = st.tuples(_SEMANTICS, st.fixed_dictionaries({
 def _build(value):
     if callable(value):
         return value()
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a MemAccess or BranchInfo, also tuples
         return type(value)(_build(v) for v in value)
     return value
 
