@@ -249,9 +249,9 @@ def _trace_lines(events: Iterable[InstructionEvent]) -> Iterator[str]:
             if event.reg_writes:
                 record["reg_writes"] = event.reg_writes
             if event.mem_reads:
-                record["mem_reads"] = [a._asdict() for a in event.mem_reads]
+                record["mem_reads"] = [{"addr": a, "size": s} for a, s in event.mem_reads]
             if event.mem_writes:
-                record["mem_writes"] = [a._asdict() for a in event.mem_writes]
+                record["mem_writes"] = [{"addr": a, "size": s} for a, s in event.mem_writes]
             if event.branch.kind != "none":
                 record["branch"] = event.branch._asdict()
             if len(memo) == _MEMO_EVENTS:

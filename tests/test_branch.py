@@ -212,9 +212,10 @@ def _random_geometry(rng):
 # widths (the default 10-bit index and the 12- and 11-bit tags), the widest
 # indexes, and the longest history.  The near multiples and the longest history
 # are each alone, so that every misprediction without a tag hit allocates into
-# their table: in one geometry, the 18 tables after the first three took none.
-# The wider geometries keep the places they had when the near multiples shared
-# one geometry, so they still draw the same branches.
+# their table; sharing one geometry, the near multiples past the first three
+# take no allocation.  Every geometry draws its branches from one seeded
+# stream, and in places two to four every table of the wider geometries but
+# length 17 takes allocations.
 _NEAR_MULTIPLES = sorted({m * w + d for w in (10, 11, 12) for m in (1, 2, 3) for d in (-1, 0, 1)})
 _EDGE_GEOMETRIES = [(10, _NEAR_MULTIPLES[:1]), (12, [11, 12, 13, 1000]), (16, [15, 16, 17]),
                     (16, [4096]), *((10, [length]) for length in _NEAR_MULTIPLES[1:])]
