@@ -105,29 +105,22 @@ def bind_semantics(event: InstructionEvent, config: MachineConfig
                    ) -> tuple[tuple[int, ...], float, str, tuple[str, ...]]:
     """Resource ids, latency, label and resource names for one event.
 
-    Inline resources+latency take precedence over the kind table; the
-    frontend resource, when configured, is appended once to the ids, not to
-    the names.  The result depends only on (kind, resources, latency), so
-    callers may memoize on that triple.
+    Inline resources+latency take precedence over the kind table.  An id is
+    an index in `config.resources`; the frontend resource, when configured,
+    is appended last to the ids, not to the names.  The result depends only
+    on (kind, resources, latency), so callers may memoize on that triple.
     """
-    if event.resources is not None:
-        names = event.resources
-        latency = event.latency
-        label = event.kind or ""
-    else:
-        kind = config.kinds.get(event.kind)
-        if kind is None:
-            raise TraceError(f"unknown instruction kind: {event.kind!r}")
-        names = kind.resources
-        latency = kind.latency
-        label = kind.name
+    source = event if event.resources is not None else config.kinds.get(event.kind)
+    if source is None:
+        raise TraceError(f"unknown instruction kind: {event.kind!r}")
+    ids = {r.name: i for i, r in enumerate(config.resources)}
     try:
-        ids = [config.resource_id(n) for n in names]
+        bound = [ids[name] for name in source.resources]
     except KeyError as exc:
         raise TraceError(f"unknown resource: {exc.args[0]!r}") from None
-    if config.frontend_id is not None:
-        ids.append(config.frontend_id)
-    return tuple(ids), latency, label, names
+    if config.frontend_resource is not None:
+        bound.append(ids[config.frontend_resource])
+    return tuple(bound), source.latency, event.kind or "", source.resources
 
 
 def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) -> Schedule:
@@ -254,7 +247,6 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     avail = [0.0] * len(gaps)
     lat_scale = config.latency_scale
     capacity = config.window_capacity
-    fe = config.frontend_id if config.frontend_id is not None else -1
     # mask bits: the resources, INST_LAT, INST_WINDOW, then each *_THR
     params = accelerable_parameters(config)
     n_res = len(gaps)
@@ -328,8 +320,8 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         for k in write_keys:
             if sm_get(k, unset)[0] < t_end:
                 shadow_mem[k] = done
-        if penalty:
-            avail[fe] += penalty
+        if penalty:  # only with the branch unit on, which needs the frontend: bound last
+            avail[resources[-1]] += penalty
         window_add(done)
         if t_end > total:
             total = t_end

@@ -198,7 +198,6 @@ class MachineConfig:
     latency_scale: float = 1.0
     cache_levels: tuple[CacheLevelConfig, ...] = ()
     branch: BranchConfig = field(default_factory=BranchConfig)
-    _by_name: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         _check_entries(self.resources, Resource, "resources")
@@ -211,8 +210,8 @@ class MachineConfig:
             raise ConfigError("branch must be a BranchConfig")
         if self.frontend_resource is not None and type(self.frontend_resource) is not str:
             raise ConfigError("frontend_resource must be a string")
-        object.__setattr__(self, "_by_name", {r.name: i for i, r in enumerate(self.resources)})
-        if len(self._by_name) != len(self.resources):
+        names = {r.name for r in self.resources}
+        if len(names) != len(self.resources):
             raise ConfigError("resource names must be unique")
         if type(self.window_capacity) is not int:
             raise ConfigError("window capacity must be an integer")
@@ -222,13 +221,13 @@ class MachineConfig:
             raise ConfigError("latency_scale must be finite and > 0")
         refs = [self.frontend_resource] if self.frontend_resource is not None else []
         for name in refs + [r for kind in self.kinds.values() for r in kind.resources]:
-            if name not in self._by_name:
+            if name not in names:
                 raise ConfigError(f"unknown resource: {name!r}")
         level_names = [l.name for l in self.cache_levels]
         if len(set(level_names)) != len(level_names):
             raise ConfigError("cache level names must be unique")
         for name in level_names:
-            if name in self._by_name:
+            if name in names:
                 raise ConfigError(f"cache level {name!r} collides with a resource name")
         if any(l.is_backstop for l in self.cache_levels[:-1]):
             raise ConfigError("only the last cache level may omit geometry")
@@ -239,16 +238,6 @@ class MachineConfig:
             raise ConfigError("all cache levels must share one line size")
         if self.branch.enabled and self.frontend_resource is None:
             raise ConfigError("branch modeling needs a frontend resource to stall")
-
-    def resource_id(self, name: str) -> int:
-        """The resource's index; a KeyError for a name the config lacks."""
-        return self._by_name[name]
-
-    @property
-    def frontend_id(self) -> int | None:
-        if self.frontend_resource is None:
-            return None
-        return self._by_name[self.frontend_resource]
 
     @property
     def line_size(self) -> int:

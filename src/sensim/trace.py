@@ -237,23 +237,24 @@ def _trace_lines(events: Iterable[InstructionEvent]) -> Iterator[str]:
     for event in events:
         known = memo.get(id(event))
         if known is None:
-            record: dict = {"pc": event.pc}
-            if event.kind is not None:
-                record["kind"] = event.kind
-            if event.resources is not None:
-                record["resources"] = event.resources
-            if event.latency is not None:
-                record["latency"] = event.latency
-            if event.reg_reads:
-                record["reg_reads"] = event.reg_reads
-            if event.reg_writes:
-                record["reg_writes"] = event.reg_writes
-            if event.mem_reads:
-                record["mem_reads"] = [{"addr": a, "size": s} for a, s in event.mem_reads]
-            if event.mem_writes:
-                record["mem_writes"] = [{"addr": a, "size": s} for a, s in event.mem_writes]
-            if event.branch.kind != "none":
-                record["branch"] = event.branch._asdict()
+            pc, kind, resources, latency, reg_reads, reg_writes, loads, stores, branch = event
+            record: dict = {"pc": pc}
+            if kind is not None:
+                record["kind"] = kind
+            if resources is not None:
+                record["resources"] = resources
+            if latency is not None:
+                record["latency"] = latency
+            if reg_reads:
+                record["reg_reads"] = reg_reads
+            if reg_writes:
+                record["reg_writes"] = reg_writes
+            if loads:
+                record["mem_reads"] = [{"addr": a, "size": s} for a, s in loads]
+            if stores:
+                record["mem_writes"] = [{"addr": a, "size": s} for a, s in stores]
+            if branch.kind != "none":
+                record["branch"] = dict(zip(branch._fields, branch))
             if len(memo) == _MEMO_EVENTS:
                 memo.clear()
             known = memo[id(event)] = event, _encode_record(record) + "\n"

@@ -215,10 +215,11 @@ def _random_geometry(rng):
 # their table; sharing one geometry, the near multiples past the first three
 # take no allocation.  Every geometry draws its branches from one seeded
 # stream, and in places two to four every table of the wider geometries but
-# length 17 takes allocations.
+# length 17 takes allocations, so length 17 also comes last, alone.
 _NEAR_MULTIPLES = sorted({m * w + d for w in (10, 11, 12) for m in (1, 2, 3) for d in (-1, 0, 1)})
 _EDGE_GEOMETRIES = [(10, _NEAR_MULTIPLES[:1]), (12, [11, 12, 13, 1000]), (16, [15, 16, 17]),
-                    (16, [4096]), *((10, [length]) for length in _NEAR_MULTIPLES[1:])]
+                    (16, [4096]), *((10, [length]) for length in _NEAR_MULTIPLES[1:]),
+                    (16, [17])]
 
 
 def test_predictor_matches_reference_tage():

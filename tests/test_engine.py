@@ -9,8 +9,9 @@ from randcases import MEMORY_SHAPES, block_case, memory_case, random_config, ran
 from sensim.caches import line_accesses
 from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule, simulate
-from sensim.machine import (INST_LAT, BranchConfig, CacheLevelConfig, MachineConfig, Resource,
-                            accelerable_parameters, apply_weights, builtin_config, load_config)
+from sensim.machine import (INST_LAT, INST_WINDOW, BranchConfig, CacheLevelConfig,
+                            MachineConfig, Resource, accelerable_parameters, apply_weights,
+                            builtin_config, load_config)
 from sensim.report import run_report
 from sensim.trace import BranchInfo, InstructionEvent, MemAccess
 
@@ -352,6 +353,60 @@ def test_shadow_memory_monotone_over_run():
     result = simulate(events, _one_port_config(), record_event_times=True)
     read_times = list(result.event_end_times)[1::2]
     assert read_times == sorted(read_times)
+
+
+_L1 = CacheLevelConfig("L1", 1.0, 64, 1, 64)  # one line: each new line evicts the last
+_L2 = CacheLevelConfig("L2", 1.0, 128, 1, 64)
+_MEM = CacheLevelConfig("MEM", 1.0)
+_A, _B = MemAccess(0, 8), MemAccess(64, 8)
+
+
+def _ev(*resources, latency=0.0, **fields):
+    return InstructionEvent(pc=0, resources=resources, latency=latency, **fields)
+
+
+def _through(resource, **writes):
+    """Two events: the second waits for the first's use of `resource`, so
+    what it writes is ready at that resource's gap by a path that uses it."""
+    return [_ev(resource), _ev(resource, **writes)]
+
+
+# one two-term tie per site of the timing loop, decided at the last event:
+# the events, p0's gap, the window, the cache levels and the parameters the
+# first term's path uses (INST_LAT aside)
+_TIES = {
+    # (1, not p0) is evicted first, then (1, every parameter) ties it
+    "window floor": ([*_through("p0"), _ev(latency=1.0), _ev(), _ev(latency=1.0)],
+                     1.0, 2, (), {"p0", INST_WINDOW}),
+    "register read": ([*_through("p0", reg_writes=(1,)), *_through("p1", reg_writes=(2,)),
+                       _ev(latency=1.0, reg_reads=(1, 2))], 1.0, 64, (), {"p0"}),
+    "memory read": ([*_through("p0", mem_writes=(_A,)), *_through("p1", mem_writes=(_B,)),
+                     _ev(latency=1.0, mem_reads=(_A, _B))], 1.0, 64, (), {"p0"}),
+    # after one line crossed both, L2 and MEM are each busy for one cycle
+    "cache level": ([_ev(mem_reads=(_A,)), _ev(latency=1.0, mem_reads=(_B,))],
+                    1.0, 64, (_L1, _L2, _MEM), {"L2_THR"}),
+    "load wait": ([*_through("p0", reg_writes=(1,)), _ev(mem_reads=(_A,)),
+                   _ev(latency=1.0, reg_reads=(1,), mem_reads=(_B,))],
+                  1.0, 64, (_L1, _MEM), {"p0"}),
+    # _A's store waits 2 cycles for p0, and the two misses before the second
+    # store to _A keep MEM busy as long
+    "fold": ([*_through("p0", mem_writes=(_A,)), _ev(mem_reads=(_B,)), _ev(mem_writes=(_A,)),
+              _ev(latency=1.0, mem_reads=(_A,))], 2.0, 64, (_L1, _MEM), {"p0"}),
+    "store": ([*_through("p0", mem_writes=(_A,)), *_through("p1", mem_writes=(_A,)),
+               _ev(latency=1.0, mem_reads=(_A,))], 1.0, 64, (), {"p0"}),
+}
+
+
+@pytest.mark.parametrize("site", list(_TIES))
+def test_each_tie_keeps_its_first_term(site):
+    # every tied term's mask is sound, so only `avoided` shows which one won
+    events, gap, window, levels, used = _TIES[site]
+    config = MachineConfig(resources=(Resource("p0", gap), Resource("p1", 1.0)),
+                           window_capacity=window, cache_levels=levels)
+    result = simulate(events, config, record_event_times=True)
+    *earlier, last = result.event_end_times
+    assert result.total_cycles == last > max(earlier)
+    assert result.avoided == set(accelerable_parameters(config)) - {INST_LAT, *used}
 
 
 def _reference_cases():

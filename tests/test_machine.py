@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from sensim import machine
 from sensim.corpus import gen_jacobi_like
 from sensim.machine import (INST_LAT, INST_WINDOW, BranchConfig, CacheLevelConfig, ConfigError,
                             InstructionKind, MachineConfig, Resource, accelerable_parameters,
@@ -25,7 +27,7 @@ def test_skylake_like_config_loads():
     for expected in ("p0156", "p016", "p015", "p01", "p06", "p056", "p23", "p4", "p1"):
         assert expected in names
     assert cfg.frontend_resource == "FRONTEND"
-    assert cfg.resources[cfg.frontend_id].gap == 0.25
+    assert {r.name: r.gap for r in cfg.resources}["FRONTEND"] == 0.25
     assert cfg.window_capacity == 224
     assert [l.name for l in cfg.cache_levels] == ["L1", "L2", "L3", "MEM"]
     assert cfg.cache_levels[-1].is_backstop
@@ -182,8 +184,15 @@ def test_apply_weights_commutes_on_disjoint_keys():
 def test_apply_weights_preserves_resource_ids():
     cfg = load_config(builtin_config("skylake-like"))
     out = apply_weights(cfg, {"p23": 2.0})
-    assert [out.resource_id(r.name) for r in cfg.resources] == list(range(len(cfg.resources)))
+    assert [r.gap for r in out.resources] == [r.gap / 2.0 if r.name == "p23" else r.gap
+                                              for r in cfg.resources]
     assert [r.name for r in out.resources] == [r.name for r in cfg.resources]
+
+
+def test_config_fields_are_its_keys_plus_latency_scale():
+    # no field a config file cannot set, other than the scale a weight derives
+    fields = {f.name for f in dataclasses.fields(MachineConfig)}
+    assert fields == {*machine._CONFIG_KEYS.values(), "latency_scale"}
 
 
 def test_apply_weights_rejects_bad_input():

@@ -311,6 +311,14 @@ def test_subset_sweep_reruns_only_points_that_move(run_calls):
     assert len(run_calls) == 1 + moved == 199
 
 
+def test_a_fanned_out_sweep_reruns_no_share_in_the_parent(run_calls):
+    # a child's calls are counted in the child's copy of the list: the parent
+    # makes the base run and its half of the 8 points that move, no more
+    trace, config = gen_jacobi_like(200)
+    sweep_single(trace, config, accelerable_parameters(config), DEFAULT_WEIGHTS, workers=2)
+    assert len(run_calls) == 1 + 4
+
+
 @pytest.mark.parametrize("params, weights", [
     (["p0", "p2", "p3"], [1.5, 2.0]),
     (["p1", "p0"], [2.0]),
