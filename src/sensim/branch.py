@@ -50,10 +50,10 @@ class PredictorState:
                            for w in (config.tage_entries_log2, _TAG_BITS, _TAG_BITS - 1)]
         self._folds = [0] * len(self._registers)
 
-    def _lookup(self, pc: int) -> tuple[list[tuple[int, int]], int | None, int | None, bool]:
+    def _lookup(self, pc: int):
         """The pc's (index, tag) in every tagged table; the provider and
-        alternate tables (the longest and next-longest tag hits, or None);
-        and the predicted direction."""
+        alternate tables (the longest and next-longest tag hits, or None); the
+        prediction; and the pc's BTB set with the way that holds the pc (or None)."""
         hashed = pc ^ (pc >> self.config.tage_entries_log2)
         mask = self._mask
         folds = iter(self._folds)
@@ -67,36 +67,31 @@ class PredictorState:
                     alt = table
                     break
                 provider = table
-        if provider is None:
-            return slots, None, None, self.base[pc & mask] >= 2
-        return slots, provider, alt, self.ctrs[provider][slots[provider][0]] >= 4
-
-    def btb_lookup(self, pc: int) -> int | None:
         ways = self.btb[pc % self.config.btb_sets]
-        for tag, target in ways:
-            if tag == pc:
-                return target
-        return None
+        hit = next((i for i, (tag, _) in enumerate(ways) if tag == pc), None)
+        prediction = Prediction(taken=self._taken(provider, slots, pc),
+                                target=None if hit is None else ways[hit][1])
+        return slots, provider, alt, prediction, ways, hit
+
+    def _taken(self, table: int | None, slots: list[tuple[int, int]], pc: int) -> bool:
+        """The direction a tagged table, or the base table if None, gives the pc."""
+        if table is None:
+            return self.base[pc & self._mask] >= 2
+        return self.ctrs[table][slots[table][0]] >= 4
 
     def predict(self, pc: int, kind: str) -> Prediction:
         """Predict direction and target for a branch at `pc`; state unchanged."""
-        return Prediction(taken=self._lookup(pc)[3], target=self.btb_lookup(pc))
+        return self._lookup(pc)[3]
 
     def update(self, pc: int, taken: bool, target: int) -> Prediction:
         """Train tables with the actual outcome; returns what `predict` gave before."""
-        slots, provider, alt, predicted = self._lookup(pc)
-        ways = self.btb[pc % self.config.btb_sets]
-        hit = next((i for i, (tag, _) in enumerate(ways) if tag == pc), None)
-        prediction = Prediction(taken=predicted, target=None if hit is None else ways[hit][1])
+        slots, provider, alt, prediction, ways, hit = self._lookup(pc)
+        predicted = prediction.taken
         base_idx = pc & self._mask
 
         if provider is not None:
             idx = slots[provider][0]
-            if alt is not None:
-                alt_taken = self.ctrs[alt][slots[alt][0]] >= 4
-            else:
-                alt_taken = self.base[base_idx] >= 2
-            if predicted != alt_taken:
+            if predicted != self._taken(alt, slots, pc):
                 self.useful[provider][idx] = 1 if predicted == taken else 0
             ctr = self.ctrs[provider][idx]
             self.ctrs[provider][idx] = min(7, ctr + 1) if taken else max(0, ctr - 1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext
 from itertools import islice
@@ -99,8 +100,9 @@ def _load_inputs(args):
 @contextmanager
 def _output_file(path: str, others: tuple[str, ...] = ()):
     """An output file, opened before anything is written and removed if it is
-    new and the command fails.  The caller truncates it once writing starts, so
-    an existing file is written over only then.  It may not name any of `others`."""
+    new and the command fails.  Yields a function that starts the writing and
+    returns the file; only then is a regular file truncated (a device or a pipe
+    cannot be).  It may not name any of `others`."""
     for other in others:
         try:
             same = os.path.samefile(path, other)
@@ -112,9 +114,14 @@ def _output_file(path: str, others: tuple[str, ...] = ()):
         fh, created = open(path, "x", encoding="utf-8"), True
     except FileExistsError:
         fh, created = open(path, "a", encoding="utf-8"), False
+
+    def start():
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)
+        return fh
     try:
         with fh:
-            yield fh
+            yield start
     except BaseException:
         if created:
             os.remove(path)
@@ -176,8 +183,7 @@ def _cmd_sensitivity(args) -> int:
         report.verdicts = classify(report, args.threshold)
         text = format_sensitivity(report)
         if heatmap is not None:  # written over only now, once the sweep has succeeded
-            heatmap.truncate(0)
-            heatmap.write(emit_heatmap(report, "svg" if args.heatmap.endswith(".svg") else "csv"))
+            heatmap().write(emit_heatmap(report, "svg" if args.heatmap.endswith(".svg") else "csv"))
     sys.stdout.write(text)
     if args.heatmap is not None:
         print(f"heatmap written to {args.heatmap}")
@@ -189,11 +195,9 @@ def _cmd_gen_kernel(args) -> int:
                                     footprint=args.footprint)
     out = f"{args.name}.trace" if args.out is None else args.out
     cfg_path = os.path.splitext(out)[0] + ".cfg"
-    with _output_file(out) as trace_fh, _output_file(cfg_path, (out,)) as cfg_fh:
-        trace_fh.truncate(0)
-        trace_fh.writelines(_trace_lines(trace))
-        cfg_fh.truncate(0)
-        cfg_fh.write(dump_config(config))
+    with _output_file(out) as trace_out, _output_file(cfg_path, (out,)) as cfg_out:
+        trace_out().writelines(_trace_lines(trace))
+        cfg_out().write(dump_config(config))
     print(f"wrote {len(trace)} events to {out} and the machine to {cfg_path}")
     return 0
 

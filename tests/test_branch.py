@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -61,9 +62,9 @@ def test_btb_lru_eviction_within_set():
         state.update(pc, True, 0x100 + i)
     state.update(pcs[0], True, 0x100)       # promote first entry
     state.update(pcs[2], True, 0x102)       # evicts the LRU one (pcs[1])
-    assert state.btb_lookup(pcs[0]) == 0x100
-    assert state.btb_lookup(pcs[1]) is None
-    assert state.btb_lookup(pcs[2]) == 0x102
+    assert state.predict(pcs[0], "direct").target == 0x100
+    assert state.predict(pcs[1], "direct").target is None
+    assert state.predict(pcs[2], "direct").target == 0x102
 
 
 def test_one_way_btb_is_direct_mapped():
@@ -75,10 +76,42 @@ def test_one_way_btb_is_direct_mapped():
         pc = rng.randrange(64)
         entry = model.get(pc % 16)
         expected = entry[1] if entry is not None and entry[0] == pc else None
-        assert state.btb_lookup(pc) == expected
+        assert state.predict(pc, "direct").target == expected
         target = 0x1000 + pc
         state.update(pc, True, target)
         model[pc % 16] = (pc, target)
+
+
+def _state_of(state):
+    return copy.deepcopy((state.base, state.tags, state.ctrs, state.useful, state.ghr,
+                          state._folds, state.btb))
+
+
+def test_predict_changes_nothing_and_is_what_update_returns():
+    config = _loaded_branch(enabled=True, btb_sets=4, btb_ways=2, tage_entries_log2=4,
+                            history_lengths=[2, 5, 9])
+    state = PredictorState(config)
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(3000):
+        pc = rng.randrange(24)
+        ways = state.btb[pc % config.btb_sets]
+        held = any(tag == pc for tag, _ in ways)
+        seen.add("hit" if held else "evict" if len(ways) == config.btb_ways else "miss")
+        before = _state_of(state)
+        prediction = state.predict(pc, "conditional")
+        assert _state_of(state) == before
+        seen.add(("tagged", state._lookup(pc)[1] is not None, prediction.taken))
+        assert state.update(pc, rng.random() < 0.6, rng.randrange(1, 512)) == prediction
+    assert seen >= {"hit", "miss", "evict", ("tagged", True, True), ("tagged", True, False),
+                    ("tagged", False, True), ("tagged", False, False)}
+
+
+def test_global_history_holds_only_the_longest_length():
+    state = PredictorState(_loaded_branch(enabled=True, history_lengths=[2, 3, 5]))
+    for taken in [True] * 8 + [False, True, True, False, True]:
+        state.update(0x10, taken, 0)
+    assert state.ghr == 0b01101  # the last five outcomes, the latest at bit 0
 
 
 def test_saturated_base_counter_stays_saturated():

@@ -216,6 +216,23 @@ def test_gen_kernel_failure_leaves_no_new_trace(tmp_path, capsys, existing):
     assert (trace.read_text() if trace.exists() else None) == existing
 
 
+def test_heatmap_to_the_null_device_exits_zero(port_block_files, capsys):
+    trace, cfg = port_block_files
+    capsys.readouterr()
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1", "--resources", "p1",
+                 "--weights", "2", "--heatmap", os.devnull]) == 0
+    assert f"heatmap written to {os.devnull}" in capsys.readouterr().out
+
+
+def test_gen_kernel_writes_through_a_symlink_to_the_null_device(tmp_path, capsys):
+    out = tmp_path / "t.trace"
+    out.symlink_to(os.devnull)
+    assert main(["gen-kernel", "chain", "--iters", "3", "--out", str(out)]) == 0
+    assert main(["gen-kernel", "chain", "--iters", "3", "--out", str(tmp_path / "r.trace")]) == 0
+    assert out.is_symlink()
+    assert (tmp_path / "t.cfg").read_text() == (tmp_path / "r.cfg").read_text() != ""
+
+
 def test_missing_trace_exits_one(port_block_files, capsys):
     _, cfg = port_block_files
     rc = main(["simulate", "missing.trace", "--config", cfg])

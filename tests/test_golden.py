@@ -6,10 +6,12 @@ is intended, and say why in the change.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from sensim.cli import main
+from sensim.machine import dump_config, load_config
 
 KERNEL_ARGS = {
     "portblock": [],
@@ -74,11 +76,17 @@ def _sha(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-def cli_digests(name, tmp_path, capsys):
+def cli_digests(name, tmp_path, capsys, edit=None):
+    """Digests of every output on the kernel; `edit` may rewrite its machine first."""
     trace = str(tmp_path / f"{name}.trace")
     cfg = str(tmp_path / f"{name}.cfg")
     assert main(["gen-kernel", name, *KERNEL_ARGS[name], "--out", trace]) == 0
     capsys.readouterr()
+    if edit is not None:
+        with open(cfg, encoding="utf-8") as fh:
+            config = edit(load_config(fh.read()))
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(dump_config(config))
 
     def stdout(*argv):
         assert main(list(argv)) == 0
@@ -103,3 +111,15 @@ def cli_digests(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(KERNEL_ARGS))
 def test_cli_output_bytes_are_pinned(name, tmp_path, capsys):
     assert cli_digests(name, tmp_path, capsys) == GOLDEN[name]
+
+
+# core-to-L1 transfers are not modelled: the engine charges cache levels 1 to
+# a miss's end, so the first level's gap is required but changes no output byte
+@pytest.mark.parametrize("name", ["jacobi", "stream"])
+def test_first_cache_level_gap_charges_nothing(name, tmp_path, capsys):
+    def slow_first_level(config):
+        first, *rest = config.cache_levels
+        assert first.name == "L1" and first.gap == 1.0
+        return replace(config, cache_levels=(replace(first, gap=12345.5), *rest))
+
+    assert cli_digests(name, tmp_path, capsys, slow_first_level) == GOLDEN[name]
