@@ -10,6 +10,7 @@ machine.
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from math import isfinite
 from typing import Iterable, Iterator
@@ -73,8 +74,7 @@ class BranchInfo(_Record, namedtuple("BranchInfo", "kind taken target")):
 
     def __new__(cls, kind: str = "none", taken: bool = False, target: int = 0):
         if type(kind) is not str or type(taken) is not bool or type(target) is not int:
-            raise TraceError("branch kind must be a string, taken a boolean "
-                             "and target an integer")
+            raise TraceError("branch kind must be a string, taken a boolean and target an integer")
         if kind not in BRANCH_KINDS:
             raise TraceError(f"unknown branch kind {kind!r}")
         if kind == "none" and (taken or target != 0):
@@ -150,22 +150,25 @@ def _check_entries(values, entry_type: type, name: str) -> None:
 
 _ARRAY_FIELDS = ("resources", "reg_reads", "reg_writes", "mem_reads", "mem_writes")
 _RECORD_FIELDS = {*InstructionEvent._fields, "seq"}
-# lines parse_trace's memo holds before it is cleared; a loop body of up to
-# this many distinct records is parsed at most twice, and memory stays bounded
-_MEMO_LINES = 4096
+_MEMO_LINES = 4096  # lines parse_trace's memo keeps; a loop body of up to 4,096 parses twice
+_LEADING_PC = re.compile(r'\{"pc":([1-9][0-9]{0,17})').match  # canonical, under 19 digits
 _MEMO_EVENTS = 1 << 16  # lines _trace_lines keeps; a corpus jacobi trace reuses 5,780 events
 _encode_record = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps makes one per call
+_scan = json.JSONDecoder().scan_once  # json.loads's scanner, without its checks around the value
 
 
 def _parse_record(raw_line: str) -> tuple[InstructionEvent, int | None]:
     """One record's event and its explicit seq, if any.  Decodes only: the
     record types check every field."""
     try:
-        raw = json.loads(raw_line)
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"invalid record: {exc.msg}") from None
-    except ValueError as exc:  # an integer literal over the digit limit
-        raise TraceError(f"invalid record: {exc}") from None
+        try:
+            raw, end = _scan(raw_line, 0)
+        except StopIteration:  # leading whitespace, a BOM or a missing value: json.loads decides
+            end = 0
+        if not end or raw_line[end:].strip(" \t\n\r"):
+            raw = json.loads(raw_line)
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal over the digit limit
+        raise TraceError(f"invalid record: {getattr(exc, 'msg', exc)}") from None
     except RecursionError:
         raise TraceError("invalid record: nested too deeply") from None
     if not isinstance(raw, dict):
@@ -197,13 +200,15 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
     """Lazily parse newline-delimited records into validated events.
 
     A record's position is its seq; an explicit seq must keep the stream
-    strictly increasing.  Any violation aborts the stream with a diagnostic
-    naming the offending line.  A bounded memo keeps the event of each line
-    seen twice, so a line is parsed at most twice while it stays there, and
-    its later repeats yield the same immutable event.
+    strictly increasing, and a violation aborts it naming the offending line.
+    A bounded memo keeps the event of each line seen twice, so a line is parsed
+    at most twice while it stays there and its repeats yield one event.  Once
+    two lines parsed in a row differ only in canonical leading pcs that they
+    yield, and carry no seq, a line differing only there is that event with its pc.
     """
     memo: dict[str, InstructionEvent | tuple[()]] = {}
     position = 0
+    template = last = (None, None)  # admitted (remainder, event); the last parse's (remainder, pc)
     for lineno, raw_line in enumerate(lines, 1):
         event = memo.get(raw_line)
         if not event:
@@ -211,7 +216,14 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
                 continue
             seen = event is not None
             try:
-                event, seq = _parse_record(raw_line)
+                if (lead := _LEADING_PC(raw_line)) and raw_line[lead.end():] == template[0]:
+                    event, seq = template[1]._replace(pc=int(lead[1])), None
+                else:
+                    event, seq = _parse_record(raw_line)
+                    tail = lead and seq is None and raw_line[lead.end():]
+                    if tail and tail == last[0] and last[1] != event.pc == int(lead[1]):
+                        template = tail, event
+                    last = tail, event.pc
             except TraceError as exc:
                 raise TraceError(str(exc), lineno) from None
             if seq is not None:
