@@ -204,7 +204,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
     A bounded memo keeps the event of each line seen twice, so a line is parsed
     at most twice while it stays there and its repeats yield one event.  Once
     two lines parsed in a row differ only in canonical leading pcs that they
-    yield, and carry no seq, a line differing only there is that event with its pc.
+    yield, a later line that differs only there is that event with its own pc.
     """
     memo: dict[str, InstructionEvent | tuple[()]] = {}
     position = 0
@@ -220,7 +220,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
                     event, seq = template[1]._replace(pc=int(lead[1])), None
                 else:
                     event, seq = _parse_record(raw_line)
-                    tail = lead and seq is None and raw_line[lead.end():]
+                    tail = lead and raw_line[lead.end():]  # a seq in it repeats, failing its check
                     if tail and tail == last[0] and last[1] != event.pc == int(lead[1]):
                         template = tail, event
                     last = tail, event.pc
@@ -232,7 +232,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
                     raise TraceError(f"seq {seq} does not increase", lineno)
                 position = seq
             else:
-                if len(memo) == _MEMO_LINES:
+                if not seen and len(memo) == _MEMO_LINES:  # only a new key adds one
                     memo.clear()
                 # a first sighting keeps only (), so lines that never repeat
                 # keep no event alive

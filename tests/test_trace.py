@@ -1,9 +1,10 @@
 import copy
+import json
 import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sensim.trace
@@ -143,6 +144,8 @@ _FORGED = [
      "latency inf is not a finite number"),
     (InstructionEvent, (0, "x", None, None, (), (), ((0, 8),), (), BranchInfo()),
      "mem_reads entries must be MemAccess values"),
+    (InstructionEvent, (0, "x", None, None, (), (), (), (), ("none", False, 0)),
+     "branch must be a BranchInfo"),
 ]
 _VALID = {MemAccess: MemAccess(0, 8), BranchInfo: BranchInfo(),
           InstructionEvent: InstructionEvent(pc=0, kind="x")}
@@ -265,6 +268,219 @@ def test_integer_over_the_digit_limit_names_its_line():
     with pytest.raises(TraceError, match="line 2: invalid record") as err:
         parse(text)
     assert err.value.line == 2
+
+
+def _reference_parse(lines):
+    """parse_trace without its memo or pc template: `_parse_record` on every
+    line that is not blank, and an explicit seq that may not fall below the
+    position.  The events before the first error, and that error's message
+    and line (None for none)."""
+    events, position = [], 0
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            event, seq = sensim.trace._parse_record(line)
+        except TraceError as exc:
+            return events, f"line {lineno}: {exc}", lineno
+        if seq is not None:
+            if seq < position:
+                return events, f"line {lineno}: seq {seq} does not increase", lineno
+            position = seq
+        position += 1
+        events.append(event)
+    return events, None, None
+
+
+def _parse_collecting(lines):
+    events = []
+    try:
+        events.extend(parse_trace(lines))
+    except TraceError as exc:
+        return events, str(exc), exc.line
+    return events, None, None
+
+
+# Lines shaped like a template's: a leading pc as the text of any number, or
+# not a number at all, then one of a few remainders, some of which carry a
+# second pc, a seq, a number's continuation, a space or trailing text.
+_PC_TEXTS = (st.integers(0, 2**70).map(str)
+             | st.sampled_from(["1", "2", "01", "-0", "1e3", "1.0", " 5", "0", "\u0663",
+                                "9" * 18, "9" * 19, "9" * 25, "9" * 5000, "1_0"]))
+_REMAINDERS = st.sampled_from([
+    ',"kind":"a"}', ',"kind":"b","reg_reads":[1]}', ',"resources":["p0"],"latency":4}',
+    ',"pc":0,"kind":"a"}', ',"\\u0070c":3,"kind":"a"}', ',"kind":"a","pc":7}',
+    ',"kind":"a","seq":3}', ',"kind":"a","seq":0}', ' ,"kind":"a"}', '}', ',"kind":"a"} x',
+    '0,"kind":"a"}', '.5,"kind":"a"}', 'e1,"kind":"a"}', ',"kind":"a",}', ',"kind":7}'])
+_LINES = st.lists(
+    st.tuples(_PC_TEXTS, _REMAINDERS, st.sampled_from(["", "\n", "\r\n"])).map(
+        lambda parts: '{"pc":' + "".join(parts))
+    | st.sampled_from(["", "\n", "\r\n", " \t\n"]),
+    max_size=12)
+
+
+def _pcs(shape, *pcs):
+    return [shape % pc for pc in pcs]
+
+
+# two lines that admit a pc template for the remainder ',"kind":"a"}'
+_ADMIT = _pcs('{"pc":%s,"kind":"a"}', 1, 2)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_LINES)
+@example(_pcs('{"pc":%s,"pc":0,"kind":"a"}', 5, 6, 7))
+@example(_ADMIT + _pcs('{"pc":%s,"pc":0,"kind":"a"}', 5, 6, 7) + ['{"pc":8,"kind":"a"}'])
+@example(_pcs('{"pc":%s,"\\u0070c":0,"kind":"a"}', 5, 6, 7))
+@example(_pcs('{"pc":%s,"pc":5,"kind":"a"}', 5, 6, 7))
+@example(_pcs('{"pc":%s,"pc":5,"kind":"a"}', 6, 5, 7))
+@example(_pcs('{"pc":%s,"pc":5,"kind":"a"}', 5, 5, 7))
+@example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "01", 3))
+@example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "-0", 3))
+@example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "1e3", 3))
+@example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "1.0", 3))
+@example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "1\u0663", 3))
+@example(_ADMIT + ['{"pc": 5,"kind":"a"}', '{"pc":3,"kind":"a"}'])
+@example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "9" * 25, 3))
+@example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "9" * 5000, 3))
+@example(_pcs('{"pc":%s5,"kind":"a"}', "1" * 18, "2" * 18, "3" * 18))  # a 19th digit
+@example(_ADMIT + ['{"pc":3,"kind":"a","seq":9}', '{"pc":4,"kind":"a"}'])
+@example(_ADMIT + ['{"pc":3,"kind":"a","seq":1}', '{"pc":4,"kind":"a"}'])
+@example(_pcs('{"pc":%s,"kind":"a","seq":4}', 1, 2, 3))
+@example(['{"pc":1,"kind":"a"}\r\n', '\r\n', '{"pc":2,"kind":"a"}\r\n', ' \t\n',
+          '{"pc":3,"kind":"a"}\r\n', '\n', '{"pc":4,"kind":"a"}\n'])
+@example(['\ufeff{"pc":1,"kind":"a"}', *_pcs('{"pc":%s,"kind":"a"}', 2, 3)])
+def test_parse_trace_matches_a_reference_without_memo_or_template(lines):
+    """Memo and template change only how often a line is parsed: the events,
+    and a failure's message and line, are those of parsing every line."""
+    assert _parse_collecting(lines) == _reference_parse(lines)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The lines that parse_trace parses in full, in order."""
+    lines = []
+    monkeypatch.setattr(sensim.trace, "_parse_record",
+                        lambda line, parse=sensim.trace._parse_record:
+                        lines.append(line) or parse(line))
+    return lines
+
+
+def test_a_pc_template_and_the_memo_bound_the_full_parses(parsed):
+    # chain: 10,000 lines that differ only in their pc; the first two admit the template
+    chain = write_trace(generate("chain", iters=10_000)[0]).splitlines(keepends=True)
+    events = list(parse_trace(chain))
+    assert parsed == chain[:2]
+    assert [event.pc for event in events] == [16384 + 4 * i for i in range(10_000)]
+    assert events == _reference_parse(chain)[0]
+    # jacobi: 2,730 distinct lines, each parsed at most twice, as without a template
+    parsed.clear()
+    jacobi = write_trace(generate("jacobi", iters=1000)[0]).splitlines(keepends=True)
+    assert len(list(parse_trace(jacobi))) == 17_000
+    assert len(set(jacobi)) == 2730 and len(parsed) == 5459
+
+
+def test_template_events_share_the_fields_of_the_event_they_come_from():
+    first, second, third = parse('{"pc":1,"kind":"a","reg_reads":[1]}\n'
+                                 '{"pc":2,"kind":"a","reg_reads":[1]}\n'
+                                 '{"pc":3,"kind":"a","reg_reads":[1]}')
+    assert third == InstructionEvent(pc=3, kind="a", reg_reads=(1,))
+    assert third.reg_reads is second.reg_reads and first.reg_reads is not second.reg_reads
+
+
+def test_a_template_is_admitted_only_after_two_pcs(parsed):
+    # the same pc twice proves nothing about a second "pc" key; pcs 4 and 8 do
+    lines = ['{"pc":4,"kind":"a"}', '{"pc":4,"kind":"a"}', '{"pc":8,"kind":"a"}',
+             '{"pc":9,"kind":"a"}', '{"pc":10,"kind":"a"}']
+    assert [event.pc for event in parse_trace(lines)] == [4, 4, 8, 9, 10]
+    assert parsed == lines[:3]
+    # a seq in the remainder, or two remainders that differ, admit nothing
+    parsed.clear()
+    lines = ['{"pc":1,"kind":"a","seq":3}', '{"pc":2,"kind":"a","seq":4}',
+             '{"pc":3,"kind":"a"}', '{"pc":4,"kind":"b"}', '{"pc":5,"kind":"a"}']
+    assert len(list(parse_trace(lines))) == 5 and parsed == lines
+
+
+# Texts around a record that the scanner alone would read otherwise than json.loads
+@pytest.mark.parametrize("line", [
+    ' {"pc":1,"kind":"a"}', '\t{"pc":1,"kind":"a"}\r\n', '{"pc":1,"kind":"a"} \t\r\n',
+    '{"pc":1,"kind":"a"}\n\n', '{"pc":1,"kind":"a"} x', '{"pc":1,"kind":"a"}}',
+    '{"pc":1,"kind":"a"}\x0c', '\ufeff{"pc":1,"kind":"a"}', '\x0c{"pc":1,"kind":"a"}',
+    '{"pc":1,"kind":}', '{"pc":1,"kind":[1,]}', '{"pc":1', '[1]', '7', '"pc"', 'nul', 'x',
+    '', ' \r\n',
+    '{"pc":1,"kind":"a","reg_reads":[%s]}' % ("9" * 5000), "[" * 100_000,
+])
+def test_a_record_decodes_as_json_loads_decodes_it(line, monkeypatch):
+    def outcome():
+        try:
+            return sensim.trace._parse_record(line)
+        except TraceError as exc:
+            return str(exc)
+
+    def no_value(text, index):
+        raise StopIteration(index)
+
+    direct = outcome()
+    monkeypatch.setattr(sensim.trace, "_scan", no_value)  # every line takes json.loads
+    assert outcome() == direct
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as exc:
+        assert direct == f"invalid record: {exc.msg}"
+    except (ValueError, RecursionError):
+        assert direct.startswith("invalid record: ")
+
+
+def test_a_record_followed_by_a_line_end_is_decoded_without_json_loads(monkeypatch):
+    loaded = []
+    monkeypatch.setattr(json, "loads", lambda text, loads=json.loads: loaded.append(text)
+                        or loads(text))
+    lines = ['{"pc":1,"kind":"a"}', '{"pc":2,"kind":"b","seq":5}\n', '{"pc":3,"kind":"c"}\r\n',
+             '{"pc":4,"kind":"d"} \t\r\n']
+    assert len(list(parse_trace(lines))) == 4 and loaded == []
+    # json.loads reads what precedes the value; [1, 2] is scanned, and is not a record
+    lines = [' {"pc":1,"kind":"a"}', '\t{"pc":2,"kind":"b"}\n', '[1, 2]\n']
+    with pytest.raises(TraceError, match="line 3: record must be an object"):
+        list(parse_trace(lines))
+    assert loaded == lines[:2]
+
+
+@pytest.mark.parametrize("record,message", [
+    ('[1]', "record must be an object"),
+    ('{"pc":0,"kind":"x","mem_reads":[{"addr":0}]}',
+     'mem_reads entries must be {"addr":int,"size":int}'),
+    ('{"pc":0,"kind":"x","mem_writes":[{"addr":0,"size":8,"x":1}]}',
+     'mem_writes entries must be {"addr":int,"size":int}'),
+    ('{"pc":0,"kind":"x","branch":{"kind":"direct","taken":true,"target":4,"x":1}}',
+     "branch must be {kind, taken, target}"),
+    ('{"pc":0,"kind":"x","bogus":1,"alpha":2}', "unknown field 'alpha'"),
+    ('{"pc":0,"kind":"x","reg_reads":5}', "reg_reads must be an array"),
+])
+def test_malformed_record_messages(record, message):
+    with pytest.raises(TraceError) as err:
+        parse(record)
+    assert str(err.value) == f"line 1: {message}"
+
+
+def test_a_loop_body_of_4096_lines_is_parsed_twice_and_a_longer_one_every_time(parsed):
+    for body, parses in ((4096, 2 * 4096), (4097, 3 * 4097)):
+        lines = [f'{{"pc":0,"kind":"a","reg_reads":[{i}]}}' for i in range(body)]
+        parsed.clear()
+        assert len(list(parse_trace(lines * 3))) == 3 * body
+        assert len(parsed) == parses
+
+
+def test_write_trace_memo_keeps_65536_events(monkeypatch):
+    encoded = []
+    monkeypatch.setattr(sensim.trace, "_encode_record",
+                        lambda record, encode=sensim.trace._encode_record:
+                        encoded.append(record["pc"]) or encode(record))
+    events = [InstructionEvent(pc=pc, kind="k") for pc in range(65_537)]
+    write_trace(events[:40_000] + events[:1])  # the first event is still kept
+    assert len(encoded) == 40_000
+    encoded.clear()
+    write_trace(events + events[1:2])  # the 65,537th clears the memo
+    assert len(encoded) == 65_538 and encoded[-2:] == [65_536, 1]
 
 
 def test_round_trip_empty():
