@@ -208,7 +208,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
     """
     memo: dict[str, InstructionEvent | tuple[()]] = {}
     position = 0
-    template = last = (None, None)  # admitted (remainder, event); the last parse's (remainder, pc)
+    template, rest, prev = None, None, ("", None)  # admitted event, remainder; last (line, pc)
     for lineno, raw_line in enumerate(lines, 1):
         event = memo.get(raw_line)
         if not event:
@@ -216,14 +216,16 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
                 continue
             seen = event is not None
             try:
-                if (lead := _LEADING_PC(raw_line)) and raw_line[lead.end():] == template[0]:
-                    event, seq = template[1]._replace(pc=int(lead[1])), None
+                if rest and (lead := _LEADING_PC(raw_line)) and raw_line[lead.end():] == rest:
+                    event, seq = template._replace(pc=int(lead[1])), None
                 else:
                     event, seq = _parse_record(raw_line)
-                    tail = lead and raw_line[lead.end():]  # a seq in it repeats, failing its check
-                    if tail and tail == last[0] and last[1] != event.pc == int(lead[1]):
-                        template = tail, event
-                    last = tail, event.pc
+                    if len(raw_line) == len(prev[0]) and prev[1] != event.pc:  # cheap tests first
+                        head = f'{{"pc":{event.pc}'
+                        tail = raw_line[len(head):]  # a seq in it repeats, failing its check
+                        if raw_line.startswith(head) and prev[0] == f'{{"pc":{prev[1]}{tail}':
+                            template, rest = event, tail
+                    prev = raw_line, event.pc
             except TraceError as exc:
                 raise TraceError(str(exc), lineno) from None
             if seq is not None:
@@ -234,9 +236,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
             else:
                 if not seen and len(memo) == _MEMO_LINES:  # only a new key adds one
                     memo.clear()
-                # a first sighting keeps only (), so lines that never repeat
-                # keep no event alive
-                memo[raw_line] = event if seen else ()
+                memo[raw_line] = event if seen else ()  # a first sighting keeps no event
         position += 1
         yield event
 

@@ -335,6 +335,7 @@ _ADMIT = _pcs('{"pc":%s,"kind":"a"}', 1, 2)
 @example(_pcs('{"pc":%s,"pc":5,"kind":"a"}', 5, 6, 7))
 @example(_pcs('{"pc":%s,"pc":5,"kind":"a"}', 6, 5, 7))
 @example(_pcs('{"pc":%s,"pc":5,"kind":"a"}', 5, 5, 7))
+@example(['{"pc":2,"kind":"abcdefgh"}', *_pcs('{"pc":%s,"pc":5,"kind":"a"}', 5, 7)])  # one length
 @example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "01", 3))
 @example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "-0", 3))
 @example(_ADMIT + _pcs('{"pc":%s,"kind":"a"}', "1e3", 3))
@@ -393,6 +394,11 @@ def test_a_template_is_admitted_only_after_two_pcs(parsed):
     lines = ['{"pc":4,"kind":"a"}', '{"pc":4,"kind":"a"}', '{"pc":8,"kind":"a"}',
              '{"pc":9,"kind":"a"}', '{"pc":10,"kind":"a"}']
     assert [event.pc for event in parse_trace(lines)] == [4, 4, 8, 9, 10]
+    assert parsed == lines[:3]
+    # lines are compared only when they have one length: 9 and 10 are not, 10 and 11 are
+    parsed.clear()
+    lines = _pcs('{"pc":%s,"kind":"a"}', 9, 10, 11, 12)
+    assert [event.pc for event in parse_trace(lines)] == [9, 10, 11, 12]
     assert parsed == lines[:3]
     # a seq in the remainder, or two remainders that differ, admit nothing
     parsed.clear()
