@@ -130,9 +130,7 @@ def misprediction_delay(predicted: Prediction, taken: bool, target: int, config)
     """Cycles of frontend stall charged for this prediction.
 
     Zero when the direction is right and, for taken branches, the target is
-    right too; otherwise the configured penalty.  A disabled unit never stalls.
+    right too; otherwise the configured penalty.
     """
-    if not config.enabled:
-        return 0.0
     correct = predicted.taken == taken and (not taken or predicted.target == target)
     return 0.0 if correct else config.misprediction_penalty

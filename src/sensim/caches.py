@@ -54,8 +54,7 @@ class CacheLevelState:
             self.n_sets = config.total_size // (self.ways * self.line_size)
             self.sets: list[list[int | None]] = [[None] * self.ways for _ in range(self.n_sets)]
             self.plru = [0] * self.n_sets
-            full = (1 << (self.ways - 1)) - 1
-            self.touch = [(plru_touch(full, self.ways, w), plru_touch(0, self.ways, w))
+            self.touch = [(plru_touch(-1, self.ways, w), plru_touch(0, self.ways, w))
                           for w in range(self.ways)]
 
     def access(self, line: int) -> bool:

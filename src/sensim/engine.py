@@ -239,7 +239,8 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     Only what a weight can change is computed here; the counts come from the
     schedule and are shared by every result built from it.
     """
-    if len(schedule.resource_uses) != len(config.resources):
+    names = [*schedule.resource_uses, *schedule.cache_stats]
+    if names != [r.name for r in config.resources] + [l.name for l in config.cache_levels]:
         raise ValueError("schedule was built against a different machine")
     gaps = [r.gap for r in config.resources]
     cache_gaps = [l.gap for l in config.cache_levels]
@@ -329,13 +330,10 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         if t_ends is not None:
             t_ends.append(t_end)
 
-    # a report's busy times are at most these counts x gaps.  Finite inputs
-    # overflow only to +inf (timing uses only max, + and * by non-negative
-    # numbers), and a weight can only lower every time and gap, so a sweep
-    # whose base run passes this check never fails it on a rerun
-    counts = [*schedule.resource_uses.values(),
-              *(c.transfers for c in schedule.cache_stats.values())]
-    if total == inf or any(n * gap == inf for n, gap in zip(counts, gaps + cache_gaps)):
+    # finite inputs overflow only to +inf (timing uses only max, + and * by
+    # non-negative numbers), and a weight can only lower every time, so a
+    # sweep whose base run passes this check never fails it on a rerun
+    if total == inf:
         raise ValueError("simulated time overflowed")
     count = len(schedule.steps)
     return SimResult(
@@ -345,7 +343,7 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         resource_uses=schedule.resource_uses,
         per_pc=schedule.per_pc,
         cache_stats=schedule.cache_stats,
-        gaps=dict(zip([*schedule.resource_uses, *schedule.cache_stats], gaps + cache_gaps)),
+        gaps=dict(zip(names, gaps + cache_gaps)),
         branch_predicted=schedule.branch_predicted,
         branch_mispredicted=schedule.branch_mispredicted,
         event_end_times=tuple(t_ends) if t_ends is not None else None,

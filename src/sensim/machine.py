@@ -258,7 +258,7 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
 
     A weight w >= 1 divides the gap of a throughput resource or cache level,
     divides the global latency scale (INST_LAT), or multiplies the window
-    capacity (INST_WINDOW, rounded half-up, floor 1, at most 2**53: no trace
+    capacity (INST_WINDOW, rounded half-up, at most 2**53: no trace
     has that many events, so a larger window behaves the same).  A weight
     that divides a gap to 0 is an error.  The input config is never modified.
     """
@@ -284,7 +284,7 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
     capacity = config.window_capacity
     if INST_WINDOW in weights:
         scaled = min(min(capacity, 2**53) * weights[INST_WINDOW], 2.0**53)
-        capacity = max(1, floor(scaled + 0.5))
+        capacity = floor(scaled + 0.5)
     return replace(config, resources=resources, cache_levels=levels,
                    latency_scale=latency_scale, window_capacity=capacity)
 

@@ -116,8 +116,8 @@ def _run_points(schedule: Schedule, configs: list[MachineConfig],
 
 def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
            jobs: list[tuple[tuple[str, ...], float]],
-           workers: int | None) -> SensitivityReport:
-    if workers is not None and workers < 1:
+           workers: int) -> SensitivityReport:
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # one config per point, built in job order so a bad name or weight, or a
     # repeated parameter or point, raises before the trace is read
@@ -133,8 +133,7 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
     # every other point is at the base time at any weight
     live = [key for key, accelerated in configs.items()
             if not key[0] <= base.avoided and accelerated != config]
-    times = dict(zip(live, _run_points(schedule, [configs[key] for key in live],
-                                       workers or 1)))
+    times = dict(zip(live, _run_points(schedule, [configs[key] for key in live], workers)))
     points = []
     for params, w in jobs:
         t = times.get((frozenset(params), w), base.total_cycles)
@@ -145,7 +144,7 @@ def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
 
 def sweep_single(trace: Iterable[InstructionEvent], config: MachineConfig,
                  parameters: Sequence[str], weights: Sequence[float],
-                 workers: int | None = None) -> SensitivityReport:
+                 workers: int = 1) -> SensitivityReport:
     """One point per (parameter, weight), against one shared base run."""
     jobs = [((name,), float(w)) for name in parameters for w in weights]
     return _sweep(trace, config, jobs, workers)
@@ -153,7 +152,7 @@ def sweep_single(trace: Iterable[InstructionEvent], config: MachineConfig,
 
 def sweep_subsets(trace: Iterable[InstructionEvent], config: MachineConfig,
                   subsets: Sequence[Sequence[str]], weight: float,
-                  workers: int | None = None) -> SensitivityReport:
+                  workers: int = 1) -> SensitivityReport:
     """One point per subset, all members accelerated together by `weight`."""
     jobs = [(tuple(subset), float(weight)) for subset in subsets]
     return _sweep(trace, config, jobs, workers)
@@ -171,7 +170,7 @@ def classify(report: SensitivityReport,
                    for params, s in best.items()), key=lambda v: (-v.speedup, v.parameters))
 
 
-def power_subsets(parameters: Sequence[str], max_size: int = 3) -> list[tuple[str, ...]]:
+def power_subsets(parameters: Sequence[str], max_size: int) -> list[tuple[str, ...]]:
     """All non-empty parameter subsets up to `max_size`, capped in count."""
     out: list[tuple[str, ...]] = []
     for size in range(1, min(max_size, len(parameters)) + 1):

@@ -9,7 +9,11 @@ negation, `+` and `-` swapped, an integer constant shifted by one (up, and down
 unless it is 0), a simple statement dropped, or `and` and `or` swapped.  Every
 mutant runs the given tests in a copy of the repository's `src` and `tests`,
 made in a temporary directory (`TMPDIR` moves it), never in the checkout; a
-mutant is killed when the tests fail or time out.  A survivor that no test can kill
+mutant is killed when the tests fail or time out, or when the process launched
+exits before its own test session ends (a mutant can send it down a forked
+child's path to `os._exit(0)`, while its forked copy runs the session on).
+Each run has its own process group, killed once the run ends, so no copy
+outlives it.  A survivor that no test can kill
 is listed in EQUIVALENT with its reason; the script prints the killed/total
 count and exits 1 if any other mutant survives.  The tests are not part of the
 tier-1 suite, since the file is not named `test_*`.
@@ -23,6 +27,7 @@ import copy
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -40,9 +45,29 @@ _SWAPPED = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.And: ast.Or, ast.Or: ast.And
 _SIMPLE = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr, ast.Return, ast.Delete,
            ast.Raise, ast.Assert, ast.Break, ast.Continue)
 
+_ROOT_BIT = "bit 0, the root, is on every way's path, so each touch rewrites it"
 # module -> {mutant id (as printed): why no test can tell it from the original}
 EQUIVALENT: dict[str, dict[str, str]] = {
     "src/sensim/branch.py": {},
+    "src/sensim/caches.py": {
+        "__init__: `self.plru = [0] * self.n_sets` -> `self.plru = [1] * self.n_sets`":
+            "ways fill in order, so every tree bit is rewritten before the first victim "
+            "is picked",
+        "__init__: `self.touch = [(plru_touch(-1, self.ways, w), plru_touch(0, self.ways, w))`"
+        " -> `self.touch = [(plru_touch(-2, self.ways, w), plru_touch(0, self.ways, w))`":
+            _ROOT_BIT,
+        "__init__: `self.touch = [(plru_touch(-1, self.ways, w), plru_touch(0, self.ways, w))`"
+        " -> `self.touch = [(plru_touch(-1, self.ways, w), plru_touch(1, self.ways, w))`":
+            _ROOT_BIT,
+    },
+    "src/sensim/sensitivity.py": {
+        "_run_points: `totals = memoryview(mmap.mmap(-1, 8 * (len(configs) or 1))).cast(\"d\")`"
+        " -> `totals = memoryview(mmap.mmap(-1, 8 * (len(configs) or 2))).cast(\"d\")`":
+            "with no point to run, the map is only sliced to an empty list, so any size "
+            "that mmap accepts does",
+        "_run_points: `os._exit(1)` -> `os._exit(2)`":
+            "the parent reruns the share of any child whose status is not 0",
+    },
     "src/sensim/trace.py": {},
 }
 
@@ -128,19 +153,39 @@ def _copy_repository(workdir: Path) -> Path:
     return copy_root
 
 
+def pytest_sessionfinish(session, exitstatus):
+    """Run by each test run, which loads this file as its plugin `mutate`:
+    a process whose session passed appends its pid to `MUTATE_PASSED`."""
+    if exitstatus == 0:
+        with open(os.environ["MUTATE_PASSED"], "a", encoding="utf-8") as passed:
+            passed.write(f"{os.getpid()}\n")
+
+
 def _run_tests(copy_root: Path, tests: list[str], timeout: float) -> bool:
-    """True if the tests pass in the copy; a timeout counts as a failure."""
+    """True if the tests pass in the copy, in the process launched; a timeout
+    counts as a failure."""
+    passed = copy_root / "passed"
+    passed.unlink(missing_ok=True)
     # no bytecode cache: two mutants of one size written within the same second
     # would otherwise reuse the first one's cached module
-    env = dict(os.environ, PYTHONPATH=str(copy_root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", MUTATE_PASSED=str(passed),
+               PYTHONPATH=os.pathsep.join([str(copy_root / "src"), str(copy_root / "tests")]))
+    run = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                            "-p", "mutate", *tests],
+                           cwd=copy_root, env=env, start_new_session=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
-                               "-p", "no:cacheprovider", *tests],
-                              cwd=copy_root, env=env, timeout=timeout,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        returncode = run.wait(timeout)
     except subprocess.TimeoutExpired:
         return False
-    return done.returncode == 0
+    finally:
+        try:  # the run's group: it and any forked copy of it still running
+            os.killpg(run.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        run.wait()
+    return (returncode == 0 and passed.exists()
+            and str(run.pid) in passed.read_text(encoding="utf-8").split())
 
 
 def main(argv: list[str] | None = None) -> int:

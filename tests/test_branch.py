@@ -161,8 +161,6 @@ def test_misprediction_delay_cases():
     assert misprediction_delay(wrong_target, True, 0x40, config) == 15.0
     not_taken = Prediction(taken=False, target=None)
     assert misprediction_delay(not_taken, False, 0x40, config) == 0.0
-    disabled = BranchConfig(enabled=False)
-    assert misprediction_delay(wrong_dir, True, 0x40, disabled) == 0.0
 
 
 def test_bad_geometry_rejected():

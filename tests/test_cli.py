@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import math
 import os
 import sys
 
@@ -11,6 +12,7 @@ from sensim.cli import _default_workers, main
 from sensim.engine import simulate
 from sensim.machine import load_config
 from sensim.report import render_instruction_table, run_report_json
+from sensim.trace import parse_trace
 
 
 @pytest.fixture()
@@ -605,16 +607,40 @@ def test_overflowed_total_exits_one(tmp_path, capsys, args):
     assert captured.out == ""
 
 
-def test_overflowed_busy_time_exits_one(tmp_path, capsys):
-    # the total, about 1e308, is finite; two uses at gap 1e308 are not
+def _busy_overflow_files(tmp_path):
+    """The total, about 1e308, is finite; two uses at gap 1e308 are not."""
     trace = tmp_path / "b.trace"
     trace.write_text('{"pc":0,"resources":["r"],"latency":1}\n' * 2)
     cfg = tmp_path / "b.cfg"
     cfg.write_text('{"resources": [{"name": "r", "gap": 1e308}], "window": 4}')
-    assert main(["simulate", str(trace), "--config", str(cfg), "--report", "json"]) == 1
+    return str(trace), str(cfg)
+
+
+@pytest.mark.parametrize("flags", [[], ["--report", "json"]], ids=["table", "json"])
+def test_overflowed_busy_time_exits_one(tmp_path, capsys, flags):
+    trace, cfg = _busy_overflow_files(tmp_path)
+    assert main(["simulate", trace, "--config", cfg, *flags]) == 1
     captured = capsys.readouterr()
     assert captured.err == "sensim: error: simulated time overflowed\n"
     assert captured.out == ""
+
+
+def test_a_sweep_prints_no_busy_time_so_its_overflow_is_no_error(tmp_path, capsys):
+    trace, cfg = _busy_overflow_files(tmp_path)
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    numbers = []
+    for token in captured.out.split():
+        try:
+            numbers.append(float(token.rstrip("%")))
+        except ValueError:
+            pass
+    assert numbers and all(math.isfinite(n) for n in numbers)
+    with open(trace) as fh, open(cfg) as config:
+        total = simulate(parse_trace(fh), load_config(config.read())).total_cycles
+    assert captured.out.startswith("base time ")
+    assert float(captured.out.split()[2]) == total
 
 
 def _reject_constant(name):

@@ -330,12 +330,29 @@ def test_reruns_share_the_schedule_counts():
     assert fast.resource_uses is base.resource_uses
 
 
-def test_run_schedule_rejects_another_machines_schedule():
-    trace, config = gen_port_block()
+def _renamed(parts, old, new):
+    return tuple(replace(part, name=new) if part.name == old else part for part in parts)
+
+
+_L4 = CacheLevelConfig("L4", gap=2.0, total_size=1048576, associativity=8, line_size=64)
+
+
+@pytest.mark.parametrize("change", [
+    lambda c: replace(c, resources=c.resources + (Resource("extra", 1.0),)),
+    lambda c: replace(c, cache_levels=c.cache_levels[:2] + c.cache_levels[3:]),
+    lambda c: replace(c, cache_levels=c.cache_levels[:3] + (_L4,) + c.cache_levels[3:]),
+    lambda c: replace(c, resources=_renamed(c.resources, "p23", "p2")),
+    lambda c: replace(c, cache_levels=_renamed(c.cache_levels, "L2", "LL2")),
+], ids=["extra-resource", "one-level-fewer", "one-level-more", "renamed-resource",
+        "renamed-level"])
+def test_run_schedule_rejects_another_machines_schedule(change):
+    # the machine is checked by the names of its resources and cache levels
+    trace, config = gen_stream(50)
     schedule = build_schedule(trace, config)
-    other = replace(config, resources=config.resources + (Resource("extra", 1.0),))
-    with pytest.raises(ValueError, match="schedule was built against a different machine"):
-        run_schedule(schedule, other)
+    with pytest.raises(ValueError, match="^schedule was built against a different machine$"):
+        run_schedule(schedule, change(config))
+    accelerated = apply_weights(config, {"p23": 2.0, "L2_THR": 2.0, "INST_WINDOW": 2.0})
+    assert run_schedule(schedule, accelerated).total_cycles > 0
 
 
 def test_shadow_memory_monotone_over_run():

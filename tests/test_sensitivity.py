@@ -10,6 +10,7 @@ from randcases import MEMORY_SHAPES, block_case, memory_case, random_config, ran
 from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule
 from sensim.machine import MachineConfig, Resource, accelerable_parameters, apply_weights
+from sensim.report import format_sensitivity
 from sensim.sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, SensitivityPoint,
                                 SensitivityReport, classify, power_subsets, speedup,
                                 sweep_single, sweep_subsets)
@@ -360,6 +361,54 @@ def test_a_failed_childs_share_reruns_in_the_parent(monkeypatch, run_calls, fail
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_failed_child_never_returns_into_its_caller(monkeypatch, tmp_path):
+    trace, config = gen_jacobi_like(200)
+    params = accelerable_parameters(config)
+    serial = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
+    parent = os.getpid()
+    returned = tmp_path / "returned"
+
+    def failing_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("a child failed")
+        return run_schedule(*args, **kwargs)
+
+    monkeypatch.setattr(sensim.sensitivity, "run_schedule", failing_in_a_child)
+    try:
+        report = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=2)
+    finally:
+        if os.getpid() != parent:  # a child got back here: note it, then leave
+            returned.write_text("")
+            os._exit(1)
+    assert report == serial
+    assert not returned.exists()
+
+
+def test_a_sweep_runs_serially_by_default(monkeypatch):
+    trace, config = gen_jacobi_like(200)
+    params = accelerable_parameters(config)
+    singles = [(p,) for p in params]
+    serial = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
+    grouped = sweep_subsets(trace, config, singles, 1.15, workers=1)
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(sensim.sensitivity.os, "fork", no_fork)
+    assert sweep_single(trace, config, params, DEFAULT_WEIGHTS) == serial
+    assert sweep_subsets(trace, config, singles, 1.15) == grouped
+
+
+def test_a_sweep_without_fork_runs_serially(monkeypatch, run_calls):
+    trace, config = gen_jacobi_like(200)
+    params = accelerable_parameters(config)
+    serial = sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=1)
+    del run_calls[:]
+    monkeypatch.delattr(sensim.sensitivity.os, "fork")
+    assert sweep_single(trace, config, params, DEFAULT_WEIGHTS, workers=3) == serial
+    assert len(run_calls) == 9  # the base run and all 8 points that move
+
+
 def test_a_failed_fork_runs_its_share_in_the_parent(monkeypatch):
     trace, config = gen_jacobi_like(200)
     params = accelerable_parameters(config)
@@ -436,3 +485,10 @@ def test_bad_weight_raises_even_where_its_point_would_settle():
     trace, config = gen_port_block()
     with pytest.raises(ValueError, match="weight for 'p0'"):
         sweep_single(trace, config, ["p0"], [2.0, 0.5])
+
+
+def test_an_unclassified_report_formats_without_verdicts():
+    trace, config = gen_port_block()
+    report = sweep_single(trace, config, ["p1"], [2.0], workers=1)
+    assert report.verdicts == []
+    assert format_sensitivity(report) == "base time 4\n\n"
