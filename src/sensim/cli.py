@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
     rows = render_instruction_table(result) if args.per_instruction else None
     if args.report == "json":  # in blocks of pieces: one write per piece costs more
         pieces = run_report_pieces(result, rows)
-        sys.stdout.writelines(iter(lambda: "".join(islice(pieces, 4096)), ""))
+        sys.stdout.writelines(iter(lambda: "".join(islice(pieces, 512)), ""))
     else:
         sys.stdout.write(format_run_report(result))
         if rows:

@@ -67,7 +67,8 @@ class SimResult(NamedTuple):
     """Counts, timing and the gap of every resource and cache level for one run.
 
     `resource_uses`, `per_pc` and `cache_stats` are the schedule's own
-    objects, shared with every other run of that schedule: do not mutate them.
+    objects, shared with every other run of that schedule, and pcs with equal
+    counts share one `resource_uses` dict: all are read-only.
     """
 
     total_cycles: float
@@ -91,7 +92,9 @@ class SimResult(NamedTuple):
 # line access that crosses a level, loads first.
 class Schedule(NamedTuple):
     """Timing-independent digest of a trace resolved against a config: the
-    steps the timing recurrence walks, plus every count no weight changes."""
+    steps the timing recurrence walks, plus every count no weight changes.
+    Read-only: equal memory-free steps are one tuple, and pcs with equal
+    counts share one `resource_uses` dict."""
 
     steps: list[tuple]
     resource_uses: dict[str, int]  # the column sums of the per-pc uses
@@ -174,6 +177,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     # a row of uses per column (resources, then cache levels) plus its count
     pcs: dict[int, tuple[str, float, tuple[str, ...], list[int]]] = {}
     steps = []
+    step_memo: dict[tuple, tuple] = {}  # one object per distinct memory-free step
     predicted = mispredicted = 0
     for event in events:  # unpacked once: a record's fields cost more read one by one
         (pc, kind, inline_names, inline_latency, reg_reads, reg_writes, mem_reads, mem_writes,
@@ -208,8 +212,11 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
             if penalty:
                 mispredicted += 1
 
-        steps.append((resources, latency, reg_reads, reg_writes,
-                      read_keys, write_keys, loads + stores, penalty))
+        step = (resources, latency, reg_reads, reg_writes,
+                read_keys, write_keys, loads + stores, penalty)
+        if not (mem_reads or mem_writes):  # key lists are resolved in place: never merged
+            step = step_memo.setdefault(step, step)
+        steps.append(step)
 
     order = sorted(cuts)
     at = {cut: i for i, cut in enumerate(order)}
@@ -217,12 +224,15 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         bounds = iter(keys)
         keys[:] = [k for start, end in zip(bounds, bounds) for k in order[at[start]:at[end]]]
     levels = hierarchy.levels
+    # one uses dict per distinct row of counts, shared by every pc with that row
+    shared = {row: {c: n for c, n in zip(columns, row) if n}
+              for row in {tuple(entry[3][:-1]) for entry in pcs.values()}}
     return Schedule(
         steps=steps,
         resource_uses={name: sum(entry[3][i] for entry in pcs.values())
                        for i, name in enumerate(resource_names)},
         per_pc={pc: PcStats(pc=pc, label=label, count=row[-1], latency=latency, resources=names,
-                            resource_uses={c: n for c, n in zip(columns, row) if n})
+                            resource_uses=shared[tuple(row[:-1])])
                 for pc, (label, latency, names, row) in pcs.items()},
         # a line crosses level i (i >= 1) exactly when level i-1 missed it
         cache_stats={level.name: LevelCounters(hits=level.hits, misses=level.misses,

@@ -37,7 +37,8 @@ def _busy(result: SimResult, name: str, uses: int) -> tuple[float, float]:
 
 
 def render_instruction_table(result: SimResult) -> list[Row]:
-    """(stats, shares) per pc, in pc order; a zero-cycle run has no rows.
+    """(stats, shares) per pc, in pc order; a zero-cycle run has no rows, and
+    rows whose stats share a uses dict share one read-only shares dict.
 
     share(pc, r) = uses(pc, r) x gap(r) / total_cycles, as a percentage.
     Cache levels appear as columns too, weighted by their per-transfer gap.
@@ -45,8 +46,10 @@ def render_instruction_table(result: SimResult) -> list[Row]:
     if result.total_cycles <= 0:
         return []
     share = cache(lambda name, uses: _finite(_busy(result, name, uses)[1], 100.0))
-    return [(stats, {name: share(name, uses) for name, uses in stats.resource_uses.items()})
-            for _, stats in sorted(result.per_pc.items())]
+    by_uses = {id(s.resource_uses): s.resource_uses for s in result.per_pc.values()}
+    shares = {key: {name: share(name, n) for name, n in uses.items()}
+              for key, uses in by_uses.items()}  # one dict per distinct uses dict
+    return [(stats, shares[id(stats.resource_uses)]) for _, stats in sorted(result.per_pc.items())]
 
 
 def table_columns(rows: list[Row]) -> list[str]:

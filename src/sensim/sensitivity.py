@@ -71,7 +71,9 @@ class BottleneckVerdict(NamedTuple):
 
 
 def speedup(base: float, accelerated: float) -> float:
-    """base/accelerated - 1; positive when acceleration helped."""
+    """base/accelerated - 1; positive when acceleration helped, 0.0 at the base time."""
+    if accelerated == base:  # also a zero-cycle run's, whose points all gain nothing
+        return 0.0
     if base <= 0 or accelerated <= 0:
         raise ValueError("speedup needs positive times")
     return base / accelerated - 1

@@ -10,7 +10,7 @@ import pytest
 from sensim import corpus
 from sensim.cli import _default_workers, main
 from sensim.engine import simulate
-from sensim.machine import load_config
+from sensim.machine import accelerable_parameters, load_config
 from sensim.report import render_instruction_table, run_report_json
 from sensim.trace import parse_trace
 
@@ -565,19 +565,47 @@ def test_a_repeated_sweep_point_exits_one_and_removes_its_heatmap(tmp_path, caps
     assert not heatmap.exists()
 
 
-def test_sensitivity_of_empty_trace_exits_one(tmp_path, port_block_files, capsys):
-    # every point of an empty trace is settled at the base time without a
-    # rerun, and each still goes through speedup(), which rejects a zero time
+def _zero_gains(out: str, parameters: list[str]) -> None:
+    """`out` is a sensitivity report of base time 0 where each parameter gains 0.00 %."""
+    head, table = out.split("\n\n")
+    assert head == "base time 0"
+    assert table.splitlines()[1:] == [f"{p:<20} {0:>11.2f}%  no" for p in sorted(parameters)]
+
+
+def test_sensitivity_of_empty_trace_gains_nothing(tmp_path, port_block_files, capsys):
+    # every point of an empty trace ends at the base time, 0 cycles, and gains nothing
     _, cfg = port_block_files
     empty = tmp_path / "empty.trace"
     empty.write_text("")
     capsys.readouterr()
     for workers in ("1", "2"):
         assert main(["sensitivity", str(empty), "--config", cfg,
-                     "--workers", workers]) == 1
+                     "--workers", workers]) == 0
         captured = capsys.readouterr()
-        assert captured.err == "sensim: error: speedup needs positive times\n"
-        assert captured.out == ""
+        assert captured.err == ""
+        _zero_gains(captured.out, accelerable_parameters(corpus.generate("portblock")[1]))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sensitivity_of_a_zero_cycle_run_gains_nothing(tmp_path, capsys, workers):
+    # simulate reports a run of 0 cycles, and so does sensitivity: each point,
+    # rerun (INST_LAT) or settled, ends at the base time
+    trace = tmp_path / "z.trace"
+    trace.write_text('{"pc":0,"resources":["r"],"latency":0}\n')
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text('{"resources":[{"name":"r","gap":1}],"window":4}')
+    heatmap = tmp_path / "z.csv"
+    assert main(["simulate", str(trace), "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["sensitivity", str(trace), "--config", str(cfg), "--workers", workers,
+                 "--heatmap", str(heatmap)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _zero_gains(captured.out.removesuffix(f"heatmap written to {heatmap}\n"),
+                ["INST_LAT", "INST_WINDOW", "r"])
+    assert heatmap.read_text().splitlines()[1:] == [
+        f"{p},{w},0,0" for p in ("INST_LAT", "INST_WINDOW", "r")
+        for w in ("1.01", "1.05", "1.1", "1.15")]
 
 
 def _overflow_files(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from oracles import RefTimingModel
 from randcases import MEMORY_SHAPES, block_case, memory_case, random_config, random_trace
 from sensim.caches import line_accesses
-from sensim.corpus import gen_jacobi_like, gen_port_block, gen_stream
+from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule, simulate
 from sensim.machine import (INST_LAT, INST_WINDOW, BranchConfig, CacheLevelConfig,
                             MachineConfig, Resource, accelerable_parameters, apply_weights,
@@ -558,3 +558,70 @@ def test_schedule_build_memory_does_not_grow_with_range_bytes():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _sharing_cases():
+    """Corpus kernels, and a branch-unit machine whose records repeat a few
+    values: some load or store, some mispredict."""
+    yield gen_port_block()
+    yield gen_jacobi_like(20)
+    yield gen_latency_chain(30)
+    yield gen_stream(40)
+    config = MachineConfig(
+        resources=(Resource("FRONTEND", 0.25), Resource("p0", 1.0)), window_capacity=8,
+        frontend_resource="FRONTEND",
+        cache_levels=(CacheLevelConfig("L1", gap=1.0, total_size=256, associativity=2,
+                                       line_size=64), CacheLevelConfig("MEM", gap=2.0)),
+        branch=BranchConfig(enabled=True, btb_sets=4, btb_ways=2, tage_entries_log2=4,
+                            history_lengths=(2, 5), misprediction_penalty=15.0))
+    rng = random.Random(7)
+    pool = [{}, {"reg_reads": (1,)}, {"mem_reads": (MemAccess(0, 8),)},
+            {"mem_writes": (MemAccess(4096, 8),)},
+            {"branch": BranchInfo(kind="conditional", taken=True, target=0)}]
+    yield [InstructionEvent(pc=4 * rng.randrange(6), resources=("p0",), latency=1.0,
+                            **rng.choice(pool)) for _ in range(200)], config
+
+
+SHARING_CASES = list(_sharing_cases())
+SHARING_IDS = ["portblock", "jacobi", "chain", "stream", "branch unit"]
+
+
+@pytest.mark.parametrize("trace, config", SHARING_CASES, ids=SHARING_IDS)
+def test_pcs_with_equal_counts_share_one_uses_dict(trace, config):
+    per_pc = build_schedule(trace, config).per_pc
+    fresh = build_schedule(trace, config).per_pc  # a second build shares nothing with the first
+    for a in per_pc.values():
+        for b in per_pc.values():
+            assert (a.resource_uses is b.resource_uses) == (a.resource_uses == b.resource_uses)
+        assert a.resource_uses == fresh[a.pc].resource_uses
+        assert a.resource_uses is not fresh[a.pc].resource_uses
+
+
+@pytest.mark.parametrize("trace, config", SHARING_CASES, ids=SHARING_IDS)
+def test_equal_memory_free_steps_are_one_object(trace, config):
+    steps = build_schedule(trace, config).steps
+    free = [step for event, step in zip(trace, steps)
+            if not (event.mem_reads or event.mem_writes)]
+    for a in free:
+        for b in free:
+            assert (a is b) == (a == b)
+    # a step with key lists is never merged, even with an equal one
+    keyed = [step for event, step in zip(trace, steps) if event.mem_reads or event.mem_writes]
+    assert len({id(step) for step in keyed}) == len(keyed)
+
+
+def test_repeated_records_share_their_values():
+    # chain: 1,000 pcs of equal counts and 1,000 equal steps
+    trace, config = gen_latency_chain(1000)
+    schedule = build_schedule(trace, config)
+    assert len({id(step) for step in schedule.steps}) == 1
+    assert len({id(s.resource_uses) for s in schedule.per_pc.values()}) == 1
+    assert schedule.per_pc[0x4000].resource_uses == {"p0": 1, "FRONTEND": 1}
+    # the branch-unit machine: mispredicted and plain steps stay apart, and
+    # equal loads of one L1 line stay separate objects
+    trace, config = SHARING_CASES[-1]
+    steps = build_schedule(trace, config).steps
+    free = {step for event, step in zip(trace, steps) if not (event.mem_reads or event.mem_writes)}
+    assert sorted((len(step[2]), step[7]) for step in free) == [(0, 0.0), (0, 15.0), (1, 0.0)]
+    loads = [step for event, step in zip(trace, steps) if event.mem_reads and not step[6]]
+    assert len(loads) > 2 and all(step == loads[0] for step in loads)

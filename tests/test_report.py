@@ -246,6 +246,40 @@ def test_streamed_report_holds_a_fraction_of_itself():
     assert peak < length / 2
 
 
+@pytest.mark.parametrize("events, config", [gen_latency_chain(50), gen_jacobi_like(20),
+                                            gen_port_block()], ids=["chain", "jacobi", "portblock"])
+def test_rows_with_equal_uses_share_one_shares_dict(events, config):
+    rows = render_instruction_table(simulate(events, config))
+    for a, a_shares in rows:
+        for b, b_shares in rows:
+            assert (a_shares is b_shares) == (a.resource_uses == b.resource_uses)
+
+
+def test_shares_follow_the_uses_dict_a_row_holds():
+    # by identity: equal dicts that are not one object get their own shares
+    shared, equal = {"p0": 2}, {"p0": 2}
+    per_pc = {pc: PcStats(pc, "", 2, 1.0, ("p0",), uses)
+              for pc, uses in ((0x1, shared), (0x2, equal), (0x3, shared))}
+    (_, first), (_, second), (_, third) = render_instruction_table(_result(8.0, per_pc))
+    assert first is third and first is not second
+    assert first == second == {"p0": 6.25}
+
+
+def test_chain_build_rows_and_report_peak_stay_small():
+    # 10,000 pcs of equal counts and 10,000 equal steps: one uses dict, one
+    # shares dict and one step tuple serve them all (6.8 MB with one of each per pc)
+    events, config = gen_latency_chain(10000)
+    tracemalloc.start()
+    try:
+        result = simulate(events, config)
+        for _ in run_report_pieces(result, render_instruction_table(result)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+
+
 def test_format_run_report_smoke():
     trace, config = gen_jacobi_like(100)
     text = format_run_report(simulate(trace, config))

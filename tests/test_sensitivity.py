@@ -21,6 +21,7 @@ PORTS = ["p0", "p1", "p2", "p3", "p5", "p6"]
 
 def test_speedup_identity():
     assert speedup(4.0, 4.0) == 0.0
+    assert speedup(0.0, 0.0) == 0.0  # a zero-cycle run's points gain nothing
 
 
 def test_speedup_of_continuous_port_acceleration():
