@@ -46,6 +46,8 @@ _SIMPLE = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr, ast.Return, ast.D
            ast.Raise, ast.Assert, ast.Break, ast.Continue)
 
 _ROOT_BIT = "bit 0, the root, is on every way's path, so each touch rewrites it"
+_ABOVE_PARAMETERS = ("masks only gain bits above the parameters', and `avoided` reads only "
+                     "the parameters' bits")
 # module -> {mutant id (as printed): why no test can tell it from the original}
 EQUIVALENT: dict[str, dict[str, str]] = {
     "src/sensim/branch.py": {},
@@ -59,6 +61,20 @@ EQUIVALENT: dict[str, dict[str, str]] = {
         "__init__: `self.touch = [(plru_touch(-1, self.ways, w), plru_touch(0, self.ways, w))`"
         " -> `self.touch = [(plru_touch(-1, self.ways, w), plru_touch(1, self.ways, w))`":
             _ROOT_BIT,
+    },
+    "src/sensim/engine.py": {
+        "access_plan: `cuts.update(lines[1:], (addr, addr + size))`"
+        " -> `cuts.update(lines[0:], (addr, addr + size))`":
+            "the first line's start lies inside an access only where the access crosses "
+            "it or starts there, and either already makes it a cut",
+        "build_schedule: `entry = pcs[pc] = (label, own, names, [0] * (len(columns) + 1))`"
+        " -> `entry = pcs[pc] = (label, own, names, [0] * (len(columns) + 2))`":
+            "the extra slot stays 0 and lies past every column, so zip drops it and the "
+            "row's key only gains a constant 0",
+        "run_schedule: `every = ((1 << len(params)) - 1) & ~(1 << n_res)`"
+        " -> `every = ((2 << len(params)) - 1) & ~(1 << n_res)`": _ABOVE_PARAMETERS,
+        "run_schedule: `every = ((1 << len(params)) - 1) & ~(1 << n_res)`"
+        " -> `every = ((0 << len(params)) - 1) & ~(1 << n_res)`": _ABOVE_PARAMETERS,
     },
     "src/sensim/sensitivity.py": {
         "_run_points: `totals = memoryview(mmap.mmap(-1, 8 * (len(configs) or 1))).cast(\"d\")`"

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -10,10 +11,10 @@ from sensim.caches import line_accesses
 from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block, gen_stream
 from sensim.engine import build_schedule, run_schedule, simulate
 from sensim.machine import (INST_LAT, INST_WINDOW, BranchConfig, CacheLevelConfig,
-                            MachineConfig, Resource, accelerable_parameters, apply_weights,
-                            builtin_config, load_config)
+                            InstructionKind, MachineConfig, Resource, accelerable_parameters,
+                            apply_weights, builtin_config, load_config)
 from sensim.report import run_report
-from sensim.trace import BranchInfo, InstructionEvent, MemAccess
+from sensim.trace import BranchInfo, InstructionEvent, MemAccess, TraceError
 
 PORT_BLOCK_END_TIMES = [1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4]
 
@@ -625,3 +626,50 @@ def test_repeated_records_share_their_values():
     assert sorted((len(step[2]), step[7]) for step in free) == [(0, 0.0), (0, 15.0), (1, 0.0)]
     loads = [step for event, step in zip(trace, steps) if event.mem_reads and not step[6]]
     assert len(loads) > 2 and all(step == loads[0] for step in loads)
+
+
+@pytest.mark.parametrize("event, message", [
+    (InstructionEvent(pc=8, kind="nosuch"), "unknown instruction kind: 'nosuch'"),
+    (InstructionEvent(pc=8, resources=("p0", "p9"), latency=1.0), "unknown resource: 'p9'"),
+])
+def test_a_record_the_machine_cannot_bind_stops_the_build(event, message):
+    events = [InstructionEvent(pc=4, resources=("p0",), latency=1.0), event]
+    with pytest.raises(TraceError) as raised:
+        build_schedule(events, _one_port_config())
+    assert str(raised.value) == message and raised.value.line is None
+
+
+def test_a_pc_keeps_its_first_records_zero_latency():
+    # the semantics memo merges -0.0 with 0.0, but each pc keeps its own
+    # record's zero, and its kind's when the record names a kind
+    config = _one_port_config(kinds={"nop": InstructionKind("nop", ("p0",), 0.0)})
+    events = [InstructionEvent(pc=0, resources=("p0",), latency=0.0),
+              InstructionEvent(pc=4, resources=("p0",), latency=-0.0),
+              InstructionEvent(pc=8, kind="nop")]
+    per_pc = build_schedule(events, config).per_pc
+    assert [math.copysign(1.0, per_pc[pc].latency) for pc in (0, 4, 8)] == [1.0, -1.0, 1.0]
+
+
+def test_one_key_list_per_distinct_single_line_access():
+    # every step of one access shares its key list, and so does the fold of
+    # its one line
+    levels = (CacheLevelConfig("L1", gap=1.0, total_size=128, associativity=2, line_size=64),
+              CacheLevelConfig("MEM", gap=2.0))
+    events = [InstructionEvent(pc=4 * i, resources=(), latency=1.0, mem_reads=(MemAccess(8, 4),))
+              for i in range(2)]
+    first, second = build_schedule(events, _one_port_config(cache_levels=levels)).steps
+    assert first[4] is second[4] and first[4] == [8]
+    (_, fold_keys, _), = first[6]  # the cold load misses L1; the second hits it
+    assert fold_keys is first[4] and second[6] == ()
+
+
+def test_an_overflowed_total_raises():
+    events = [InstructionEvent(pc=0, resources=("p0",), latency=1e308, reg_writes=(1,)),
+              InstructionEvent(pc=4, resources=("p0",), latency=1e308, reg_reads=(1,))]
+    with pytest.raises(ValueError, match="^simulated time overflowed$"):
+        simulate(events, _one_port_config())
+
+
+def test_ipc_of_a_run_shorter_than_one_cycle():
+    result = simulate([InstructionEvent(pc=0, resources=("p0",), latency=0.5)], _one_port_config())
+    assert (result.total_cycles, result.ipc) == (0.5, 2.0)
