@@ -22,15 +22,15 @@ ends with a latency.  Availability, rewritten at every use, keeps its masks
 in a parallel list.
 
 Two phases keep reruns cheap.  `build_schedule` resolves the trace once and
-computes everything timing-independent into a Schedule: the cache hit level
-and branch verdict of each event, and the finished per-pc, per-resource,
-cache and branch counts.  `run_schedule` then computes only what a weight
-changes: the total, the IPC, the gaps it ran with, the parameters the
-total's path avoids, and optionally each event's end time; every result
-built from one schedule shares its counts, from which `report` derives busy
-time, occupancy and shares.  This is exact, not an approximation: cache
-replacement and branch prediction depend only on the event stream, never on
-simulated time.
+computes everything timing-independent into a Schedule: the steps, holding
+each event's cache hit level and branch verdict, and the per-pc, resource,
+cache and branch counts as `counts`, a SimResult no run has timed.
+`run_schedule` fills in only its timing fields, all that a weight changes:
+the total, the IPC, the gaps it ran with, the parameters the total's path
+avoids, and optionally each event's end time.  Every result of one schedule
+shares its counts, from which `report` derives busy time, occupancy and
+shares.  This is exact, not an approximation: cache replacement and branch
+prediction depend only on the event stream, never on simulated time.
 """
 
 from __future__ import annotations
@@ -64,24 +64,24 @@ class LevelCounters(NamedTuple):
 
 
 class SimResult(NamedTuple):
-    """Counts, timing and the gap of every resource and cache level for one run.
+    """Counts, then timing and the gap of every resource and cache level, for one run.
 
-    `resource_uses`, `per_pc` and `cache_stats` are the schedule's own
-    objects, shared with every other run of that schedule, and pcs with equal
-    counts share one `resource_uses` dict: all are read-only.
+    A schedule's `counts` is one no run has timed, its timing fields None; a run
+    fills in only those, so its counts are the schedule's own read-only objects,
+    and pcs with equal counts share one `resource_uses` dict.
     """
 
-    total_cycles: float
     instruction_count: int
-    ipc: float
-    resource_uses: dict[str, int]
+    resource_uses: dict[str, int]  # the column sums of the per-pc uses
     per_pc: dict[int, PcStats]
     cache_stats: dict[str, LevelCounters]
-    gaps: dict[str, float]
     branch_predicted: int
     branch_mispredicted: int
+    total_cycles: float | None = None
+    ipc: float | None = None
+    gaps: dict[str, float] | None = None
     event_end_times: tuple[float, ...] | None = None
-    avoided: frozenset[str] = frozenset()  # the parameters one path to the total avoids
+    avoided: frozenset[str] | None = None  # the parameters one path to the total avoids
 
 
 # Step layout (plain tuples keep the timing loop lean):
@@ -92,16 +92,11 @@ class SimResult(NamedTuple):
 # line access that crosses a level, loads first.
 class Schedule(NamedTuple):
     """Timing-independent digest of a trace resolved against a config: the
-    steps the timing recurrence walks, plus every count no weight changes.
-    Read-only: equal memory-free steps are one tuple, and pcs with equal
-    counts share one `resource_uses` dict."""
+    steps the timing recurrence walks, and every count no weight changes as
+    an untimed SimResult.  Read-only: equal memory-free steps are one tuple."""
 
     steps: list[tuple]
-    resource_uses: dict[str, int]  # the column sums of the per-pc uses
-    per_pc: dict[int, PcStats]
-    cache_stats: dict[str, LevelCounters]
-    branch_predicted: int
-    branch_mispredicted: int
+    counts: SimResult
 
 
 def bind_semantics(event: InstructionEvent, config: MachineConfig
@@ -227,8 +222,8 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
     # one uses dict per distinct row of counts, shared by every pc with that row
     shared = {row: {c: n for c, n in zip(columns, row) if n}
               for row in {tuple(entry[3][:-1]) for entry in pcs.values()}}
-    return Schedule(
-        steps=steps,
+    return Schedule(steps, SimResult(
+        instruction_count=len(steps),
         resource_uses={name: sum(entry[3][i] for entry in pcs.values())
                        for i, name in enumerate(resource_names)},
         per_pc={pc: PcStats(pc=pc, label=label, count=row[-1], latency=latency, resources=names,
@@ -239,22 +234,23 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                                                transfers=levels[i - 1].misses if i else 0)
                      for i, level in enumerate(levels)},
         branch_predicted=predicted,
-        branch_mispredicted=mispredicted)
+        branch_mispredicted=mispredicted))
 
 
 def run_schedule(schedule: Schedule, config: MachineConfig,
                  record_event_times: bool = False) -> SimResult:
     """Run the timing recurrence for one (possibly weight-derived) config.
 
-    Only what a weight can change is computed here; the counts come from the
-    schedule and are shared by every result built from it.
+    Only what a weight can change is computed here: the result is the
+    schedule's `counts` with its timing fields filled in.
     """
-    names = [*schedule.resource_uses, *schedule.cache_stats]
+    counts = schedule.counts
+    names = [*counts.resource_uses, *counts.cache_stats]
     if names != [r.name for r in config.resources] + [l.name for l in config.cache_levels]:
         raise ValueError("schedule was built against a different machine")
     gaps = [r.gap for r in config.resources]
     cache_gaps = [l.gap for l in config.cache_levels]
-    cache_avail = [0.0] * len(schedule.cache_stats)
+    cache_avail = [0.0] * len(counts.cache_stats)
     avail = [0.0] * len(gaps)
     lat_scale = config.latency_scale
     capacity = config.window_capacity
@@ -345,17 +341,9 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     # sweep whose base run passes this check never fails it on a rerun
     if total == inf:
         raise ValueError("simulated time overflowed")
-    count = len(schedule.steps)
-    return SimResult(
-        total_cycles=total,
-        instruction_count=count,
-        ipc=count / total if total > 0 else 0.0,
-        resource_uses=schedule.resource_uses,
-        per_pc=schedule.per_pc,
-        cache_stats=schedule.cache_stats,
+    return counts._replace(
+        total_cycles=total, ipc=counts.instruction_count / total if total > 0 else 0.0,
         gaps=dict(zip(names, gaps + cache_gaps)),
-        branch_predicted=schedule.branch_predicted,
-        branch_mispredicted=schedule.branch_mispredicted,
         event_end_times=tuple(t_ends) if t_ends is not None else None,
         avoided=frozenset(n for i, n in enumerate(params) if total_mask >> i & 1))
 

@@ -10,7 +10,7 @@ concurrency levels.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from math import inf
 
@@ -45,11 +45,15 @@ def render_instruction_table(result: SimResult) -> list[Row]:
     """
     if result.total_cycles <= 0:
         return []
-    share = cache(lambda name, uses: _finite(_busy(result, name, uses)[1], 100.0))
-    by_uses = {id(s.resource_uses): s.resource_uses for s in result.per_pc.values()}
-    shares = {key: {name: share(name, n) for name, n in uses.items()}
-              for key, uses in by_uses.items()}  # one dict per distinct uses dict
-    return [(stats, shares[id(stats.resource_uses)]) for _, stats in sorted(result.per_pc.items())]
+    shares = _per_dict(lambda uses: {name: _finite(_busy(result, name, n)[1], 100.0)
+                                     for name, n in uses.items()})
+    return [(stats, shares(stats.resource_uses)) for _, stats in sorted(result.per_pc.items())]
+
+
+def _per_dict(render: Callable) -> Callable:
+    """`render`, run once per dict object: keyed by id, so the caller keeps each dict alive."""
+    done = {}
+    return lambda d: done[id(d)] if id(d) in done else done.setdefault(id(d), render(d))
 
 
 def table_columns(rows: list[Row]) -> list[str]:
@@ -110,9 +114,9 @@ def run_report_json(result: SimResult, instruction_rows: list[Row] | None = None
 def run_report_pieces(result: SimResult, rows: list[Row] | None = None) -> Iterator[str]:
     """run_report_json's text in order, each `per_pc` entry and instruction row
     rendered when the consumer reaches it; every check that can fail runs in
-    this call.  A row's label, resources, uses and shares are rendered once per
-    distinct value, which render_instruction_table's int uses and shares >= +0.0
-    may key.  Latencies are not: records and kinds accept -0.0, which a cache
+    this call.  A row's label and resources are rendered once per distinct
+    value, and its uses and shares once per dict, which the result and the rows
+    hold.  Latencies are not cached: records and kinds accept -0.0, which a cache
     would merge with 0.0, and reject non-finite ones, so float.__repr__ is
     json.dumps's text for them."""
     def dumps(value, indent: str = "   ") -> str:  # JSON text holds no raw newline
@@ -121,16 +125,16 @@ def run_report_pieces(result: SimResult, rows: list[Row] | None = None) -> Itera
     sections = {key: (f'"{key}": ' + dumps(value, " "),)
                 for key, value in run_report(result).items()}
     text = cache(dumps)  # a label, or a resources tuple as an array
-    uses = cache(lambda items: dumps(dict(items)))
+    uses = _per_dict(dumps)
     sections["per_pc"] = _container('"per_pc": {', (
         (_PC_ROW % (key, s.count, text(s.label), float.__repr__(s.latency),
-                    text(s.resources), uses(tuple(s.resource_uses.items()))),)
+                    text(s.resources), uses(s.resource_uses)),)
         for key, s in sorted((f"0x{pc:x}", s) for pc, s in result.per_pc.items())), "}", "\n ")
     if rows is not None:
-        shares = cache(lambda items: dumps({k: round(v, 1) for k, v in items}))
+        shares = _per_dict(lambda d: dumps({k: round(v, 1) for k, v in d.items()}))
         sections["instruction_table"] = _container('"instruction_table": [', (
             (_TABLE_ROW % (s.count, text(s.label), float.__repr__(s.latency), s.pc,
-                           text(s.resources), shares(tuple(row_shares.items()))),)
+                           text(s.resources), shares(row_shares)),)
             for s, row_shares in rows), "]", "\n ")
     return _container("{", (pieces for _, pieces in sorted(sections.items())), "}\n", "\n")
 

@@ -76,6 +76,15 @@ EQUIVALENT: dict[str, dict[str, str]] = {
         "run_schedule: `every = ((1 << len(params)) - 1) & ~(1 << n_res)`"
         " -> `every = ((0 << len(params)) - 1) & ~(1 << n_res)`": _ABOVE_PARAMETERS,
     },
+    "src/sensim/report.py": {
+        "<module>: `Row = tuple[PcStats, dict[str, float]]  # a pc's stats and its share of each "
+        "column, in %` -> `pass  # a pc's stats and its share of each column, in %`":
+            "`Row` appears only in annotations, which `from __future__ import annotations` "
+            "never evaluates",
+        "<module>: `+ [f\"#{255 - round(255 * i / 8):02x}0000\" for i in range(1, 9)])`"
+        " -> `+ [f\"#{255 - round(255 * i / 8):02x}0000\" for i in range(1, 10)])`":
+            "a cell's level is at most 15, so a 17th color is never read",
+    },
     "src/sensim/sensitivity.py": {
         "_run_points: `totals = memoryview(mmap.mmap(-1, 8 * (len(configs) or 1))).cast(\"d\")`"
         " -> `totals = memoryview(mmap.mmap(-1, 8 * (len(configs) or 2))).cast(\"d\")`":

@@ -589,8 +589,8 @@ SHARING_IDS = ["portblock", "jacobi", "chain", "stream", "branch unit"]
 
 @pytest.mark.parametrize("trace, config", SHARING_CASES, ids=SHARING_IDS)
 def test_pcs_with_equal_counts_share_one_uses_dict(trace, config):
-    per_pc = build_schedule(trace, config).per_pc
-    fresh = build_schedule(trace, config).per_pc  # a second build shares nothing with the first
+    per_pc = build_schedule(trace, config).counts.per_pc
+    fresh = build_schedule(trace, config).counts.per_pc  # shares nothing with the first build
     for a in per_pc.values():
         for b in per_pc.values():
             assert (a.resource_uses is b.resource_uses) == (a.resource_uses == b.resource_uses)
@@ -616,8 +616,8 @@ def test_repeated_records_share_their_values():
     trace, config = gen_latency_chain(1000)
     schedule = build_schedule(trace, config)
     assert len({id(step) for step in schedule.steps}) == 1
-    assert len({id(s.resource_uses) for s in schedule.per_pc.values()}) == 1
-    assert schedule.per_pc[0x4000].resource_uses == {"p0": 1, "FRONTEND": 1}
+    assert len({id(s.resource_uses) for s in schedule.counts.per_pc.values()}) == 1
+    assert schedule.counts.per_pc[0x4000].resource_uses == {"p0": 1, "FRONTEND": 1}
     # the branch-unit machine: mispredicted and plain steps stay apart, and
     # equal loads of one L1 line stay separate objects
     trace, config = SHARING_CASES[-1]
@@ -626,6 +626,43 @@ def test_repeated_records_share_their_values():
     assert sorted((len(step[2]), step[7]) for step in free) == [(0, 0.0), (0, 15.0), (1, 0.0)]
     loads = [step for event, step in zip(trace, steps) if event.mem_reads and not step[6]]
     assert len(loads) > 2 and all(step == loads[0] for step in loads)
+
+
+TIMING_FIELDS = ("total_cycles", "ipc", "gaps", "event_end_times", "avoided")
+COUNT_FIELDS = ("instruction_count", "resource_uses", "per_pc", "cache_stats",
+                "branch_predicted", "branch_mispredicted")
+
+
+@pytest.mark.parametrize("trace, config", SHARING_CASES, ids=SHARING_IDS)
+def test_a_schedules_counts_are_an_untimed_result(trace, config):
+    schedule = build_schedule(trace, config)
+    assert schedule._fields == ("steps", "counts")
+    assert schedule.counts._fields == COUNT_FIELDS + TIMING_FIELDS
+    assert schedule.counts.instruction_count == len(schedule.steps) == len(trace)
+    assert [getattr(schedule.counts, name) for name in TIMING_FIELDS] == [None] * 5
+
+
+@pytest.mark.parametrize("trace, config", SHARING_CASES, ids=SHARING_IDS)
+def test_every_run_holds_the_schedules_count_objects(trace, config):
+    schedule = build_schedule(trace, config)
+    runs = [run_schedule(schedule, config)] + [
+        run_schedule(schedule, apply_weights(config, {name: 2.0}))
+        for name in accelerable_parameters(config)]
+    for result in runs:
+        for name in COUNT_FIELDS:
+            value, own = getattr(result, name), getattr(schedule.counts, name)
+            assert value is own if isinstance(own, dict) else value == own, name
+
+
+@pytest.mark.parametrize("trace, config", SHARING_CASES, ids=SHARING_IDS)
+def test_two_runs_of_one_schedule_differ_only_in_timing(trace, config):
+    schedule = build_schedule(trace, config)
+    base = run_schedule(schedule, config, record_event_times=True)
+    fast = run_schedule(schedule, apply_weights(config, {INST_LAT: 2.0}))
+    unset = dict.fromkeys(TIMING_FIELDS)
+    assert base._replace(**unset) == fast._replace(**unset) == schedule.counts
+    assert fast.total_cycles < base.total_cycles and fast.event_end_times is None
+    assert fast.gaps == base.gaps and base.avoided is not None
 
 
 @pytest.mark.parametrize("event, message", [
@@ -646,7 +683,7 @@ def test_a_pc_keeps_its_first_records_zero_latency():
     events = [InstructionEvent(pc=0, resources=("p0",), latency=0.0),
               InstructionEvent(pc=4, resources=("p0",), latency=-0.0),
               InstructionEvent(pc=8, kind="nop")]
-    per_pc = build_schedule(events, config).per_pc
+    per_pc = build_schedule(events, config).counts.per_pc
     assert [math.copysign(1.0, per_pc[pc].latency) for pc in (0, 4, 8)] == [1.0, -1.0, 1.0]
 
 

@@ -287,6 +287,13 @@ def test_format_run_report_smoke():
     assert "cache level" in text
 
 
+def test_format_run_report_counts_branches_when_the_unit_ran():
+    result = _result(4.0, _ONE_PC)
+    assert "branches" not in format_run_report(result)
+    text = format_run_report(result._replace(branch_predicted=3, branch_mispredicted=1))
+    assert text.endswith("\n\nbranches predicted 3, mispredicted 1\n")
+
+
 def _port_block_report():
     trace, config = gen_port_block()
     return sweep_single(trace, config, ["p0", "p1", "p2", "p3", "p5", "p6"], [2.0])
@@ -334,6 +341,22 @@ def test_heatmap_svg_intensity_tracks_speedup():
         fills[bar.get("id")] = rects[0].get("fill")
     assert fills["bar-b"] == "#ffffff"   # zero speedup stays white
     assert fills["bar-a"] == "#000000"   # the peak is fully saturated
+
+
+def test_heatmap_svg_of_no_gain_stays_white():
+    # no speedup to scale by: every cell gets the ramp's first color
+    report = SensitivityReport(base_time=4.0, points=[
+        SensitivityPoint(("a",), 2.0, 4.0, 0.0), SensitivityPoint(("b",), 1.5, 4.0, 0.0)])
+    root = ET.fromstring(emit_heatmap(report, "svg"))
+    fills = [rect.get("fill") for rect in root.iter("{http://www.w3.org/2000/svg}rect")]
+    assert fills == ["#ffffff"] * 2
+
+
+@pytest.mark.parametrize("points", [[], [SensitivityPoint(("a",), 2.0, 3.0, 1 / 3)]],
+                         ids=["no point", "one point"])
+def test_heatmap_svg_canvas_holds_at_least_one_cell(points):
+    root = ET.fromstring(emit_heatmap(SensitivityReport(base_time=4.0, points=points), "svg"))
+    assert (root.get("width"), root.get("height")) == ("166", "102")  # margins + 56 x 22
 
 
 def test_heatmap_svg_leaves_a_missing_cell_empty():
