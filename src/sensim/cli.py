@@ -19,6 +19,8 @@ from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, SensitivityReport,
                           classify, power_subsets, sweep_single, sweep_subsets)
 from .trace import TraceError, _trace_lines, parse_trace
 
+_BATCH = 256  # records parsed before the run binds them: alternating per record costs more
+
 
 def _default_workers() -> int:
     """CPUs this process may run on (its affinity mask, which cpuset limits
@@ -82,19 +84,33 @@ def _build_parser() -> _Parser:
 
 @contextmanager
 def _load_inputs(args):
-    """The config, then the trace's events streamed from the open file.  A
-    TraceError without a line (a record the config cannot bind) gets the
-    line last read, which is that record's."""
+    """The config, then the trace's events, parsed from the open file in
+    batches of _BATCH records that the run binds in turn: a parse error waits
+    until the events before it are built, and a TraceError without a line (a
+    record the config cannot bind) gets that record's.  A byte not in UTF-8 is
+    read as a lone surrogate, which makes its record malformed."""
     with open(args.config, "r", encoding="utf-8") as fh:
         config = load_config(fh.read())
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        read = [0]
+    with open(args.trace, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        read, at = [0], [0]
+        events = parse_trace(line for read[0], line in enumerate(fh, 1))
+
+        def batched():
+            while True:
+                batch = []
+                try:  # extend keeps what it appended before an error
+                    batch.extend((read[0], event) for event in islice(events, _BATCH))
+                finally:  # so an error is raised once the events before it are built
+                    for at[0], event in batch:
+                        yield event
+                if len(batch) < _BATCH:
+                    return
         try:
-            yield parse_trace(line for read[0], line in enumerate(fh, 1)), config
+            yield batched(), config
         except TraceError as exc:
             if exc.line is not None:
                 raise
-            raise TraceError(str(exc), read[0]) from None
+            raise TraceError(str(exc), at[0]) from None
 
 
 @contextmanager
@@ -162,10 +178,8 @@ def _cmd_sensitivity(args) -> int:
         weights = [float(w) for w in args.weights.split(",") if w.strip()]
         if not weights:
             raise ValueError("--weights names no weight")
-        if args.resources == "all":
-            parameters = accelerable_parameters(config)
-        else:
-            parameters = [p.strip() for p in args.resources.split(",") if p.strip()]
+        parameters = (accelerable_parameters(config) if args.resources == "all" else
+                      [p.strip() for p in args.resources.split(",") if p.strip()])
 
         if args.subsets is not None:
             subsets = _parse_subsets(args.subsets, parameters)

@@ -9,12 +9,7 @@ from .machine import (CacheLevelConfig, MachineConfig, Resource, builtin_config,
                       load_config)
 from .trace import BranchInfo, InstructionEvent, MemAccess
 
-_REG_RAX = 0
-_REG_RCX = 1
-_REG_XMM0 = 2
-_REG_XMM1 = 3
-_REG_FLAGS = 4
-_REG_RDX = 5
+_REG_RAX, _REG_RCX, _REG_XMM0, _REG_XMM1, _REG_FLAGS, _REG_RDX = range(6)
 
 
 def gen_port_block() -> tuple[list[InstructionEvent], MachineConfig]:

@@ -160,6 +160,8 @@ _scan = json.JSONDecoder().scan_once  # json.loads's scanner, without its checks
 def _parse_record(raw_line: str) -> tuple[InstructionEvent, int | None]:
     """One record's event and its explicit seq, if any.  Decodes only: the
     record types check every field."""
+    if not raw_line.isascii() and re.search("[\ud800-\udfff]", raw_line):
+        raise TraceError("invalid record: not UTF-8")  # as errors="surrogateescape" reads it
     try:
         try:
             raw, end = _scan(raw_line, 0)

@@ -48,6 +48,9 @@ _SIMPLE = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr, ast.Return, ast.D
 _ROOT_BIT = "bit 0, the root, is on every way's path, so each touch rewrites it"
 _ABOVE_PARAMETERS = ("masks only gain bits above the parameters', and `avoided` reads only "
                      "the parameters' bits")
+_BATCH_SIZE = ("the batch size sets only how far the parser runs ahead of the build, never "
+               "what is built or which error is reported")
+_WRITE_BLOCK = "the block size sets only how many writes carry the report's bytes"
 # module -> {mutant id (as printed): why no test can tell it from the original}
 EQUIVALENT: dict[str, dict[str, str]] = {
     "src/sensim/branch.py": {},
@@ -61,6 +64,25 @@ EQUIVALENT: dict[str, dict[str, str]] = {
         "__init__: `self.touch = [(plru_touch(-1, self.ways, w), plru_touch(0, self.ways, w))`"
         " -> `self.touch = [(plru_touch(-1, self.ways, w), plru_touch(1, self.ways, w))`":
             _ROOT_BIT,
+    },
+    "src/sensim/cli.py": {
+        "<module>: `_BATCH = 256  # records parsed before the run binds them: alternating per "
+        "record costs more` -> `_BATCH = 257  # records parsed before the run binds them: "
+        "alternating per record costs more`": _BATCH_SIZE,
+        "<module>: `_BATCH = 256  # records parsed before the run binds them: alternating per "
+        "record costs more` -> `_BATCH = 255  # records parsed before the run binds them: "
+        "alternating per record costs more`": _BATCH_SIZE,
+        "_load_inputs: `read, at = [0], [0]` -> `read, at = [1], [0]`":
+            "`read` is set by the first line parse_trace pulls, before any event is tagged",
+        "_load_inputs: `read, at = [0], [0]` -> `read, at = [0], [1]`":
+            "`at` is set before the first event is yielded, and only a built event can fail "
+            "to bind",
+        "_cmd_simulate: `sys.stdout.writelines(iter(lambda: \"\".join(islice(pieces, 512)), "
+        "\"\"))` -> `sys.stdout.writelines(iter(lambda: \"\".join(islice(pieces, 513)), \"\"))`":
+            _WRITE_BLOCK,
+        "_cmd_simulate: `sys.stdout.writelines(iter(lambda: \"\".join(islice(pieces, 512)), "
+        "\"\"))` -> `sys.stdout.writelines(iter(lambda: \"\".join(islice(pieces, 511)), \"\"))`":
+            _WRITE_BLOCK,
     },
     "src/sensim/engine.py": {
         "access_plan: `cuts.update(lines[1:], (addr, addr + size))`"

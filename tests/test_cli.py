@@ -3,13 +3,14 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
 
 from sensim import corpus
-from sensim.cli import _default_workers, main
-from sensim.engine import simulate
+from sensim.cli import _BATCH, _default_workers, main
+from sensim.engine import build_schedule, simulate
 from sensim.machine import accelerable_parameters, load_config
 from sensim.report import render_instruction_table, run_report_json
 from sensim.trace import parse_trace
@@ -284,7 +285,24 @@ def test_unknown_subcommand_exits_one(capsys):
 def test_unknown_flag_exits_one(port_block_files, capsys):
     trace, cfg = port_block_files
     assert main(["simulate", trace, "--config", cfg, "--bogus"]) == 1
-    assert "usage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage" in err
+    assert err.endswith("\nsensim: error: unrecognized arguments: --bogus\n")
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: sensim ")
+
+
+def test_the_module_runs_as_the_command(port_block_files):
+    # `python -m sensim.cli` is how the benchmark runs it
+    trace, cfg = port_block_files
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(corpus.__file__)))
+    done = subprocess.run([sys.executable, "-m", "sensim.cli", "simulate", trace + ".missing",
+                           "--config", cfg], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("sensim: error: [Errno 2] ")
 
 
 def test_bad_weight_exits_one(port_block_files, capsys):
@@ -350,6 +368,109 @@ def test_bind_error_names_line(tmp_path, port_block_files, capsys, record, comma
     captured = capsys.readouterr()
     assert captured.err == f"sensim: error: line 3: {message}\n"
     assert captured.out == ""
+
+
+_RECORD = '{"pc":%d,"resources":["p1"],"latency":1}'
+_COMMANDS = pytest.mark.parametrize("command", [["simulate"], ["sensitivity", "--workers", "1"]],
+                                    ids=["simulate", "sensitivity"])
+
+
+def _error_of(tmp_path, cfg, command, lines, capsys):
+    """The stderr of a command that must fail on a trace of `lines`; a lone
+    surrogate in a line stands for the byte that errors="surrogateescape"
+    reads as it."""
+    trace = tmp_path / "t.trace"
+    trace.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+    capsys.readouterr()
+    assert main([command[0], str(trace), "--config", cfg, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@_COMMANDS
+@pytest.mark.parametrize("bad", [_BATCH, _BATCH + 1, 2 * _BATCH + 1])
+def test_a_bind_error_comes_before_a_malformed_record_after_it_in_any_batch(
+        tmp_path, port_block_files, capsys, command, bad):
+    # on the last line of a batch the malformed record opens the next one;
+    # on a batch's first line both records are in it
+    lines = [_RECORD % (4 * i) for i in range(3 * _BATCH)]
+    lines[bad - 1:bad + 1] = ['{"pc":8,"kind":"nosuch"}', '{"pc":}']
+    assert _error_of(tmp_path, port_block_files[1], command, lines, capsys) == (
+        f"sensim: error: line {bad}: unknown instruction kind: 'nosuch'\n")
+
+
+@_COMMANDS
+@pytest.mark.parametrize("before,message", [
+    (_RECORD % 1020, f"line {_BATCH + 1}: seq 0 does not increase"),
+    ('{"pc":1020,"kind":"nosuch"}', f"line {_BATCH}: unknown instruction kind: 'nosuch'"),
+], ids=["seq", "bind-error-first"])
+def test_a_seq_that_does_not_increase_just_after_a_batch(tmp_path, port_block_files, capsys,
+                                                       command, before, message):
+    lines = [_RECORD % (4 * i) for i in range(_BATCH - 1)]
+    lines += [before, '{"pc":0,"resources":["p1"],"latency":1,"seq":0}', _RECORD % 0]
+    assert _error_of(tmp_path, port_block_files[1], command, lines, capsys) == (
+        f"sensim: error: {message}\n")
+
+
+@_COMMANDS
+def test_a_bind_error_names_its_own_line_not_the_last_one_read(tmp_path, port_block_files,
+                                                             capsys, command):
+    # the batch that holds line 1,000 reads on past it; blank lines take no event
+    lines = [_RECORD % (4 * i) for i in range(4 * _BATCH + 100)]
+    lines[10] = lines[20] = ""
+    lines[999] = '{"pc":8,"resources":["p9"],"latency":1}'
+    assert _error_of(tmp_path, port_block_files[1], command, lines, capsys) == (
+        "sensim: error: line 1000: unknown resource: 'p9'\n")
+
+
+@_COMMANDS
+@pytest.mark.parametrize("lines,message", [
+    ([_RECORD % 0, '{"pc":2,"kind":"nosuch"}', '{"pc":3,"kind":"\udcff"}'],
+     "line 2: unknown instruction kind: 'nosuch'"),
+    ([_RECORD % 0, '{"pc":2,"kind":"\udcff"}', '{"pc":3,"kind":"nosuch"}'],
+     "line 2: invalid record: not UTF-8"),
+    ([_RECORD % 0, '{"pc":2,"kind":"\udcc3"}'], "line 2: invalid record: not UTF-8"),
+    ([_RECORD % (4 * i) for i in range(600)] + ['{"pc":4,"kind":"x"}\udc80'],
+     "line 601: invalid record: not UTF-8"),
+], ids=["bind-error-first", "bad-byte-first", "cut-sequence", "past-the-first-chunk"])
+def test_a_byte_not_in_utf8_makes_its_record_malformed(tmp_path, port_block_files, capsys,
+                                                       command, lines, message):
+    assert _error_of(tmp_path, port_block_files[1], command, lines, capsys) == (
+        f"sensim: error: {message}\n")
+
+
+def test_a_record_may_hold_any_utf8_text(tmp_path, port_block_files, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_text('{"pc":0,"kind":"\u00e9\u4e2d","resources":["p1"],"latency":1}\n',
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", str(trace), "--config", port_block_files[1],
+                 "--per-instruction"]) == 0
+    assert "0x0  \u00e9\u4e2d" in capsys.readouterr().out
+
+
+@_COMMANDS
+def test_the_parser_runs_at_most_one_batch_ahead_of_the_build(tmp_path, port_block_files,
+                                                             monkeypatch, capsys, command):
+    # the event list is never held in full: when the build takes event i, the
+    # parser has read the lines of i's batch and no more
+    n = 3 * _BATCH + 7
+    trace = tmp_path / "t.trace"
+    trace.write_text("".join(_RECORD % (4 * i) + "\n" for i in range(n)))
+    read, seen = [0], []
+
+    def counted(lines):
+        for read[0], line in enumerate(lines, 1):
+            yield line
+
+    def build(events, config):
+        return build_schedule((seen.append(read[0]) or event for event in events), config)
+    monkeypatch.setattr("sensim.cli.parse_trace", lambda lines: parse_trace(counted(lines)))
+    monkeypatch.setattr("sensim.engine.build_schedule", build)
+    monkeypatch.setattr("sensim.sensitivity.build_schedule", build)
+    assert main([command[0], str(trace), "--config", port_block_files[1], *command[1:]]) == 0
+    assert seen == [min(n, (i // _BATCH + 1) * _BATCH) for i in range(n)]
 
 
 def _files_with(tmp_path, edit_config=None, record=None):
@@ -719,10 +840,11 @@ def test_overflowed_ratio_exits_one(tmp_path, capsys, record, gap, flags):
     (["--subsets", "auto2"], "unknown accelerable parameter: 'auto2'"),
     (["--subsets", "automatic"], "unknown accelerable parameter: 'automatic'"),
     (["--subsets", "auto:x"], "--subsets auto:x needs an integer size >= 1"),
+    (["--subsets", "auto:0"], "--subsets auto:0 needs an integer size >= 1"),
     (["--threshold", "-1"], "threshold must be a finite number >= 0"),
     (["--resources", "p0", "--weights", "0.5"], "weight for 'p0' must be a finite number >= 1"),
 ], ids=["resources", "subsets", "subsets-auto-typo", "subsets-automatic", "subsets-auto-size",
-        "threshold", "weights"])
+        "subsets-auto-0", "threshold", "weights"])
 def test_bad_flag_reported_before_bad_record(tmp_path, port_block_files, capsys, flags, message):
     _, cfg = port_block_files
     bad = tmp_path / "bad.trace"
@@ -756,6 +878,23 @@ def test_overflowed_speedup_percentage_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "sensim: error: simulated time overflowed\n"
     assert captured.out == ""
+
+
+def test_subsets_of_one_parameter_each(port_block_files, capsys):
+    trace, cfg = port_block_files
+    capsys.readouterr()
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1", "--weights", "2",
+                 "--subsets", "auto:1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    with open(cfg, encoding="utf-8") as fh:
+        parameters = accelerable_parameters(load_config(fh.read()))
+    assert sorted(row.split()[0] for row in rows) == sorted(parameters)
+
+
+def test_default_workers_reads_this_process_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2} if pid == 0 else set(range(64)), raising=False)
+    assert _default_workers() == 3
 
 
 def test_default_workers_without_an_affinity_mask(monkeypatch):

@@ -461,11 +461,21 @@ def test_a_record_followed_by_a_line_end_is_decoded_without_json_loads(monkeypat
      "branch must be {kind, taken, target}"),
     ('{"pc":0,"kind":"x","bogus":1,"alpha":2}', "unknown field 'alpha'"),
     ('{"pc":0,"kind":"x","reg_reads":5}', "reg_reads must be an array"),
+    # a byte not in UTF-8, read with errors="surrogateescape", and any other lone surrogate
+    ('{"pc":0,"kind":"\udcff"}', "invalid record: not UTF-8"),
+    ('{"pc":0,"kind":"x"}\udc80', "invalid record: not UTF-8"),
+    ('{"pc":0,"kind":"\u00e9\ud800"}', "invalid record: not UTF-8"),
 ])
 def test_malformed_record_messages(record, message):
     with pytest.raises(TraceError) as err:
         parse(record)
     assert str(err.value) == f"line 1: {message}"
+
+
+def test_non_ascii_text_and_escaped_surrogates_are_records():
+    # an escape is ASCII text, so no byte of the file was outside UTF-8
+    assert [e.kind for e in parse('{"pc":0,"kind":"\u00e9"}\n{"pc":1,"kind":"\\udcff"}')] == [
+        "\u00e9", "\udcff"]
 
 
 def test_a_loop_body_of_4096_lines_is_parsed_twice_and_a_longer_one_every_time(parsed):
