@@ -92,32 +92,32 @@ def gen_jacobi_like(iters: int) -> tuple[list[InstructionEvent], MachineConfig]:
     return events, config
 
 
-def gen_latency_chain(n: int) -> tuple[list[InstructionEvent], MachineConfig]:
-    """n instructions each reading the register the previous one wrote.
+def gen_latency_chain(iters: int) -> tuple[list[InstructionEvent], MachineConfig]:
+    """`iters` instructions each reading the register the previous one wrote.
 
     Latency 4 with a non-binding port and frontend, so the dependency chain
-    alone sets the total: exactly 4n cycles, and only accelerating latencies
-    (INST_LAT) can help.
+    alone sets the total: exactly 4 * iters cycles, and only accelerating
+    latencies (INST_LAT) can help.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     events = [
         InstructionEvent(pc=0x4000 + 4 * k, resources=("p0",), latency=4.0,
                          reg_reads=(0,), reg_writes=(0,))
-        for k in range(n)]
+        for k in range(iters)]
     return events, _small_machine(Resource("p0", 1.0))
 
 
-def gen_stream(n: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[InstructionEvent], MachineConfig]:
-    """n loads striding one cache line over a `footprint`-byte buffer.
+def gen_stream(iters: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[InstructionEvent], MachineConfig]:
+    """`iters` loads striding one cache line over a `footprint`-byte buffer.
 
     With the default footprint far beyond the last cache level every access
     walks the whole hierarchy, so memory bandwidth (MEM_THR) dominates.
     Shrinking the footprint below L1 leaves only compulsory misses.  The
     footprint must be a positive multiple of the 64-byte stride.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     if footprint < 64 or footprint % 64:
         raise ValueError(
             f"footprint must be a positive multiple of 64 bytes, got {footprint}")
@@ -126,7 +126,7 @@ def gen_stream(n: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[Instructi
         InstructionEvent(pc=0x5000, resources=("p23",), latency=4.0,
                          mem_reads=(MemAccess(base + (64 * k) % footprint, 8),),
                          reg_writes=(0,))
-        for k in range(n)]
+        for k in range(iters)]
     return events, _small_machine(Resource("p23", 0.5))
 
 

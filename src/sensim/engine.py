@@ -219,15 +219,14 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         bounds = iter(keys)
         keys[:] = [k for start, end in zip(bounds, bounds) for k in order[at[start]:at[end]]]
     levels = hierarchy.levels
-    # one uses dict per distinct row of counts, shared by every pc with that row
-    shared = {row: {c: n for c, n in zip(columns, row) if n}
-              for row in {tuple(entry[3][:-1]) for entry in pcs.values()}}
+    shared: dict[tuple, dict[str, int]] = {}  # one uses dict per distinct row of counts
     return Schedule(steps, SimResult(
         instruction_count=len(steps),
         resource_uses={name: sum(entry[3][i] for entry in pcs.values())
                        for i, name in enumerate(resource_names)},
-        per_pc={pc: PcStats(pc=pc, label=label, count=row[-1], latency=latency, resources=names,
-                            resource_uses=shared[tuple(row[:-1])])
+        per_pc={pc: PcStats._make((pc, label, row[-1], latency, names,
+                                   shared.get(key := tuple(row[:-1])) or shared.setdefault(
+                                       key, {c: n for c, n in zip(columns, row) if n})))
                 for pc, (label, latency, names, row) in pcs.items()},
         # a line crosses level i (i >= 1) exactly when level i-1 missed it
         cache_stats={level.name: LevelCounters(hits=level.hits, misses=level.misses,

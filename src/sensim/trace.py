@@ -37,7 +37,8 @@ class TraceError(ValueError):
 
 class _Record(tuple):
     """Base of the record types: the call, `_make` (namedtuple's own skips
-    `__new__`), `_replace`, copy and pickle all run the checking `__new__`."""
+    `__new__`), `_replace`, copy and pickle all run the checking `__new__`.
+    Only `parse_trace`'s pc template skips it, joining checked parts."""
 
     __slots__ = ()
 
@@ -210,7 +211,7 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
     """
     memo: dict[str, InstructionEvent | tuple[()]] = {}
     position = 0
-    template, rest, prev = None, None, ("", None)  # admitted event, remainder; last (line, pc)
+    template, rest, prev = None, None, ("", None)  # event[1:], remainder; last (line, pc)
     for lineno, raw_line in enumerate(lines, 1):
         event = memo.get(raw_line)
         if not event:
@@ -219,14 +220,14 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
             seen = event is not None
             try:
                 if rest and (lead := _LEADING_PC(raw_line)) and raw_line[lead.end():] == rest:
-                    event, seq = template._replace(pc=int(lead[1])), None
+                    event, seq = tuple.__new__(InstructionEvent, (int(lead[1]), *template)), None
                 else:
                     event, seq = _parse_record(raw_line)
                     if len(raw_line) == len(prev[0]) and prev[1] != event.pc:  # cheap tests first
                         head = f'{{"pc":{event.pc}'
                         tail = raw_line[len(head):]  # a seq in it repeats, failing its check
                         if raw_line.startswith(head) and prev[0] == f'{{"pc":{prev[1]}{tail}':
-                            template, rest = event, tail
+                            template, rest = event[1:], tail
                     prev = raw_line, event.pc
             except TraceError as exc:
                 raise TraceError(str(exc), lineno) from None

@@ -7,8 +7,8 @@ module do its tests miss?
 Each mutant changes one site of the module: a comparison flipped to its
 negation, `+` and `-` swapped, an integer constant shifted by one (up, and down
 unless it is 0), a simple statement dropped, or `and` and `or` swapped.  Every
-mutant runs the given tests in a copy of the repository's `src` and `tests`,
-made in a temporary directory (`TMPDIR` moves it), never in the checkout; a
+mutant runs the given tests in a copy of the repository's `src`, `tests` and
+README, made in a temporary directory (`TMPDIR` moves it), never in the checkout; a
 mutant is killed when the tests fail or time out, or when the process launched
 exits before its own test session ends (a mutant can send it down a forked
 child's path to `os._exit(0)`, while its forked copy runs the session on).
@@ -196,7 +196,8 @@ def _copy_repository(workdir: Path) -> Path:
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, copy_root / part,
                         ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
-    shutil.copy(ROOT / "pyproject.toml", copy_root)
+    for name in ("pyproject.toml", "README.md"):  # test_layers reads the README's table
+        shutil.copy(ROOT / name, copy_root)
     return copy_root
 
 

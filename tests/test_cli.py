@@ -592,6 +592,13 @@ def test_gen_stream_bad_footprint_exits_one(tmp_path, capsys, footprint):
     assert not (tmp_path / "s.trace").exists()
 
 
+@pytest.mark.parametrize("kernel", ["jacobi", "chain", "stream"])
+def test_gen_kernel_names_the_iters_flag_it_rejects(tmp_path, capsys, kernel):
+    assert main(["gen-kernel", kernel, "--iters", "0", "--out", str(tmp_path / "k.trace")]) == 1
+    assert capsys.readouterr().err == "sensim: error: iters must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args", [
     ["portblock", "--iters", "5"],
     ["portblock", "--footprint", "64"],

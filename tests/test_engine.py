@@ -9,7 +9,7 @@ from oracles import RefTimingModel
 from randcases import MEMORY_SHAPES, block_case, memory_case, random_config, random_trace
 from sensim.caches import line_accesses
 from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block, gen_stream
-from sensim.engine import build_schedule, run_schedule, simulate
+from sensim.engine import PcStats, build_schedule, run_schedule, simulate
 from sensim.machine import (INST_LAT, INST_WINDOW, BranchConfig, CacheLevelConfig,
                             InstructionKind, MachineConfig, Resource, accelerable_parameters,
                             apply_weights, builtin_config, load_config)
@@ -618,6 +618,19 @@ def test_repeated_records_share_their_values():
     assert len({id(step) for step in schedule.steps}) == 1
     assert len({id(s.resource_uses) for s in schedule.counts.per_pc.values()}) == 1
     assert schedule.counts.per_pc[0x4000].resource_uses == {"p0": 1, "FRONTEND": 1}
+    # pcs that use nothing share one empty dict
+    events = [InstructionEvent(pc=4 * k, resources=(), latency=1.0) for k in range(3)]
+    per_pc = build_schedule(events, _one_port_config()).counts.per_pc
+    assert len({id(s.resource_uses) for s in per_pc.values()}) == 1
+    assert per_pc[0].resource_uses == {}
+    # two loads of one line: counts that differ only in the last column stay apart
+    config = _one_port_config(cache_levels=(
+        CacheLevelConfig("L1", gap=1.0, total_size=256, associativity=2, line_size=64),
+        CacheLevelConfig("MEM", gap=2.0)))
+    events = [InstructionEvent(pc=pc, resources=("p0",), latency=1.0,
+                               mem_reads=(MemAccess(0, 8),)) for pc in (0, 4)]
+    per_pc = build_schedule(events, config).counts.per_pc
+    assert [per_pc[pc].resource_uses for pc in (0, 4)] == [{"p0": 1, "MEM": 1}, {"p0": 1}]
     # the branch-unit machine: mispredicted and plain steps stay apart, and
     # equal loads of one L1 line stay separate objects
     trace, config = SHARING_CASES[-1]
@@ -640,6 +653,9 @@ def test_a_schedules_counts_are_an_untimed_result(trace, config):
     assert schedule.counts._fields == COUNT_FIELDS + TIMING_FIELDS
     assert schedule.counts.instruction_count == len(schedule.steps) == len(trace)
     assert [getattr(schedule.counts, name) for name in TIMING_FIELDS] == [None] * 5
+    per_pc = schedule.counts.per_pc
+    assert all(type(stats) is PcStats and stats.pc == pc for pc, stats in per_pc.items())
+    assert sum(stats.count for stats in per_pc.values()) == len(trace)
 
 
 @pytest.mark.parametrize("trace, config", SHARING_CASES, ids=SHARING_IDS)
