@@ -8,10 +8,11 @@ Each mutant changes one site of the module: a comparison flipped to its
 negation, `+` and `-` swapped, an integer constant shifted by one (up, and down
 unless it is 0), a simple statement dropped, or `and` and `or` swapped.  Every
 mutant runs the given tests in a copy of the repository's `src`, `tests` and
-README, made in a temporary directory (`TMPDIR` moves it), never in the checkout; a
-mutant is killed when the tests fail or time out, or when the process launched
-exits before its own test session ends (a mutant can send it down a forked
-child's path to `os._exit(0)`, while its forked copy runs the session on).
+README, made in a temporary directory (`TMPDIR` moves it), never in the
+checkout; a mutant is killed when the tests fail or time out, or when the
+process launched exits before its own test session ends (a mutant can send it
+down a forked child's path to `os._exit(0)`, while its forked copy runs the
+session on).
 Each run has its own process group, killed once the run ends, so no copy
 outlives it.  A survivor that no test can kill
 is listed in EQUIVALENT with its reason; the script prints the killed/total
