@@ -1,4 +1,5 @@
-"""Command-line entry points: simulate, sensitivity, gen-kernel."""
+"""Command-line entry points: simulate, sensitivity, gen-kernel.  Each imports only
+the modules it runs, so none compiles the whole package."""
 
 from __future__ import annotations
 
@@ -11,12 +12,7 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice
 
 from . import corpus
-from .engine import simulate
 from .machine import accelerable_parameters, apply_weights, dump_config, load_config
-from .report import (emit_heatmap, format_instruction_table, format_run_report,
-                     format_sensitivity, render_instruction_table, run_report_pieces)
-from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, SensitivityReport,
-                          classify, power_subsets, sweep_single, sweep_subsets)
 from .trace import TraceError, _trace_lines, parse_trace
 
 _BATCH = 256  # records parsed before the run binds them: alternating per record costs more
@@ -55,15 +51,14 @@ def _build_parser() -> _Parser:
     sens.set_defaults(run=_cmd_sensitivity)
     sens.add_argument("trace")
     sens.add_argument("--config", required=True)
-    sens.add_argument("--weights", default=",".join(str(w) for w in DEFAULT_WEIGHTS),
-                      help="comma-separated acceleration weights (all >= 1)")
+    sens.add_argument("--weights", help="comma-separated acceleration weights (all >= 1)")
     sens.add_argument("--resources", default="all",
                       help="'all' or a comma-separated parameter list")
     sens.add_argument("--subsets", default=None,
                       help="semicolon-separated groups (a,b;c,d), or 'auto' or "
                            "'auto:<k>' for the power set up to size k (default "
                            "3); swept at the largest weight")
-    sens.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    sens.add_argument("--threshold", type=float)  # both default to sensitivity's
     sens.add_argument("--heatmap", default=None, metavar="OUT.csv|OUT.svg",
                       help="write the (parameter, weight) grid to a file")
     sens.add_argument("--workers", type=int, default=_default_workers(),
@@ -145,6 +140,9 @@ def _output_file(path: str, others: tuple[str, ...] = ()):
 
 
 def _cmd_simulate(args) -> int:
+    from .engine import simulate
+    from .report import (format_instruction_table, format_run_report, render_instruction_table,
+                         run_report_pieces)
     with _load_inputs(args) as (trace, config):
         result = simulate(trace, config)
     rows = render_instruction_table(result) if args.per_instruction else None
@@ -163,6 +161,7 @@ def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
         k = "3" if raw == "auto" else raw[len("auto:"):]
         if not k.isdecimal() or int(k) < 1:
             raise ValueError(f"--subsets auto:{k} needs an integer size >= 1")
+        from .sensitivity import power_subsets
         return power_subsets(parameters, max_size=int(k))
     groups = [tuple(p.strip() for p in group.split(",") if p.strip())
               for group in raw.split(";")]
@@ -170,12 +169,17 @@ def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
 
 
 def _cmd_sensitivity(args) -> int:
+    from .report import emit_heatmap, format_sensitivity
+    from .sensitivity import (DEFAULT_THRESHOLD, DEFAULT_WEIGHTS, SensitivityReport, classify,
+                              sweep_single, sweep_subsets)
+    threshold = DEFAULT_THRESHOLD if args.threshold is None else args.threshold
     # report a bad threshold, like a bad name or weight, before reading the trace
-    classify(SensitivityReport(base_time=0.0, points=[]), args.threshold)
+    classify(SensitivityReport(base_time=0.0, points=[]), threshold)
     heatmap_file = (nullcontext() if args.heatmap is None
                     else _output_file(args.heatmap, (args.trace, args.config)))
     with heatmap_file as heatmap, _load_inputs(args) as (trace, config):
-        weights = [float(w) for w in args.weights.split(",") if w.strip()]
+        weights = (DEFAULT_WEIGHTS if args.weights is None else
+                   [float(w) for w in args.weights.split(",") if w.strip()])
         if not weights:
             raise ValueError("--weights names no weight")
         parameters = (accelerable_parameters(config) if args.resources == "all" else
@@ -187,14 +191,12 @@ def _cmd_sensitivity(args) -> int:
                 raise ValueError("--subsets names no parameter set to sweep")
             for w in weights:  # only the largest is swept, but each must be valid
                 apply_weights(config, dict.fromkeys(subsets[0], w))
-            report = sweep_subsets(trace, config, subsets, max(weights),
-                                   workers=args.workers)
+            report = sweep_subsets(trace, config, subsets, max(weights), workers=args.workers)
         else:
             if not parameters:
                 raise ValueError("--resources names no parameter to sweep")
-            report = sweep_single(trace, config, parameters, weights,
-                                  workers=args.workers)
-        report.verdicts = classify(report, args.threshold)
+            report = sweep_single(trace, config, parameters, weights, workers=args.workers)
+        report.verdicts = classify(report, threshold)
         text = format_sensitivity(report)
         if heatmap is not None:  # written over only now, once the sweep has succeeded
             heatmap().write(emit_heatmap(report, "svg" if args.heatmap.endswith(".svg") else "csv"))
@@ -205,8 +207,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_gen_kernel(args) -> int:
-    trace, config = corpus.generate(args.name, iters=args.iters,
-                                    footprint=args.footprint)
+    trace, config = corpus.generate(args.name, iters=args.iters, footprint=args.footprint)
     out = f"{args.name}.trace" if args.out is None else args.out
     cfg_path = os.path.splitext(out)[0] + ".cfg"
     with _output_file(out) as trace_out, _output_file(cfg_path, (out,)) as cfg_out:

@@ -5,8 +5,7 @@ bandwidth) used by tests, demos and the gen-kernel CLI subcommand.
 
 from __future__ import annotations
 
-from .machine import (CacheLevelConfig, MachineConfig, Resource, builtin_config,
-                      load_config)
+from .machine import CacheLevelConfig, MachineConfig, Resource, builtin_config, load_config
 from .trace import BranchInfo, InstructionEvent, MemAccess
 
 _REG_RAX, _REG_RCX, _REG_XMM0, _REG_XMM1, _REG_FLAGS, _REG_RDX = range(6)
@@ -22,9 +21,8 @@ def gen_port_block() -> tuple[list[InstructionEvent], MachineConfig]:
     saturation does not equal bottleneck.
     """
     ports = ["p1", "p0", "p6", "p1", "p0", "p2", "p3", "p6", "p2", "p0", "p6", "p5"]
-    events = [
-        InstructionEvent(pc=0x1000 + 4 * i, resources=(port,), latency=1.0)
-        for i, port in enumerate(ports)]
+    events = [InstructionEvent(pc=0x1000 + 4 * i, resources=(port,), latency=1.0)
+              for i, port in enumerate(ports)]
     config = MachineConfig(
         resources=tuple(Resource(name, 1.0) for name in ("p0", "p1", "p2", "p3", "p5", "p6")),
         window_capacity=4)
@@ -119,8 +117,7 @@ def gen_stream(iters: int, footprint: int = 4 * 1024 * 1024) -> tuple[list[Instr
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if footprint < 64 or footprint % 64:
-        raise ValueError(
-            f"footprint must be a positive multiple of 64 bytes, got {footprint}")
+        raise ValueError(f"footprint must be a positive multiple of 64 bytes, got {footprint}")
     base = 0x100000
     events = [
         InstructionEvent(pc=0x5000, resources=("p23",), latency=4.0,

@@ -123,8 +123,7 @@ class CacheLevelConfig:
         if self.line_size & (self.line_size - 1):
             raise ConfigError(f"cache level {self.name!r}: line size must be a power of two")
         if self.associativity & (self.associativity - 1):
-            raise ConfigError(
-                f"cache level {self.name!r}: associativity must be a power of two")
+            raise ConfigError(f"cache level {self.name!r}: associativity must be a power of two")
         if self.total_size % (self.associativity * self.line_size):
             raise ConfigError(
                 f"cache level {self.name!r}: size must divide into assoc x line sets")

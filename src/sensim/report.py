@@ -15,7 +15,7 @@ from functools import cache
 from math import inf
 
 from .engine import PcStats, SimResult
-from .sensitivity import SensitivityReport
+# sensitivity.SensitivityReport is named only in annotations: simulate loads no sweep code
 
 FORMAT_VERSION = 1
 Row = tuple[PcStats, dict[str, float]]  # a pc's stats and its share of each column, in %
@@ -88,13 +88,9 @@ def run_report(result: SimResult) -> dict:
         "instructions": result.instruction_count,
         "ipc": _finite(result.ipc),
         "resources": resources,
-        "caches": {
-            name: {"hits": c.hits, "misses": c.misses, "transfers": c.transfers}
-            for name, c in result.cache_stats.items()},
-        "branch": {
-            "predicted": result.branch_predicted,
-            "mispredicted": result.branch_mispredicted,
-        },
+        "caches": {name: c._asdict() for name, c in result.cache_stats.items()},
+        "branch": {"predicted": result.branch_predicted,
+                   "mispredicted": result.branch_mispredicted},
     }
 
 
@@ -152,13 +148,8 @@ def _container(opening: str, item_pieces: Iterable, closing: str, newline: str) 
 def format_run_report(result: SimResult) -> str:
     """The run report's fixed-size sections as text."""
     doc = run_report(result)
-    lines = [
-        f"total cycles   {_fmt(doc['total_cycles'])}",
-        f"instructions   {doc['instructions']}",
-        f"ipc            {doc['ipc']:.3f}",
-        "",
-        "resource        uses      busy  occupancy",
-    ]
+    lines = [f"total cycles   {_fmt(doc['total_cycles'])}", f"instructions   {doc['instructions']}",
+             f"ipc            {doc['ipc']:.3f}", "", "resource        uses      busy  occupancy"]
     for name, r in doc["resources"].items():
         lines.append(f"{name:<12} {r['uses']:>8} {r['busy']:>9.2f} "
                      f"{_finite(r['occupancy'], 100):>9.1f}%")
@@ -211,11 +202,9 @@ def heatmap_svg(report: SensitivityReport) -> str:
     cell_w, cell_h, left, top = 56, 22, 90, 30
     width = left + cell_w * max(1, len(keys)) + 20
     height = top + cell_h * max(1, len(weights)) + 50
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{left}" y="18" font-family="monospace" font-size="13">'
-        "speedup by accelerated resource</text>",
-    ]
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+             f'<text x="{left}" y="18" font-family="monospace" font-size="13">'
+             "speedup by accelerated resource</text>"]
     for wi, w in enumerate(weights):
         y = top + cell_h * (len(weights) - 1 - wi) + cell_h // 2 + 4
         parts.append(f'<text x="8" y="{y}" font-family="monospace" font-size="11">'

@@ -79,8 +79,7 @@ def speedup(base: float, accelerated: float) -> float:
     return base / accelerated - 1
 
 
-def _run_points(schedule: Schedule, configs: list[MachineConfig],
-                workers: int) -> list[float]:
+def _run_points(schedule: Schedule, configs: list[MachineConfig], workers: int) -> list[float]:
     """The totals of `configs`, in order.  Forked children write theirs into
     one shared map of doubles by index, and the parent reads it only once it
     has reaped every child.  A share runs in the parent if it is the parent's
@@ -117,8 +116,7 @@ def _run_points(schedule: Schedule, configs: list[MachineConfig],
 
 
 def _sweep(trace: Iterable[InstructionEvent], config: MachineConfig,
-           jobs: list[tuple[tuple[str, ...], float]],
-           workers: int) -> SensitivityReport:
+           jobs: list[tuple[tuple[str, ...], float]], workers: int) -> SensitivityReport:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # one config per point, built in job order so a bad name or weight, or a

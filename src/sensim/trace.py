@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from math import isfinite
+from math import copysign, isfinite
 from typing import Iterable, Iterator
 
 ADDRESS_BITS = 64
@@ -247,32 +247,41 @@ def parse_trace(lines: Iterable[str]) -> Iterator[InstructionEvent]:
 def _trace_lines(events: Iterable[InstructionEvent]) -> Iterator[str]:
     """Each event's record line, newline included.  A bounded memo keyed by
     identity serializes an event object that recurs (the corpus reuses them)
-    once; it holds the event, so no other object can take its id."""
+    once; it holds the event, so no other object can take its id.  An event
+    that differs from the last one encoded in full only in its pc takes that
+    line after its pc: `_encode_record` writes the pc first, as the int's repr."""
     memo: dict[int, tuple[InstructionEvent, str]] = {}
+    last, line, tail = (None, None), "", ""  # last encoded in full (none yet), its line, its tail
     for event in events:
         known = memo.get(id(event))
         if known is None:
-            pc, kind, resources, latency, reg_reads, reg_writes, loads, stores, branch = event
-            record: dict = {"pc": pc}
-            if kind is not None:
-                record["kind"] = kind
-            if resources is not None:
-                record["resources"] = resources
-            if latency is not None:
-                record["latency"] = latency
-            if reg_reads:
-                record["reg_reads"] = reg_reads
-            if reg_writes:
-                record["reg_writes"] = reg_writes
-            if loads:
-                record["mem_reads"] = [{"addr": a, "size": s} for a, s in loads]
-            if stores:
-                record["mem_writes"] = [{"addr": a, "size": s} for a, s in stores]
-            if branch.kind != "none":
-                record["branch"] = dict(zip(branch._fields, branch))
             if len(memo) == _MEMO_EVENTS:
                 memo.clear()
-            known = memo[id(event)] = event, _encode_record(record) + "\n"
+            if event[1] == last[1] and event[1:] == last[1:] and (
+                    event[3] != 0 or copysign(1, event[3]) == copysign(1, last[3])):  # 0.0, -0.0
+                tail = tail or line[len(f'{{"pc":{last[0]}'):]  # cut once a match needs it
+                known = memo[id(event)] = event, f'{{"pc":{event[0]}{tail}'
+            else:
+                pc, kind, resources, latency, reg_reads, reg_writes, loads, stores, branch = event
+                record: dict = {"pc": pc}
+                if kind is not None:
+                    record["kind"] = kind
+                if resources is not None:
+                    record["resources"] = resources
+                if latency is not None:
+                    record["latency"] = latency
+                if reg_reads:
+                    record["reg_reads"] = reg_reads
+                if reg_writes:
+                    record["reg_writes"] = reg_writes
+                if loads:
+                    record["mem_reads"] = [{"addr": a, "size": s} for a, s in loads]
+                if stores:
+                    record["mem_writes"] = [{"addr": a, "size": s} for a, s in stores]
+                if branch.kind != "none":
+                    record["branch"] = dict(zip(branch._fields, branch))
+                last, line, tail = event, _encode_record(record) + "\n", ""
+                known = memo[id(event)] = event, line
         yield known[1]
 
 

@@ -126,7 +126,7 @@ def test_unwritable_heatmap_exits_one_before_the_sweep(port_block_files, tmp_pat
                                                        monkeypatch, capsys):
     trace, cfg = port_block_files
     capsys.readouterr()
-    monkeypatch.setattr("sensim.cli.sweep_single", _no_sweep)
+    monkeypatch.setattr("sensim.sensitivity.sweep_single", _no_sweep)
     for path in (tmp_path / "missing" / "grid.csv", tmp_path):
         assert main(["sensitivity", trace, "--config", cfg, "--workers", "1",
                      "--heatmap", str(path)]) == 1
@@ -144,7 +144,7 @@ def test_failed_sweep_removes_the_heatmap_it_created(port_block_files, tmp_path,
                                                     monkeypatch, capsys):
     trace, cfg = port_block_files
     capsys.readouterr()
-    monkeypatch.setattr("sensim.cli.sweep_single", _failed_sweep)
+    monkeypatch.setattr("sensim.sensitivity.sweep_single", _failed_sweep)
     heatmap = tmp_path / "grid.csv"
     assert main(["sensitivity", trace, "--config", cfg, "--workers", "1",
                  "--heatmap", str(heatmap)]) == 1
@@ -157,7 +157,7 @@ def test_failed_sweep_keeps_an_existing_heatmap(port_block_files, tmp_path,
     trace, cfg = port_block_files
     heatmap = tmp_path / "grid.csv"
     heatmap.write_text("an earlier grid\n")
-    monkeypatch.setattr("sensim.cli.sweep_single", _failed_sweep)
+    monkeypatch.setattr("sensim.sensitivity.sweep_single", _failed_sweep)
     assert main(["sensitivity", trace, "--config", cfg, "--workers", "1",
                  "--heatmap", str(heatmap)]) == 1
     assert heatmap.read_text() == "an earlier grid\n"
@@ -171,7 +171,7 @@ def test_failed_sweep_keeps_an_existing_heatmap(port_block_files, tmp_path,
 def test_heatmap_may_not_name_an_input(port_block_files, tmp_path, monkeypatch, capsys, which):
     trace, cfg = port_block_files
     capsys.readouterr()
-    monkeypatch.setattr("sensim.cli.sweep_single", _no_sweep)
+    monkeypatch.setattr("sensim.sensitivity.sweep_single", _no_sweep)
     inputs = {path: open(path, "rb").read() for path in (trace, cfg)}
     # the config is named by another spelling of its path
     heatmap = {"trace": trace, "config": tmp_path / ".." / tmp_path.name / "block.cfg"}[which]

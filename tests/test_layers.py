@@ -3,12 +3,14 @@
 The record format (`trace`), the machine description (`machine`) and the
 branch unit stand alone, the caches know only the machine description,
 nothing depends on the command line, and the graph has no cycle.  Importing
-the command line loads no networking, mail or XML module.  The package stays
+the command line loads no networking, mail or XML module, and each command loads
+only the package modules it runs.  The package stays
 within the seed's line count, and exports exactly the names the README's
 table lists.
 """
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -131,10 +133,40 @@ def test_exports_are_the_readme_table():
 
     readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
     # rows of the `| Module | Names |` table, one module's names per row
-    table = [line.split("|")[2] for line in readme.splitlines()
-             if line.startswith("| `")]
-    documented = {name.strip(" `") for cell in table for name in cell.split(",")}
+    rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `")]
+    documented = {name.strip(" `"): module.strip(" `")
+                  for module, cell in rows for name in cell.split(",")}
+    assert len(documented) == 24
+    assert sensim.__all__ == sorted(documented)
+    for name, module in documented.items():  # each resolves, on first read, to its own object
+        assert getattr(sensim, name) is getattr(importlib.import_module(f"sensim.{module}"), name)
     exported = {name for name, value in vars(sensim).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
-    assert len(documented) == 24
-    assert exported == documented
+    assert exported == set(documented)
+    with pytest.raises(AttributeError, match="no attribute 'ConfigError'"):
+        sensim.ConfigError  # noqa: B018
+
+
+def _sensim_modules_after(code: str) -> set[str]:
+    """The sensim submodules a fresh interpreter (-S: no site hooks) has
+    loaded once it has run `code`."""
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return {m.split(".")[1] for m in json.loads(out.splitlines()[-1]) if m.startswith("sensim.")}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # without a bytecode cache each module loaded is also compiled, on every command
+    trace, config = str(tmp_path / "c.trace"), str(tmp_path / "c.cfg")
+    assert _sensim_modules_after("import sensim") == set()
+    assert _sensim_modules_after("from sensim import write_trace") == {"trace"}
+    main = "from sensim.cli import main; "
+    gen = _sensim_modules_after(main + f"main(['gen-kernel', 'chain', '--out', {trace!r}])")
+    assert gen >= {"cli", "corpus", "machine", "trace"}
+    assert gen.isdisjoint({"engine", "report", "sensitivity", "caches", "branch"})
+    sim = _sensim_modules_after(main + f"main(['simulate', {trace!r}, '--config', {config!r}])")
+    assert sim >= {"engine", "report"} and "sensitivity" not in sim
+    sens = _sensim_modules_after(main + f"main(['sensitivity', {trace!r}, '--config', {config!r}])")
+    assert "sensitivity" in sens

@@ -500,7 +500,8 @@ def test_write_trace_memo_keeps_65536_events(monkeypatch):
     monkeypatch.setattr(sensim.trace, "_encode_record",
                         lambda record, encode=sensim.trace._encode_record:
                         encoded.append(record["pc"]) or encode(record))
-    events = [InstructionEvent(pc=pc, kind="k") for pc in range(65_537)]
+    # neighbours differ in kind, so no line is written from the pc template
+    events = [InstructionEvent(pc=pc, kind="ab"[pc % 2]) for pc in range(65_537)]
     write_trace(events[:40_000] + events[:1])  # the first event is still kept
     assert len(encoded) == 40_000
     encoded.clear()
@@ -524,14 +525,14 @@ def test_round_trip_one_event():
 
 def test_write_trace_memo_starts_over_when_full(monkeypatch):
     # a full memo is cleared, so a recurring event is encoded again, to the same line
-    a, b, c = (InstructionEvent(pc=pc, kind="k") for pc in (0, 4, 8))
+    a, b, c = (InstructionEvent(pc=pc, kind=kind) for pc, kind in ((0, "a"), (4, "b"), (8, "c")))
     encoded = []
     monkeypatch.setattr(sensim.trace, "_MEMO_EVENTS", 2)
     monkeypatch.setattr(sensim.trace, "_encode_record",
                         lambda record, encode=sensim.trace._encode_record:
                         encoded.append(record["pc"]) or encode(record))
     events = [a, b, a, c, a, b]
-    assert write_trace(events) == "".join(f'{{"pc":{e.pc},"kind":"k"}}\n' for e in events)
+    assert write_trace(events) == "".join(f'{{"pc":{e.pc},"kind":"{e.kind}"}}\n' for e in events)
     assert encoded == [0, 4, 8, 0, 4]
 
 
