@@ -248,8 +248,8 @@ def _trace_lines(events: Iterable[InstructionEvent]) -> Iterator[str]:
     """Each event's record line, newline included.  A bounded memo keyed by
     identity serializes an event object that recurs (the corpus reuses them)
     once; it holds the event, so no other object can take its id.  An event
-    that differs from the last one encoded in full only in its pc takes that
-    line after its pc: `_encode_record` writes the pc first, as the int's repr."""
+    that differs from the last full encoding only in its pc reuses the rest of
+    that line, since `_encode_record` writes the pc first, as the int's repr."""
     memo: dict[int, tuple[InstructionEvent, str]] = {}
     last, line, tail = (None, None), "", ""  # last encoded in full (none yet), its line, its tail
     for event in events:

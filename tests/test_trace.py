@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -535,6 +536,107 @@ def test_write_trace_memo_starts_over_when_full(monkeypatch):
     assert write_trace(events) == "".join(f'{{"pc":{e.pc},"kind":"{e.kind}"}}\n' for e in events)
     assert encoded == [0, 4, 8, 0, 4]
 
+
+
+def _reference_line(event):
+    """An event's record line, encoded in full: the writer without its memo
+    or its pc template."""
+    record = {"pc": event.pc}
+    record.update((name, getattr(event, name)) for name in ("kind", "resources", "latency")
+                  if getattr(event, name) is not None)
+    record.update((name, getattr(event, name)) for name in ("reg_reads", "reg_writes")
+                  if getattr(event, name))
+    record.update((name, [{"addr": a, "size": n} for a, n in getattr(event, name)])
+                  for name in ("mem_reads", "mem_writes") if getattr(event, name))
+    if event.branch.kind != "none":
+        record["branch"] = event.branch._asdict()
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+_PCS = st.sampled_from([0, 1, 9, 10, 99, 2**63 - 1, 2**64, 10**40]) | st.integers(0, 2**200)
+_LATENCIES = st.sampled_from([0.0, -0.0, 4.0]) | st.floats(0, 1e300)
+_WRITTEN = st.builds(  # valid events, each field drawn from few values so that runs repeat them
+    lambda semantics, pc, *rest: InstructionEvent(pc, **semantics, **dict(zip(
+        ("reg_reads", "reg_writes", "mem_reads", "mem_writes", "branch"), rest))),
+    st.fixed_dictionaries({"kind": st.sampled_from(["k", "ld", ""])})
+    | st.fixed_dictionaries({"kind": st.none() | st.just("k"),
+                             "resources": st.sampled_from([(), ("p0",), ("p0", "p1")]),
+                             "latency": _LATENCIES}),
+    _PCS, st.sampled_from([(), (1,), (1, 2)]), st.sampled_from([(), (0,)]),
+    st.sampled_from([(), (MemAccess(64, 8),), (MemAccess(64, 8), MemAccess(0, 1))]),
+    st.sampled_from([(), (MemAccess(128, 4),)]),
+    st.sampled_from([BranchInfo(), BranchInfo("conditional", False, 0),
+                     BranchInfo("direct", True, 64)]))
+# one field other than pc, and values to put there: a near miss of a run
+_NEAR_MISS = st.one_of(
+    st.tuples(st.just("kind"), st.sampled_from([None, "k", "ld", "k2"])),
+    st.tuples(st.just("resources"), st.sampled_from([(), ("p0",), ("p1",)])),
+    st.tuples(st.just("latency"), _LATENCIES),
+    st.tuples(st.just("reg_reads"), st.sampled_from([(), (1,), (2, 1)])),
+    st.tuples(st.just("reg_writes"), st.sampled_from([(), (0,), (3,)])),
+    st.tuples(st.just("mem_reads"), st.sampled_from([(), (MemAccess(64, 8),), (MemAccess(65, 8),)])),
+    st.tuples(st.just("mem_writes"), st.sampled_from([(), (MemAccess(128, 4),)])),
+    st.tuples(st.just("branch"), st.sampled_from([BranchInfo(), BranchInfo("indirect", True, 64),
+                                                  BranchInfo("conditional", True, 0)])))
+
+
+@st.composite
+def _runs(draw):
+    """Events in runs that differ only in pc, broken by near misses that differ
+    in one other field, fresh events and recurring objects."""
+    events = []
+    for _ in range(draw(st.integers(1, 4))):
+        event = draw(_WRITTEN)
+        events.append(event)
+        for step in draw(st.lists(_PCS | _NEAR_MISS | st.just("again"), max_size=8)):
+            if step == "again":
+                events.append(events[draw(st.integers(0, len(events) - 1))])
+            elif type(step) is int:
+                events.append(event._replace(pc=step))
+            else:
+                try:
+                    events.append(event._replace(**dict([step])))
+                except TraceError:  # resources and latency go together
+                    pass
+    return events
+
+
+def _signed_zeros(*latencies):
+    return [InstructionEvent(pc=pc, resources=("p0",), latency=latency)
+            for pc, latency in enumerate(latencies)]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_runs(), st.sampled_from([2, 3, 1 << 16]))
+@example(_signed_zeros(0.0, -0.0, 0.0), 1 << 16)
+@example(_signed_zeros(-0.0, -0.0, 0.0, 0.0), 1 << 16)
+@example([InstructionEvent(pc=0, kind="k"), InstructionEvent(pc=10**40, kind="k"),
+          InstructionEvent(pc=7, kind="k", reg_reads=(1,)), InstructionEvent(pc=8, kind="k")],
+         1 << 16)
+def test_written_lines_match_a_full_encoding(events, memo_size):
+    """The memo and the pc template change no byte: each line is the event's
+    full encoding, and the trace parses back to the events."""
+    with mock.patch.object(sensim.trace, "_MEMO_EVENTS", memo_size):
+        lines = list(sensim.trace._trace_lines(events))
+    assert lines == [_reference_line(event) for event in events]
+    assert parse("".join(lines)) == events
+
+
+@pytest.mark.parametrize("events,encoded", [
+    (generate("chain", iters=1000)[0], 1),
+    (_signed_zeros(*[0.0] * 5), 1),
+    (_signed_zeros(*[-0.0] * 5), 1),
+    (_signed_zeros(0.0, -0.0, 0.0, -0.0), 4),
+    (_signed_zeros(1.0, 1.0, 0.0, 0.0, 1.0), 3),
+    ([InstructionEvent(pc=pc, kind=kind) for pc, kind in enumerate("aabba")], 3),
+], ids=["chain", "zeros", "negative-zeros", "alternating-zeros", "runs", "kinds"])
+def test_only_lines_that_differ_beyond_the_pc_are_encoded(monkeypatch, events, encoded):
+    pcs = []
+    monkeypatch.setattr(sensim.trace, "_encode_record",
+                        lambda record, encode=sensim.trace._encode_record:
+                        pcs.append(record["pc"]) or encode(record))
+    assert write_trace(events) == "".join(map(_reference_line, events))
+    assert len(pcs) == encoded
 
 def test_round_trip_port_block():
     from sensim.corpus import gen_port_block
