@@ -163,8 +163,7 @@ def _parse_subsets(raw: str, parameters: list[str]) -> list[tuple[str, ...]]:
             raise ValueError(f"--subsets auto:{k} needs an integer size >= 1")
         from .sensitivity import power_subsets
         return power_subsets(parameters, max_size=int(k))
-    groups = [tuple(p.strip() for p in group.split(",") if p.strip())
-              for group in raw.split(";")]
+    groups = [tuple(p.strip() for p in group.split(",") if p.strip()) for group in raw.split(";")]
     return [g for g in groups if g]
 
 

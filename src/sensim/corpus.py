@@ -81,8 +81,7 @@ def gen_jacobi_like(iters: int) -> tuple[list[InstructionEvent], MachineConfig]:
              mem_reads=[(b + 8, 8)], reg_writes=[_REG_XMM0])
         emit(0x12F6, "vmulsd", reg_reads=[_REG_XMM0, _REG_XMM1], reg_writes=[_REG_XMM0])
         emit(0x12FA, "mov-load", mem_reads=[(stack_a, 8)], reg_writes=[_REG_RDX])
-        emit(0x12FF, "vmovsd-store", reg_reads=[_REG_RDX, _REG_RAX, _REG_XMM0],
-             mem_writes=[(a, 8)])
+        emit(0x12FF, "vmovsd-store", reg_reads=[_REG_RDX, _REG_RAX, _REG_XMM0], mem_writes=[(a, 8)])
         emit(0x1304, "add", reg_reads=[_REG_RAX], reg_writes=[_REG_RAX])
         emit(0x1308, "cmp", reg_reads=[_REG_RAX, _REG_RCX], reg_writes=[_REG_FLAGS])
         emit(0x130B, "jne", reg_reads=[_REG_FLAGS],

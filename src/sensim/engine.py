@@ -9,10 +9,13 @@ is set; memory shadow is max-merged); the end time enters the instruction
 window.  The total is the max end time over the trace.  Each line access
 also folds its wait into its bytes' shadow; no wait depends on a start
 time, so loads and stores are charged in one pass after the shadows are read.
-Memory shadow has one key per block: the addresses between two cut points,
+Nor does an advance, so one pass over a step's distinct resources reads each
+for the start and advances it; a repeated use and a branch penalty on the
+frontend only advance one again.  The shadows are one list of slots: one per
+register, then one per memory block, the addresses between two cut points,
 where the cuts are every access's start and end and every line boundary
 inside an access.  Every read, write and fold covers whole blocks, so all
-bytes of a block always hold one value, and a block's key stands for them.
+bytes of a block always hold one value, and its slot stands for them.
 Every window and shadow entry is one (time, mask) pair, the mask a bit set
 over `accelerable_parameters(config)`: the parameters one dependency path to
 that time avoids.  A max keeps the pair of the term first to reach it; a
@@ -35,7 +38,7 @@ prediction depend only on the event stream, never on simulated time.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from math import inf
 from typing import Iterable, NamedTuple
 
@@ -86,17 +89,21 @@ class SimResult(NamedTuple):
 
 # Step layout (plain tuples keep the timing loop lean):
 #   (resources, latency, reg_reads, reg_writes, read_keys, write_keys,
-#    mem_ops, penalty)
-# where the key fields list the start address of each shadow block the
-# accesses cover, and mem_ops holds one (path_end, fold_keys, is_load) per
-# line access that crosses a level, loads first.
+#    mem_ops, rare)
+# where resources holds each id once, in order of first use; the reg and key
+# fields are shadow slots: one per register, then one per block the accesses
+# cover, in address order; mem_ops holds one (path_end, fold_keys, is_load)
+# per line access that crosses a level, loads first; and rare is None or
+# (the ids used again, the branch penalty the frontend pays).
 class Schedule(NamedTuple):
     """Timing-independent digest of a trace resolved against a config: the
-    steps the timing recurrence walks, and every count no weight changes as
-    an untimed SimResult.  Read-only: equal memory-free steps are one tuple."""
+    steps the timing recurrence walks, every count no weight changes as an
+    untimed SimResult, and the number of shadow slots the steps index.
+    Read-only: equal memory-free steps are one tuple."""
 
     steps: list[tuple]
     counts: SimResult
+    slots: int
 
 
 def bind_semantics(event: InstructionEvent, config: MachineConfig
@@ -168,6 +175,8 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         return keys, tuple(ops)
 
     semantics_memo: dict[tuple, tuple] = {}
+    reg_slot: dict[int, int] = defaultdict(lambda: len(reg_slot))  # numbered densely
+    reg_memo: dict[tuple, tuple] = {}  # one slot tuple per distinct register tuple
     # pc -> (label, latency, explicit resource names) of its first event, and
     # a row of uses per column (resources, then cache levels) plus its count
     pcs: dict[int, tuple[str, float, tuple[str, ...], list[int]]] = {}
@@ -179,9 +188,11 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
          branch) = event
         sem_key = (kind, inline_names, inline_latency)
         sem = semantics_memo.get(sem_key)
-        if sem is None:
-            sem = semantics_memo[sem_key] = bind_semantics(event, config)
-        resources, latency, label, names = sem
+        if sem is None:  # split once: each id's first use, then the ids used again
+            uses, latency, label, names = bind_semantics(event, config)
+            sem = semantics_memo[sem_key] = (uses, tuple(dict.fromkeys(uses)), tuple(
+                rid for i, rid in enumerate(uses) if rid in uses[:i]), latency, label, names)
+        uses, resources, extra, latency, label, names = sem
 
         entry = pcs.get(pc)
         if entry is None:  # the memo merges -0.0 with 0.0: keep the record's own zero
@@ -189,8 +200,12 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
             entry = pcs[pc] = (label, own, names, [0] * (len(columns) + 1))
         pc_row = entry[3]
         pc_row[-1] += 1
-        for rid in resources:
+        for rid in uses:
             pc_row[rid] += 1
+        reads, writes = reg_memo.get(reg_reads), reg_memo.get(reg_writes)
+        if reads is None or writes is None:  # each distinct register tuple is mapped once
+            reads, writes = (reg_memo.setdefault(regs, tuple(map(reg_slot.__getitem__, regs)))
+                             for regs in (reg_reads, reg_writes))
 
         read_keys = loads = write_keys = stores = ()
         if mem_reads:
@@ -207,17 +222,17 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
             if penalty:
                 mispredicted += 1
 
-        step = (resources, latency, reg_reads, reg_writes,
-                read_keys, write_keys, loads + stores, penalty)
+        step = (resources, latency, reads, writes, read_keys,
+                write_keys, loads + stores, (extra, penalty) if extra or penalty else None)
         if not (mem_reads or mem_writes):  # key lists are resolved in place: never merged
             step = step_memo.setdefault(step, step)
         steps.append(step)
 
-    order = sorted(cuts)
-    at = {cut: i for i, cut in enumerate(order)}
+    at = {cut: i for i, cut in enumerate(sorted(cuts))}
+    slot = list(range(len(reg_slot), len(reg_slot) + len(at)))  # shared: a block's slot
     for keys in key_lists:  # in place: every step sharing a list sees its blocks
         bounds = iter(keys)
-        keys[:] = [k for start, end in zip(bounds, bounds) for k in order[at[start]:at[end]]]
+        keys[:] = [k for start, end in zip(bounds, bounds) for k in slot[at[start]:at[end]]]
     levels = hierarchy.levels
     shared: dict[tuple, dict[str, int]] = {}  # one uses dict per distinct row of counts
     return Schedule(steps, SimResult(
@@ -233,7 +248,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
                                                transfers=levels[i - 1].misses if i else 0)
                      for i, level in enumerate(levels)},
         branch_predicted=predicted,
-        branch_mispredicted=mispredicted))
+        branch_mispredicted=mispredicted), len(reg_slot) + len(at))
 
 
 def run_schedule(schedule: Schedule, config: MachineConfig,
@@ -249,10 +264,10 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
         raise ValueError("schedule was built against a different machine")
     gaps = [r.gap for r in config.resources]
     cache_gaps = [l.gap for l in config.cache_levels]
-    cache_avail = [0.0] * len(counts.cache_stats)
-    avail = [0.0] * len(gaps)
+    avail, cache_avail = [0.0] * len(gaps), [0.0] * len(cache_gaps)
     lat_scale = config.latency_scale
-    capacity = config.window_capacity
+    # a branch penalty stalls the frontend, which the branch unit needs
+    frontend = names.index(config.frontend_resource) if config.frontend_resource else None
     # mask bits: the resources, INST_LAT, INST_WINDOW, then each *_THR
     params = accelerable_parameters(config)
     n_res = len(gaps)
@@ -263,33 +278,28 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     # not paired: avail is rewritten at every use, and a pair per use cost a run 11-18 %
     avail_masks = [every] * n_res
 
-    window: deque[tuple[float, int]] = deque()  # (time, mask), as is each shadow
-    window_pop = window.popleft
-    window_add = window.append
     t_min = total = 0.0
     floor_mask = total_mask = every
-    unset = (0.0, every)
-    shadow_reg: dict[int, tuple[float, int]] = {}
-    shadow_mem: dict[int, tuple[float, int]] = {}
-    sr_get = shadow_reg.get
-    sm_get = shadow_mem.get
+    unset = (0.0, every)  # (time, mask), as is every window entry and shadow slot
+    shadow = [unset] * schedule.slots
+    # full from the start, so every step evicts one entry: an unset one never
+    # raises the floor, and a window longer than the trace holds it all
+    window = deque([unset] * min(config.window_capacity, len(schedule.steps)))
+    window_pop, window_add = window.popleft, window.append
     t_ends: list[float] | None = [] if record_event_times else None
 
     for (resources, latency, reg_reads, reg_writes, read_keys, write_keys,
-         mem_ops, penalty) in schedule.steps:
-        if len(window) == capacity:
-            evicted, evicted_mask = window_pop()
-            if evicted > t_min:
-                t_min = evicted
-                floor_mask = evicted_mask & not_window
-        t = t_min
-        mask = floor_mask
-        for r in reg_reads:
-            v = sr_get(r, unset)
+         mem_ops, rare) in schedule.steps:
+        evicted, evicted_mask = window_pop()
+        if evicted > t_min:
+            t_min, floor_mask = evicted, evicted_mask & not_window
+        t, mask = t_min, floor_mask
+        for s in reg_reads:
+            v = shadow[s]
             if v[0] > t:
                 t, mask = v
-        for k in read_keys:
-            v = sm_get(k, unset)
+        for s in read_keys:
+            v = shadow[s]
             if v[0] > t:
                 t, mask = v
         for end, fold_keys, is_load in mem_ops:
@@ -305,33 +315,33 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
                 wait = (a, level_masks[level])
                 if is_load and a > t:
                     t, mask = wait
-                for k in fold_keys:
-                    if sm_get(k, unset)[0] < a:
-                        shadow_mem[k] = wait
-        for rid in resources:
+                for s in fold_keys:
+                    if shadow[s][0] < a:
+                        shadow[s] = wait
+        for rid in resources:  # each once: an advance does not depend on the start
             v = avail[rid]
-            if v > t:
-                t = v
-                mask = avail_masks[rid]
+            if v > t:  # so v > t_min: no reset
+                t, mask = v, avail_masks[rid]
+            elif v <= t_min:  # else v's mask is already clear of rid's bit
+                v = t_min
+                avail_masks[rid] = floor_mask & not_own[rid]
+            avail[rid] = v + gaps[rid]
+        if rare is not None:
+            extra, penalty = rare
+            for rid in extra:  # the first use left the mask a reset would set
+                avail[rid] += gaps[rid]
+            if penalty:
+                avail[frontend] += penalty
         t_end = t + latency * lat_scale
         done = (t_end, mask)
-        for rid in resources:
-            a = avail[rid]
-            if a <= t_min:  # else a's mask is already clear of rid's bit
-                a = t_min
-                avail_masks[rid] = floor_mask & not_own[rid]
-            avail[rid] = a + gaps[rid]
-        for r in reg_writes:
-            shadow_reg[r] = done
-        for k in write_keys:
-            if sm_get(k, unset)[0] < t_end:
-                shadow_mem[k] = done
-        if penalty:  # only with the branch unit on, which needs the frontend: bound last
-            avail[resources[-1]] += penalty
+        for s in reg_writes:
+            shadow[s] = done
+        for s in write_keys:
+            if shadow[s][0] < t_end:
+                shadow[s] = done
         window_add(done)
         if t_end > total:
-            total = t_end
-            total_mask = mask
+            total, total_mask = t_end, mask
         if t_ends is not None:
             t_ends.append(t_end)
 

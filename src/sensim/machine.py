@@ -125,8 +125,7 @@ class CacheLevelConfig:
         if self.associativity & (self.associativity - 1):
             raise ConfigError(f"cache level {self.name!r}: associativity must be a power of two")
         if self.total_size % (self.associativity * self.line_size):
-            raise ConfigError(
-                f"cache level {self.name!r}: size must divide into assoc x line sets")
+            raise ConfigError(f"cache level {self.name!r}: size must divide into assoc x line sets")
         if self.total_size // self.line_size > 1 << 21:  # more may not fit in memory
             raise ConfigError(f"cache level {self.name!r}: at most {1 << 21} lines")
         if self.associativity > 1 << 10:  # the PLRU touch masks grow with its square
@@ -240,10 +239,7 @@ class MachineConfig:
 
     @property
     def line_size(self) -> int:
-        for level in self.cache_levels:
-            if not level.is_backstop:
-                return level.line_size
-        return 64
+        return next((l.line_size for l in self.cache_levels if not l.is_backstop), 64)
 
 
 def accelerable_parameters(config: MachineConfig) -> list[str]:
@@ -277,9 +273,7 @@ def apply_weights(config: MachineConfig, weights: dict[str, float]) -> MachineCo
 
     resources = tuple(divided(r, r.name) for r in config.resources)
     levels = tuple(divided(l, l.name + _THR_SUFFIX) for l in config.cache_levels)
-    latency_scale = config.latency_scale
-    if INST_LAT in weights:
-        latency_scale = latency_scale / weights[INST_LAT]
+    latency_scale = config.latency_scale / weights.get(INST_LAT, 1.0)  # x / 1.0 is x
     capacity = config.window_capacity
     if INST_WINDOW in weights:
         scaled = min(min(capacity, 2**53) * weights[INST_WINDOW], 2.0**53)
@@ -317,8 +311,7 @@ def _decoded(raw, keys: dict[str, str], context: str) -> dict:
     for key in keys:
         if key in _REQUIRED and key not in raw:
             raise ConfigError(f"{context}: missing key {key!r}")
-    return {keys[key]: tuple(value) if type(value) is list else value
-            for key, value in raw.items()}
+    return {keys[key]: tuple(value) if type(value) is list else value for key, value in raw.items()}
 
 
 def load_config(text: str) -> MachineConfig:
@@ -373,8 +366,7 @@ def dump_config(config: MachineConfig) -> str:
 
 def builtin_config(name: str) -> str:
     """Text of a configuration shipped with the package (e.g. 'skylake-like')."""
-    # imported here: it loads pathlib, tempfile and more, which only
-    # set-up needs
+    # imported here: it loads pathlib, tempfile and more, which only set-up needs
     from importlib import resources
 
     path = resources.files(__package__) / "configs" / f"{name}.cfg"

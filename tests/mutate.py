@@ -86,10 +86,6 @@ EQUIVALENT: dict[str, dict[str, str]] = {
             _WRITE_BLOCK,
     },
     "src/sensim/engine.py": {
-        "access_plan: `cuts.update(lines[1:], (addr, addr + size))`"
-        " -> `cuts.update(lines[0:], (addr, addr + size))`":
-            "the first line's start lies inside an access only where the access crosses "
-            "it or starts there, and either already makes it a cut",
         "build_schedule: `entry = pcs[pc] = (label, own, names, [0] * (len(columns) + 1))`"
         " -> `entry = pcs[pc] = (label, own, names, [0] * (len(columns) + 2))`":
             "the extra slot stays 0 and lies past every column, so zip drops it and the "

@@ -475,6 +475,14 @@ def test_end_times_match_the_reference_model():
                 RefTimingModel(weighted).end_times(trace), weights
         if config.frontend_resource is not None:
             reached.add("frontend")
+        if any(config.frontend_resource in (e.resources or ()) for e in trace):
+            reached.add("the frontend named inline")
+        # a step's last field: None, or the ids it uses again and its penalty
+        rare = [step[7] for step in build_schedule(trace, config).steps if step[7] is not None]
+        if any(extra for extra, _ in rare):
+            reached.add("a record that uses one resource twice")
+        if any(extra and penalty for extra, penalty in rare):
+            reached.add("a branch penalty on such a record")
         if any(c.transfers for c in result.cache_stats.values()):
             reached.add("cache bandwidth")
         if any(e.mem_reads and e.mem_writes[-1:] == e.mem_reads for e in trace):
@@ -490,7 +498,45 @@ def test_end_times_match_the_reference_model():
             reached.add("miss at every level" if len(levels) > 1 else "miss at the only level")
     assert reached == {"frontend", "cache bandwidth", "load and store of the same bytes",
                        "branch penalty", "kind table", "memory traffic without caches",
-                       "miss at every level", "miss at the only level"}
+                       "miss at every level", "miss at the only level",
+                       "the frontend named inline", "a record that uses one resource twice",
+                       "a branch penalty on such a record"}
+
+
+WINDOW_EDGES = {"one": lambda n: 1, "the trace": lambda n: n, "past the trace": lambda n: n + 1}
+
+
+@pytest.mark.parametrize("edge", list(WINDOW_EDGES))
+def test_windows_at_the_edges_match_the_reference_model(edge):
+    # the window starts full of unset entries, so from the trace's length on
+    # no eviction raises the floor
+    rng = random.Random(29)
+    config = replace(random_config(rng), frontend_resource="r0")
+    for trace, config in (gen_jacobi_like(8), (random_trace(rng, config, 150), config)):
+        config = replace(config, window_capacity=WINDOW_EDGES[edge](len(trace)))
+        for weights in [{}] + [{name: 2.0} for name in accelerable_parameters(config)]:
+            weighted = apply_weights(config, weights)
+            result = simulate(trace, weighted, record_event_times=True)
+            assert list(result.event_end_times) == \
+                RefTimingModel(weighted).end_times(trace), weights
+
+
+def test_a_window_of_2_53_entries_holds_no_more_than_the_trace():
+    trace, config = gen_jacobi_like(100)
+    schedule = build_schedule(trace, config)
+    huge = apply_weights(config, {INST_WINDOW: 1e300})
+    assert huge.window_capacity == 2**53
+    result = run_schedule(schedule, huge, record_event_times=True)
+    assert list(result.event_end_times) == RefTimingModel(huge).end_times(trace)
+    peaks = []
+    for capacity in (1, 2**53):
+        tracemalloc.start()
+        try:
+            run_schedule(schedule, replace(config, window_capacity=capacity))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 64 * len(trace)  # at most a window entry per step
 
 
 @pytest.mark.parametrize("shape", MEMORY_SHAPES)
@@ -515,14 +561,22 @@ def test_block_keys_match_the_byte_keyed_reference(shape):
 
 
 def test_shadow_keys_are_the_blocks_no_access_splits():
+    # a key is a shadow slot: the registers come first, then each block, in
+    # address order
     trace, config = gen_jacobi_like(30)
+    schedule = build_schedule(trace, config)
+    registers = len({r for e in trace for r in e.reg_reads + e.reg_writes})
+    cuts = sorted({a for e in trace for acc in e.mem_reads + e.mem_writes
+                   for a in (acc.addr, acc.addr + acc.size)})
     accesses = 0
-    for event, step in zip(trace, build_schedule(trace, config).steps):
+    for event, step in zip(trace, schedule.steps):
         for side, keys in ((event.mem_reads, step[4]), (event.mem_writes, step[5])):
             assert [acc.size for acc in side] == [8] * len(side)
-            assert list(keys) == [acc.addr for acc in side]  # one key per 8-byte access
+            # one key per 8-byte access
+            assert list(keys) == [registers + cuts.index(acc.addr) for acc in side]
             accesses += len(side)
     assert accesses == 360
+    assert schedule.slots == registers + len(cuts)
 
     # [0,8) and [4,12) cut each other at 4 and 8; [124,132) is cut at the
     # line boundary 128, and each of its lines folds into its own block.
@@ -537,13 +591,21 @@ def test_shadow_keys_are_the_blocks_no_access_splits():
              (MemAccess(310, 20), MemAccess(315, 10))]
     events = [InstructionEvent(pc=4 * i, resources=(), latency=1.0, mem_reads=reads)
               for i, reads in enumerate(loads)]
-    steps = build_schedule(events, config).steps
+    schedule = build_schedule(events, config)
+    steps = schedule.steps
+    cuts = [0, 4, 8, 12, 124, 128, 132, 200, 256, 310, 315, 320, 325, 330, 350]
+    assert schedule.slots == len(cuts)  # no registers: a block's slot is its index
+
+    def blocks(*starts):
+        return [cuts.index(start) for start in starts]
+
     assert [step[4] for step in steps] == [
-        [0, 4], [4, 8], [124, 128], [0, 4, 4, 8], [200, 256, 310, 315, 320, 325, 330],
-        [310, 315, 320, 325, 315, 320]]
+        blocks(0, 4), blocks(4, 8), blocks(124, 128), blocks(0, 4, 4, 8),
+        blocks(200, 256, 310, 315, 320, 325, 330), blocks(310, 315, 320, 325, 315, 320)]
     assert [step[6] for step in steps] == [
-        ((1, [0, 4], True),), (), ((1, [124], True), (1, [128], True)), (),
-        ((1, [200], True), (1, [256, 310, 315], True), (1, [320, 325, 330], True)), ()]
+        ((1, blocks(0, 4), True),), (), ((1, blocks(124), True), (1, blocks(128), True)), (),
+        ((1, blocks(200), True), (1, blocks(256, 310, 315), True),
+         (1, blocks(320, 325, 330), True)), ()]
 
 
 def test_schedule_build_memory_does_not_grow_with_range_bytes():
@@ -636,9 +698,17 @@ def test_repeated_records_share_their_values():
     trace, config = SHARING_CASES[-1]
     steps = build_schedule(trace, config).steps
     free = {step for event, step in zip(trace, steps) if not (event.mem_reads or event.mem_writes)}
-    assert sorted((len(step[2]), step[7]) for step in free) == [(0, 0.0), (0, 15.0), (1, 0.0)]
+    # the last field holds a penalty, with the ids used again (none here)
+    assert len(free) == 3
+    assert {(len(step[2]), step[7]) for step in free} == {(0, None), (0, ((), 15.0)), (1, None)}
     loads = [step for event, step in zip(trace, steps) if event.mem_reads and not step[6]]
     assert len(loads) > 2 and all(step == loads[0] for step in loads)
+    # equal register tuples map to one tuple of slots, in reads and writes alike
+    for trace, config in SHARING_CASES:
+        mapped = {}
+        for event, step in zip(trace, build_schedule(trace, config).steps):
+            assert mapped.setdefault(event.reg_reads, step[2]) is step[2]
+            assert mapped.setdefault(event.reg_writes, step[3]) is step[3]
 
 
 TIMING_FIELDS = ("total_cycles", "ipc", "gaps", "event_end_times", "avoided")
@@ -649,7 +719,13 @@ COUNT_FIELDS = ("instruction_count", "resource_uses", "per_pc", "cache_stats",
 @pytest.mark.parametrize("trace, config", SHARING_CASES, ids=SHARING_IDS)
 def test_a_schedules_counts_are_an_untimed_result(trace, config):
     schedule = build_schedule(trace, config)
-    assert schedule._fields == ("steps", "counts")
+    assert schedule._fields == ("steps", "counts", "slots")
+    # a slot per register, numbered in order of first use, then per block
+    registers = list(dict.fromkeys(r for e in trace for r in e.reg_reads + e.reg_writes))
+    for event, step in zip(trace, schedule.steps):
+        assert step[2:4] == tuple(tuple(map(registers.index, regs))
+                                  for regs in (event.reg_reads, event.reg_writes))
+        assert all(len(registers) <= s < schedule.slots for keys in step[4:6] for s in keys)
     assert schedule.counts._fields == COUNT_FIELDS + TIMING_FIELDS
     assert schedule.counts.instruction_count == len(schedule.steps) == len(trace)
     assert [getattr(schedule.counts, name) for name in TIMING_FIELDS] == [None] * 5
@@ -710,8 +786,10 @@ def test_one_key_list_per_distinct_single_line_access():
               CacheLevelConfig("MEM", gap=2.0))
     events = [InstructionEvent(pc=4 * i, resources=(), latency=1.0, mem_reads=(MemAccess(8, 4),))
               for i in range(2)]
-    first, second = build_schedule(events, _one_port_config(cache_levels=levels)).steps
-    assert first[4] is second[4] and first[4] == [8]
+    schedule = build_schedule(events, _one_port_config(cache_levels=levels))
+    first, second = schedule.steps
+    # no registers, so the block [8, 12) has slot 0, and its end cut slot 1
+    assert first[4] is second[4] and first[4] == [0] and schedule.slots == 2
     (_, fold_keys, _), = first[6]  # the cold load misses L1; the second hits it
     assert fold_keys is first[4] and second[6] == ()
 
