@@ -18,13 +18,6 @@ from .trace import TraceError, _trace_lines, parse_trace
 _BATCH = 256  # records parsed before the run binds them: alternating per record costs more
 
 
-def _default_workers() -> int:
-    """CPUs this process may run on (its affinity mask, which cpuset limits
-    narrow), at most 4."""
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(4, usable or 1)
-
-
 class _Parser(argparse.ArgumentParser):
     # input mistakes exit 1, not argparse's default 2
     def error(self, message):
@@ -61,9 +54,9 @@ def _build_parser() -> _Parser:
     sens.add_argument("--threshold", type=float)  # both default to sensitivity's
     sens.add_argument("--heatmap", default=None, metavar="OUT.csv|OUT.svg",
                       help="write the (parameter, weight) grid to a file")
-    sens.add_argument("--workers", type=int, default=_default_workers(),
+    sens.add_argument("--workers", type=int, default=1,
                       help="processes that run the sweep's points, the parent "
-                           "included (>= 1; default: usable CPUs, at most 4)")
+                           "included (>= 1; default 1)")
 
     gen = sub.add_parser("gen-kernel", help="write a built-in kernel trace + config")
     gen.set_defaults(run=_cmd_gen_kernel)

@@ -26,11 +26,14 @@ in a parallel list.
 
 Two phases keep reruns cheap.  `build_schedule` resolves the trace once and
 computes everything timing-independent into a Schedule: the steps, holding
-each event's cache hit level and branch verdict, and the per-pc, resource,
-cache and branch counts as `counts`, a SimResult no run has timed.
-`run_schedule` fills in only its timing fields, all that a weight changes:
-the total, the IPC, the gaps it ran with, the parameters the total's path
-avoids, and optionally each event's end time.  Every result of one schedule
+each event's resource ids (its inline names or its kind's, then the
+frontend's), cache hit level and branch verdict with the frontend it stalls,
+and the per-pc, resource, cache and branch counts as `counts`, a SimResult no
+run has timed.  Every binding is the schedule's: `run_schedule` reads from its
+config only the resource and level names it checks and the numbers a weight
+changes (gaps, latency scale, window capacity), and fills in only the timing
+fields: the total, the IPC, the gaps it ran with, the parameters the total's
+path avoids, and optionally each event's end time.  Every result of one schedule
 shares its counts, from which `report` derives busy time, occupancy and
 shares.  This is exact, not an approximation: cache replacement and branch
 prediction depend only on the event stream, never on simulated time.
@@ -94,7 +97,7 @@ class SimResult(NamedTuple):
 # fields are shadow slots: one per register, then one per block the accesses
 # cover, in address order; mem_ops holds one (path_end, fold_keys, is_load)
 # per line access that crosses a level, loads first; and rare is None or
-# (the ids used again, the branch penalty the frontend pays).
+# (the ids used again, None or the (frontend id, cycles) a misprediction stalls).
 class Schedule(NamedTuple):
     """Timing-independent digest of a trace resolved against a config: the
     steps the timing recurrence walks, every count no weight changes as an
@@ -104,28 +107,6 @@ class Schedule(NamedTuple):
     steps: list[tuple]
     counts: SimResult
     slots: int
-
-
-def bind_semantics(event: InstructionEvent, config: MachineConfig
-                   ) -> tuple[tuple[int, ...], float, str, tuple[str, ...]]:
-    """Resource ids, latency, label and resource names for one event.
-
-    Inline resources+latency take precedence over the kind table.  An id is
-    an index in `config.resources`; the frontend resource, when configured,
-    is appended last to the ids, not to the names.  The result depends only
-    on (kind, resources, latency), so callers may memoize on that triple.
-    """
-    source = event if event.resources is not None else config.kinds.get(event.kind)
-    if source is None:
-        raise TraceError(f"unknown instruction kind: {event.kind!r}")
-    ids = {r.name: i for i, r in enumerate(config.resources)}
-    try:
-        bound = [ids[name] for name in source.resources]
-    except KeyError as exc:
-        raise TraceError(f"unknown resource: {exc.args[0]!r}") from None
-    if config.frontend_resource is not None:
-        bound.append(ids[config.frontend_resource])
-    return tuple(bound), source.latency, event.kind or "", source.resources
 
 
 def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) -> Schedule:
@@ -174,6 +155,9 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         key_lists.append(keys)
         return keys, tuple(ops)
 
+    ids = {name: i for i, name in enumerate(resource_names)}
+    # every record uses the frontend last, and a misprediction stalls it
+    frontend = (ids[config.frontend_resource],) if config.frontend_resource is not None else ()
     semantics_memo: dict[tuple, tuple] = {}
     reg_slot: dict[int, int] = defaultdict(lambda: len(reg_slot))  # numbered densely
     reg_memo: dict[tuple, tuple] = {}  # one slot tuple per distinct register tuple
@@ -188,10 +172,18 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
          branch) = event
         sem_key = (kind, inline_names, inline_latency)
         sem = semantics_memo.get(sem_key)
-        if sem is None:  # split once: each id's first use, then the ids used again
-            uses, latency, label, names = bind_semantics(event, config)
+        if sem is None:  # inline resources+latency win over the kind; the frontend goes last
+            source = event if inline_names is not None else config.kinds.get(kind)
+            if source is None:
+                raise TraceError(f"unknown instruction kind: {kind!r}")
+            try:
+                uses = (*map(ids.__getitem__, source.resources), *frontend)
+            except KeyError as exc:
+                raise TraceError(f"unknown resource: {exc.args[0]!r}") from None
+            # split once: each id's first use, then the ids used again
             sem = semantics_memo[sem_key] = (uses, tuple(dict.fromkeys(uses)), tuple(
-                rid for i, rid in enumerate(uses) if rid in uses[:i]), latency, label, names)
+                rid for i, rid in enumerate(uses) if rid in uses[:i]), source.latency,
+                kind or "", source.resources)
         uses, resources, extra, latency, label, names = sem
 
         entry = pcs.get(pc)
@@ -213,7 +205,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         if mem_writes:
             write_keys, stores = access_plan(mem_writes, pc_row, False)
 
-        penalty = 0.0
+        stall = None
         if predictor is not None and branch.kind != "none":
             _, taken, target = branch
             prediction = predictor.update(pc, taken, target)
@@ -221,9 +213,10 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
             predicted += 1
             if penalty:
                 mispredicted += 1
+                stall = (frontend[0], penalty)
 
         step = (resources, latency, reads, writes, read_keys,
-                write_keys, loads + stores, (extra, penalty) if extra or penalty else None)
+                write_keys, loads + stores, (extra, stall) if extra or stall else None)
         if not (mem_reads or mem_writes):  # key lists are resolved in place: never merged
             step = step_memo.setdefault(step, step)
         steps.append(step)
@@ -247,8 +240,7 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         cache_stats={level.name: LevelCounters(hits=level.hits, misses=level.misses,
                                                transfers=levels[i - 1].misses if i else 0)
                      for i, level in enumerate(levels)},
-        branch_predicted=predicted,
-        branch_mispredicted=mispredicted), len(reg_slot) + len(at))
+        branch_predicted=predicted, branch_mispredicted=mispredicted), len(reg_slot) + len(at))
 
 
 def run_schedule(schedule: Schedule, config: MachineConfig,
@@ -266,8 +258,6 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
     cache_gaps = [l.gap for l in config.cache_levels]
     avail, cache_avail = [0.0] * len(gaps), [0.0] * len(cache_gaps)
     lat_scale = config.latency_scale
-    # a branch penalty stalls the frontend, which the branch unit needs
-    frontend = names.index(config.frontend_resource) if config.frontend_resource else None
     # mask bits: the resources, INST_LAT, INST_WINDOW, then each *_THR
     params = accelerable_parameters(config)
     n_res = len(gaps)
@@ -327,11 +317,11 @@ def run_schedule(schedule: Schedule, config: MachineConfig,
                 avail_masks[rid] = floor_mask & not_own[rid]
             avail[rid] = v + gaps[rid]
         if rare is not None:
-            extra, penalty = rare
+            extra, stall = rare
             for rid in extra:  # the first use left the mask a reset would set
                 avail[rid] += gaps[rid]
-            if penalty:
-                avail[frontend] += penalty
+            if stall:
+                avail[stall[0]] += stall[1]
         t_end = t + latency * lat_scale
         done = (t_end, mask)
         for s in reg_writes:

@@ -3,8 +3,7 @@
 Each record carries observed truth for one dynamic instruction (actual branch
 outcome, actual addresses); the simulator never re-derives control flow or
 aliasing.  A record names its execution semantics by a `kind` or by inline
-`resources` + `latency`; `engine.bind_semantics` resolves them against a
-machine.
+`resources` + `latency`; `engine.build_schedule` binds them to a machine.
 """
 
 from __future__ import annotations

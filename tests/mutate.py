@@ -4,6 +4,20 @@ module do its tests miss?
     python tests/mutate.py src/sensim/branch.py tests/test_branch.py \
         tests/test_acceptance.py::test_criterion_8_branch_warmup_and_disabled_identity
 
+Each module's gate is the module and the tests its run names; rerun a gate
+with the same tests, so its killed/total count stays comparable:
+
+    branch       tests/test_branch.py
+                 tests/test_acceptance.py::test_criterion_8_branch_warmup_and_disabled_identity
+    caches       tests/test_caches.py tests/test_acceptance.py
+    cli          tests/test_cli.py tests/test_layers.py
+    engine       tests/test_engine.py tests/test_golden.py tests/test_acceptance.py
+                 tests/test_layers.py
+    machine      tests/test_machine.py tests/test_layers.py
+    report       tests/test_report.py tests/test_cli.py tests/test_golden.py
+    sensitivity  tests/test_sensitivity.py tests/test_cli.py
+    trace        tests/test_trace.py tests/test_fuzz.py tests/test_layers.py
+
 Each mutant changes one site of the module: a comparison flipped to its
 negation, `+` and `-` swapped, an integer constant shifted by one (up, and down
 unless it is 0), a simple statement dropped, or `and` and `or` swapped.  Every
@@ -52,6 +66,8 @@ _ABOVE_PARAMETERS = ("masks only gain bits above the parameters', and `avoided` 
 _BATCH_SIZE = ("the batch size sets only how far the parser runs ahead of the build, never "
                "what is built or which error is reported")
 _WRITE_BLOCK = "the block size sets only how many writes carry the report's bytes"
+_INNER_CLAMP = ("a weight is >= 1 and the product is clamped to 2**53, so a capacity over 2**53 "
+                "gives 2**53 whatever inner clamp at or above 2**53 keeps it a float")
 # module -> {mutant id (as printed): why no test can tell it from the original}
 EQUIVALENT: dict[str, dict[str, str]] = {
     "src/sensim/branch.py": {},
@@ -94,6 +110,12 @@ EQUIVALENT: dict[str, dict[str, str]] = {
         " -> `every = ((2 << len(params)) - 1) & ~(1 << n_res)`": _ABOVE_PARAMETERS,
         "run_schedule: `every = ((1 << len(params)) - 1) & ~(1 << n_res)`"
         " -> `every = ((0 << len(params)) - 1) & ~(1 << n_res)`": _ABOVE_PARAMETERS,
+    },
+    "src/sensim/machine.py": {
+        "apply_weights: `scaled = min(min(capacity, 2**53) * weights[INST_WINDOW], 2.0**53)`"
+        " -> `scaled = min(min(capacity, 3**53) * weights[INST_WINDOW], 2.0**53)`": _INNER_CLAMP,
+        "apply_weights: `scaled = min(min(capacity, 2**53) * weights[INST_WINDOW], 2.0**53)`"
+        " -> `scaled = min(min(capacity, 2**54) * weights[INST_WINDOW], 2.0**53)`": _INNER_CLAMP,
     },
     "src/sensim/report.py": {
         "<module>: `Row = tuple[PcStats, dict[str, float]]  # a pc's stats and its share of each "

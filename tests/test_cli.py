@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from sensim import corpus
-from sensim.cli import _BATCH, _default_workers, main
+from sensim.cli import _BATCH, main
 from sensim.engine import build_schedule, simulate
 from sensim.machine import accelerable_parameters, load_config
 from sensim.report import render_instruction_table, run_report_json
@@ -898,15 +898,18 @@ def test_subsets_of_one_parameter_each(port_block_files, capsys):
     assert sorted(row.split()[0] for row in rows) == sorted(parameters)
 
 
-def test_default_workers_reads_this_process_affinity_mask(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: {0, 1, 2} if pid == 0 else set(range(64)), raising=False)
-    assert _default_workers() == 3
+def test_sensitivity_runs_in_one_process_by_default(port_block_files, capsys, monkeypatch):
+    trace, cfg = port_block_files
+    forks = []
 
+    def no_fork():
+        forks.append(1)
+        raise OSError("no fork without --workers")
 
-def test_default_workers_without_an_affinity_mask(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert _default_workers() == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
-    assert _default_workers() == 1
+    monkeypatch.setattr(os, "fork", no_fork)
+    capsys.readouterr()
+    assert main(["sensitivity", trace, "--config", cfg]) == 0
+    default = capsys.readouterr().out
+    assert forks == []
+    assert main(["sensitivity", trace, "--config", cfg, "--workers", "1"]) == 0
+    assert capsys.readouterr().out == default

@@ -17,6 +17,9 @@ from sensim.report import run_report
 from sensim.trace import BranchInfo, InstructionEvent, MemAccess, TraceError
 
 PORT_BLOCK_END_TIMES = [1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 4]
+MINIMAL_CFG = """
+{"resources": [{"name": "p0", "gap": 1}], "window": 4}
+"""
 
 
 def occupancy(result):
@@ -229,6 +232,25 @@ def test_misprediction_penalty_advances_frontend():
     assert on.branch_predicted == 1 and on.branch_mispredicted == 1
     # the cold predictor gets the taken branch wrong; the next fetch stalls
     assert on.event_end_times[1] == off.event_end_times[1] + 15.0
+
+
+def test_a_schedule_stalls_the_frontend_it_was_built_with():
+    # three mispredicted records on (F 0.25, p0 1.0): every stall lands on
+    # F, whatever frontend the config it runs against names, or none
+    config = MachineConfig(
+        resources=(Resource("F", 0.25), Resource("p0", 1.0)), window_capacity=8,
+        frontend_resource="F", branch=BranchConfig(enabled=True, misprediction_penalty=15.0))
+    trace = [InstructionEvent(pc=4 * k, resources=("p0",), latency=1.0,
+                              branch=BranchInfo(kind="conditional", taken=True, target=0))
+             for k in range(3)]
+    schedule = build_schedule(trace, config)
+    assert schedule.counts.branch_mispredicted == 3
+    no_frontend = replace(config, frontend_resource=None,
+                          branch=replace(config.branch, enabled=False))
+    for other in (config, replace(config, frontend_resource="p0"), no_frontend):
+        result = run_schedule(schedule, other, record_event_times=True)
+        assert result.event_end_times == (1.0, 16.25, 31.5)
+        assert result.total_cycles == 31.5
 
 
 def test_resource_spacing_is_exactly_gap():
@@ -698,9 +720,10 @@ def test_repeated_records_share_their_values():
     trace, config = SHARING_CASES[-1]
     steps = build_schedule(trace, config).steps
     free = {step for event, step in zip(trace, steps) if not (event.mem_reads or event.mem_writes)}
-    # the last field holds a penalty, with the ids used again (none here)
+    # the last field holds the (frontend id, penalty), with the ids used again (none here)
     assert len(free) == 3
-    assert {(len(step[2]), step[7]) for step in free} == {(0, None), (0, ((), 15.0)), (1, None)}
+    assert {(len(step[2]), step[7]) for step in free} == {(0, None), (0, ((), (0, 15.0))),
+                                                          (1, None)}
     loads = [step for event, step in zip(trace, steps) if event.mem_reads and not step[6]]
     assert len(loads) > 2 and all(step == loads[0] for step in loads)
     # equal register tuples map to one tuple of slots, in reads and writes alike
@@ -766,6 +789,70 @@ def test_a_record_the_machine_cannot_bind_stops_the_build(event, message):
     with pytest.raises(TraceError) as raised:
         build_schedule(events, _one_port_config())
     assert str(raised.value) == message and raised.value.line is None
+
+
+def test_resolve_kind_lookup_appends_frontend():
+    cfg = load_config("""
+    {"resources": [{"name": "FRONTEND", "gap": 0.25}, {"name": "p016", "gap": 0.34},
+                   {"name": "p01", "gap": 0.5}, {"name": "p015", "gap": 0.34},
+                   {"name": "p0156", "gap": 0.25}, {"name": "p23", "gap": 0.5}],
+     "frontend": "FRONTEND", "window": 8,
+     "kinds": {"vaddsd-load":
+               {"resources": ["p016", "p01", "p015", "p0156", "p23"], "latency": 4}}}
+    """)
+    schedule = build_schedule([InstructionEvent(seq=0, pc=0, kind="vaddsd-load")], cfg)
+    ids = schedule.steps[0][0]
+    assert [cfg.resources[i].name for i in ids] == ["p016", "p01", "p015", "p0156", "p23",
+                                                    "FRONTEND"]
+    stats = schedule.counts.per_pc[0]
+    assert stats.resources == ("p016", "p01", "p015", "p0156", "p23")
+    assert stats.latency == 4.0
+    assert stats.label == "vaddsd-load"
+
+
+def test_resolve_inline_with_frontend():
+    cfg = load_config("""
+    {"resources": [{"name": "FRONTEND", "gap": 0.25}, {"name": "p4", "gap": 1}],
+     "frontend": "FRONTEND", "window": 8}
+    """)
+    ev = InstructionEvent(seq=0, pc=0, resources=("p4",), latency=4.0)
+    schedule = build_schedule([ev], cfg)
+    assert [cfg.resources[i].name for i in schedule.steps[0][0]] == ["p4", "FRONTEND"]
+    stats = schedule.counts.per_pc[0]
+    assert stats.resources == ("p4",)
+    assert (stats.latency, stats.label) == (4.0, "")
+
+
+def test_resolve_inline_overrides_kind():
+    cfg = load_config("""
+    {"resources": [{"name": "p0", "gap": 1}], "window": 4,
+     "kinds": {"mul": {"resources": ["p0", "p0"], "latency": 3}}}
+    """)
+    ev = InstructionEvent(seq=0, pc=0, kind="mul", resources=("p0",), latency=1.0)
+    schedule = build_schedule([ev], cfg)
+    # one use of p0: no id is used again
+    assert schedule.steps[0][0] == (0,) and schedule.steps[0][7] is None
+    stats = schedule.counts.per_pc[0]
+    assert stats.resources == ("p0",)
+    assert stats.latency == 1.0
+    assert stats.label == "mul"
+
+
+def test_resolve_unknown_kind_and_resource():
+    cfg = load_config(MINIMAL_CFG)
+    with pytest.raises(TraceError, match="unknown instruction kind: 'nosuch'"):
+        build_schedule([InstructionEvent(seq=0, pc=0, kind="nosuch")], cfg)
+    with pytest.raises(TraceError, match="unknown resource: 'p9'"):
+        build_schedule([InstructionEvent(seq=0, pc=0, resources=("p9",), latency=1.0)], cfg)
+
+
+def test_resolve_is_deterministic():
+    cfg = load_config(MINIMAL_CFG)
+    ev = InstructionEvent(seq=0, pc=0, resources=("p0", "p0"), latency=2.0)
+    first, again = build_schedule([ev], cfg), build_schedule([ev], cfg)
+    assert first == again
+    # p0 once in the resource pass, then once more as an id used again
+    assert first.steps[0][0] == (0,) and first.steps[0][7] == ((0,), None)
 
 
 def test_a_pc_keeps_its_first_records_zero_latency():

@@ -320,3 +320,103 @@ def test_integer_gap_and_latency_are_stored_as_floats():
 def test_integer_over_the_digit_limit_rejected():
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config('{"resources": [], "window": %s}' % ("9" * 5000))
+
+
+@pytest.mark.parametrize("name", ["a,b", "a;b", "a+b", 'a"b', "", " p0", "p0 ", "\tp0"])
+@pytest.mark.parametrize("part", ["resource", "cache level"])
+def test_names_the_command_line_cannot_carry_rejected(name, part):
+    # the CLI splits lists on `,` and groups on `;`, joins subset keys with
+    # `+`, writes heatmap names unquoted and strips each listed name
+    unsafe = any(c in name for c in ',;+"')
+    message = "may not contain any of" if unsafe else "is empty or starts or ends with whitespace"
+    with pytest.raises(ConfigError, match=message):
+        Resource(name, 1.0) if part == "resource" else CacheLevelConfig(name, gap=1.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: InstructionKind("k", ("p0",), -0.5), "latency must be finite and >= 0"),
+    (lambda: InstructionKind("k", ("p0",), math.inf), "latency must be finite and >= 0"),
+    (lambda: CacheLevelConfig("MEM", gap=0), "gap must be finite and > 0"),
+    (lambda: CacheLevelConfig("MEM", gap=math.inf), "gap must be finite and > 0"),
+    (lambda: CacheLevelConfig("L1", gap=1.0, line_size=16), "given together or not at all"),
+    (lambda: CacheLevelConfig("L1", gap=1.0, total_size=96, associativity=3, line_size=16),
+     "associativity must be a power of two"),
+    (lambda: BranchConfig(btb_sets=1.5), "must be integers"),
+    (lambda: BranchConfig(history_lengths=(4, 8.0)), "must be integers"),
+    (lambda: BranchConfig(history_lengths=()), "must be non-empty and start at >= 1"),
+    (lambda: BranchConfig(history_lengths=(0, 4)), "must be non-empty and start at >= 1"),
+    (lambda: BranchConfig(history_lengths=(4, 4)), "must be strictly increasing"),
+    (lambda: BranchConfig(history_lengths=(8, 4)), "must be strictly increasing"),
+    (lambda: BranchConfig(tage_tables=3), "tage_tables must match len"),
+    (lambda: BranchConfig(tage_tables=4.0), "tage_tables must match len"),
+    (lambda: BranchConfig(misprediction_penalty=-1.0), "misprediction_penalty must be finite"),
+    (lambda: BranchConfig(misprediction_penalty=math.inf), "misprediction_penalty must be finite"),
+], ids=["kind-latency-negative", "kind-latency-inf", "level-gap-zero", "level-gap-inf",
+        "level-geometry-partial", "assoc-not-power-of-two", "btb-sets-float",
+        "history-length-float", "history-empty", "history-starts-at-0", "history-repeats",
+        "history-decreases", "tage-tables-mismatch", "tage-tables-float", "penalty-negative",
+        "penalty-inf"])
+def test_values_out_of_range_rejected(build, message):
+    with pytest.raises(ConfigError, match=message) as err:
+        build()
+    assert type(err.value) is ConfigError
+
+
+def test_values_at_the_low_edges_load():
+    assert InstructionKind("k", ("p0",), 0.5).latency == 0.5
+    assert CacheLevelConfig("L1", gap=1.0, total_size=4, associativity=2, line_size=1).line_size == 1
+    branch = BranchConfig(btb_sets=1, btb_ways=1, tage_entries_log2=1, history_lengths=(1, 2),
+                          misprediction_penalty=0.5, tage_tables=2)
+    assert (branch.btb_sets, branch.btb_ways, branch.tage_entries_log2) == (1, 1, 1)
+    assert (branch.history_lengths, branch.misprediction_penalty) == ((1, 2), 0.5)
+
+
+@pytest.mark.parametrize("limit,over", [
+    ({"btb_sets": 1 << 14, "btb_ways": 4}, {"btb_sets": 1 << 14, "btb_ways": 5}),
+    ({"tage_entries_log2": 16}, {"tage_entries_log2": 17}),
+    ({"history_lengths": tuple(range(1, 33))}, {"history_lengths": tuple(range(1, 34))}),
+    ({"history_lengths": (1, 4096)}, {"history_lengths": (1, 4097)}),
+], ids=["btb-entries", "tage-entries-log2", "history-count", "history-length"])
+def test_branch_tables_at_their_limits_load_and_one_more_is_rejected(limit, over):
+    BranchConfig(**limit)
+    with pytest.raises(ConfigError, match="branch tables too large"):
+        BranchConfig(**over)
+
+
+def test_every_optional_field_has_its_documented_default():
+    # a config file may leave out every key but `resources` and `window`
+    cfg = load_config('{"resources": [{"name": "FE", "gap": 1}], "window": 4, "frontend": "FE",'
+                      ' "branch": {"enabled": true}}')
+    assert cfg.branch == BranchConfig(enabled=True, btb_sets=64, btb_ways=4,
+                                      tage_entries_log2=10, history_lengths=(4, 8, 16, 32),
+                                      misprediction_penalty=15.0)
+    assert (cfg.kinds, cfg.cache_levels, cfg.latency_scale) == ({}, (), 1.0)
+    assert MachineConfig(resources=(Resource("p0", 1.0),)).window_capacity == 1
+
+
+def test_line_size_is_the_first_sized_levels_or_64():
+    assert _machine().line_size == 64
+    assert _machine(cache_levels=(CacheLevelConfig("MEM", gap=4.0),)).line_size == 64
+    assert _machine(cache_levels=(_L1, CacheLevelConfig("MEM", gap=4.0))).line_size == 16
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[]", "config must be an object"),
+    ('{"resources": [5], "window": 4}', r"resources\[0\] must be an object"),
+    ('{"resources": [{"name": "p0", "gap": 1}], "window": 4, "frontend": null}',
+     "config: key 'frontend' may not be null"),
+    ('{"resources": [{"name": "p0", "gap": 1}], "window": 4, "branch": {"enabled": null}}',
+     "branch: key 'enabled' may not be null"),
+])
+def test_malformed_objects_name_their_place(text, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(text)
+
+
+def test_dump_writes_two_space_indented_json():
+    assert dump_config(load_config(MINIMAL)) == (
+        '{\n  "resources": [\n    {\n      "name": "p0",\n      "gap": 1.0\n    }\n  ],\n'
+        '  "window": 4,\n  "branch": {\n    "enabled": false,\n    "btb_sets": 64,\n'
+        '    "btb_ways": 4,\n    "tage_tables": 4,\n    "tage_entries_log2": 10,\n'
+        '    "history_lengths": [\n      4,\n      8,\n      16,\n      32\n    ],\n'
+        '    "misprediction_penalty": 15.0\n  }\n}\n')

@@ -10,14 +10,8 @@ from hypothesis import strategies as st
 
 import sensim.trace
 from sensim.corpus import KERNELS, generate
-from sensim.engine import bind_semantics
-from sensim.machine import load_config
 from sensim.trace import (_MEMO_LINES, BRANCH_KINDS, BranchInfo, InstructionEvent, MemAccess,
                           TraceError, parse_trace, write_trace)
-
-MINIMAL_CFG = """
-{"resources": [{"name": "p0", "gap": 1}], "window": 4}
-"""
 
 
 def parse(text):
@@ -758,60 +752,3 @@ def test_every_valid_event_round_trips(fields):
 def test_corpus_kernels_round_trip(name):
     events, _ = generate(name, **({"iters": 3} if "iters" in KERNELS[name][1] else {}))
     assert parse(write_trace(events)) == events
-
-
-def test_resolve_kind_lookup_appends_frontend():
-    cfg = load_config("""
-    {"resources": [{"name": "FRONTEND", "gap": 0.25}, {"name": "p016", "gap": 0.34},
-                   {"name": "p01", "gap": 0.5}, {"name": "p015", "gap": 0.34},
-                   {"name": "p0156", "gap": 0.25}, {"name": "p23", "gap": 0.5}],
-     "frontend": "FRONTEND", "window": 8,
-     "kinds": {"vaddsd-load":
-               {"resources": ["p016", "p01", "p015", "p0156", "p23"], "latency": 4}}}
-    """)
-    ev = InstructionEvent(seq=0, pc=0, kind="vaddsd-load")
-    ids, latency, label, names = bind_semantics(ev, cfg)
-    assert [cfg.resources[i].name for i in ids] == ["p016", "p01", "p015", "p0156", "p23",
-                                                    "FRONTEND"]
-    assert names == ("p016", "p01", "p015", "p0156", "p23")
-    assert latency == 4.0
-    assert label == "vaddsd-load"
-
-
-def test_resolve_inline_with_frontend():
-    cfg = load_config("""
-    {"resources": [{"name": "FRONTEND", "gap": 0.25}, {"name": "p4", "gap": 1}],
-     "frontend": "FRONTEND", "window": 8}
-    """)
-    ev = InstructionEvent(seq=0, pc=0, resources=("p4",), latency=4.0)
-    ids, latency, label, names = bind_semantics(ev, cfg)
-    assert [cfg.resources[i].name for i in ids] == ["p4", "FRONTEND"]
-    assert names == ("p4",)
-    assert (latency, label) == (4.0, "")
-
-
-def test_resolve_inline_overrides_kind():
-    cfg = load_config("""
-    {"resources": [{"name": "p0", "gap": 1}], "window": 4,
-     "kinds": {"mul": {"resources": ["p0", "p0"], "latency": 3}}}
-    """)
-    ev = InstructionEvent(seq=0, pc=0, kind="mul", resources=("p0",), latency=1.0)
-    ids, latency, label, names = bind_semantics(ev, cfg)
-    assert len(ids) == 1
-    assert names == ("p0",)
-    assert latency == 1.0
-    assert label == "mul"
-
-
-def test_resolve_unknown_kind_and_resource():
-    cfg = load_config(MINIMAL_CFG)
-    with pytest.raises(TraceError, match="unknown instruction kind: 'nosuch'"):
-        bind_semantics(InstructionEvent(seq=0, pc=0, kind="nosuch"), cfg)
-    with pytest.raises(TraceError, match="unknown resource: 'p9'"):
-        bind_semantics(InstructionEvent(seq=0, pc=0, resources=("p9",), latency=1.0), cfg)
-
-
-def test_resolve_is_deterministic():
-    cfg = load_config(MINIMAL_CFG)
-    ev = InstructionEvent(seq=0, pc=0, resources=("p0", "p0"), latency=2.0)
-    assert bind_semantics(ev, cfg) == bind_semantics(ev, cfg)
