@@ -19,6 +19,10 @@ class Prediction(NamedTuple):
     taken: bool
     target: int | None
 
+    def wrong(self, taken: bool, target: int) -> bool:
+        """Whether the branch went otherwise: in direction, or, taken, to another target."""
+        return self.taken != taken or taken and self.target != target
+
 
 class PredictorState:
     """Mutable predictor state, private to one simulation run.
@@ -127,10 +131,6 @@ class PredictorState:
 
 
 def misprediction_delay(predicted: Prediction, taken: bool, target: int, config) -> float:
-    """Cycles of frontend stall charged for this prediction.
-
-    Zero when the direction is right and, for taken branches, the target is
-    right too; otherwise the configured penalty.
-    """
-    correct = predicted.taken == taken and (not taken or predicted.target == target)
-    return 0.0 if correct else config.misprediction_penalty
+    """Cycles of frontend stall charged for this prediction: the configured
+    penalty if it is wrong, else zero."""
+    return config.misprediction_penalty if predicted.wrong(taken, target) else 0.0

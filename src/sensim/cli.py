@@ -11,7 +11,6 @@ import sys
 from contextlib import contextmanager, nullcontext
 from itertools import islice
 
-from . import corpus
 from .machine import accelerable_parameters, apply_weights, dump_config, load_config
 from .trace import TraceError, _trace_lines, parse_trace
 
@@ -60,7 +59,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-kernel", help="write a built-in kernel trace + config")
     gen.set_defaults(run=_cmd_gen_kernel)
-    gen.add_argument("name", choices=sorted(corpus.KERNELS))
+    gen.add_argument("name", help="a built-in kernel; an unknown name lists them")
     gen.add_argument("--iters", type=int, default=None)
     gen.add_argument("--footprint", type=int, default=None,
                      help="buffer bytes for the stream kernel")
@@ -191,7 +190,8 @@ def _cmd_sensitivity(args) -> int:
         report.verdicts = classify(report, threshold)
         text = format_sensitivity(report)
         if heatmap is not None:  # written over only now, once the sweep has succeeded
-            heatmap().write(emit_heatmap(report, "svg" if args.heatmap.endswith(".svg") else "csv"))
+            svg = args.heatmap.lower().endswith(".svg")  # the suffix in any case
+            heatmap().write(emit_heatmap(report, "svg" if svg else "csv"))
     sys.stdout.write(text)
     if args.heatmap is not None:
         print(f"heatmap written to {args.heatmap}")
@@ -199,6 +199,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_gen_kernel(args) -> int:
+    from . import corpus
     trace, config = corpus.generate(args.name, iters=args.iters, footprint=args.footprint)
     out = f"{args.name}.trace" if args.out is None else args.out
     cfg_path = os.path.splitext(out)[0] + ".cfg"

@@ -45,7 +45,7 @@ from collections import defaultdict, deque
 from math import inf
 from typing import Iterable, NamedTuple
 
-from .branch import PredictorState, misprediction_delay
+from .branch import PredictorState
 from .caches import CacheHierarchy, line_accesses
 from .machine import MachineConfig, accelerable_parameters
 from .trace import InstructionEvent, MemAccess, TraceError
@@ -208,12 +208,10 @@ def build_schedule(events: Iterable[InstructionEvent], config: MachineConfig) ->
         stall = None
         if predictor is not None and branch.kind != "none":
             _, taken, target = branch
-            prediction = predictor.update(pc, taken, target)
-            penalty = misprediction_delay(prediction, taken, target, config.branch)
             predicted += 1
-            if penalty:
+            if predictor.update(pc, taken, target).wrong(taken, target):
                 mispredicted += 1
-                stall = (frontend[0], penalty)
+                stall = (frontend[0], config.branch.misprediction_penalty)
 
         step = (resources, latency, reads, writes, read_keys,
                 write_keys, loads + stores, (extra, stall) if extra or stall else None)

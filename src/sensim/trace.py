@@ -177,8 +177,8 @@ def _parse_record(raw_line: str) -> tuple[InstructionEvent, int | None]:
         raise TraceError("record must be an object")
     if not _RECORD_FIELDS.issuperset(raw):
         raise TraceError(f"unknown field {sorted(set(raw) - _RECORD_FIELDS)[0]!r}")
-    for name in _ARRAY_FIELDS:
-        values = raw.get(name)
+    for name in _ARRAY_FIELDS:  # a null field, pc aside, is absent
+        values = raw.pop(name, None)
         if values is None:
             continue
         if type(values) is not list:
@@ -189,9 +189,9 @@ def _parse_record(raw_line: str) -> tuple[InstructionEvent, int | None]:
             except TypeError:
                 raise TraceError(f'{name} entries must be {{"addr":int,"size":int}}') from None
         raw[name] = tuple(values)
-    if "branch" in raw:
+    if (branch := raw.pop("branch", None)) is not None:
         try:
-            raw["branch"] = BranchInfo(**raw["branch"])
+            raw["branch"] = BranchInfo(**branch)
         except TypeError:
             raise TraceError("branch must be {kind, taken, target}") from None
     raw.setdefault("pc", None)

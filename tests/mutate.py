@@ -11,6 +11,7 @@ with the same tests, so its killed/total count stays comparable:
                  tests/test_acceptance.py::test_criterion_8_branch_warmup_and_disabled_identity
     caches       tests/test_caches.py tests/test_acceptance.py
     cli          tests/test_cli.py tests/test_layers.py
+    corpus       tests/test_corpus.py tests/test_golden.py
     engine       tests/test_engine.py tests/test_golden.py tests/test_acceptance.py
                  tests/test_layers.py
     machine      tests/test_machine.py tests/test_layers.py
@@ -68,6 +69,8 @@ _BATCH_SIZE = ("the batch size sets only how far the parser runs ahead of the bu
 _WRITE_BLOCK = "the block size sets only how many writes carry the report's bytes"
 _INNER_CLAMP = ("a weight is >= 1 and the product is clamped to 2**53, so a capacity over 2**53 "
                 "gives 2**53 whatever inner clamp at or above 2**53 keeps it a float")
+_JACOBI_WRAP = ("the footprint sets only the wrap, and (8193 - 32) // 24 and (8192 - 31) // 24 "
+                "are 340, as (8192 - 32) // 24 is")
 # module -> {mutant id (as printed): why no test can tell it from the original}
 EQUIVALENT: dict[str, dict[str, str]] = {
     "src/sensim/branch.py": {},
@@ -100,6 +103,15 @@ EQUIVALENT: dict[str, dict[str, str]] = {
         "_cmd_simulate: `sys.stdout.writelines(iter(lambda: \"\".join(islice(pieces, 512)), "
         "\"\"))` -> `sys.stdout.writelines(iter(lambda: \"\".join(islice(pieces, 511)), \"\"))`":
             _WRITE_BLOCK,
+    },
+    "src/sensim/corpus.py": {
+        "gen_jacobi_like: `footprint = 8192  # per array; both stay L1-resident` -> "
+        "`footprint = 8193  # per array; both stay L1-resident`": _JACOBI_WRAP,
+        "gen_jacobi_like: `wrap = (footprint - 32) // 24` -> `wrap = (footprint - 31) // 24`":
+            _JACOBI_WRAP,
+        "gen_stream: `if footprint < 64 or footprint % 64:` -> "
+        "`if footprint < 63 or footprint % 64:`":
+            "63 is not a multiple of 64, so `footprint % 64` rejects it either way",
     },
     "src/sensim/engine.py": {
         "build_schedule: `entry = pcs[pc] = (label, own, names, [0] * (len(columns) + 1))`"

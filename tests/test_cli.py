@@ -118,6 +118,16 @@ def test_sensitivity_svg_and_subsets(port_block_files, tmp_path, capsys):
     assert "p0+p2+p3+p5" in out
 
 
+def test_heatmap_format_follows_the_suffix_in_any_case(port_block_files, tmp_path):
+    trace, cfg = port_block_files
+    for suffix, first in ((".SVG", "<svg"), (".Svg", "<svg"), (".CSV", "parameter,"),
+                          (".svgz", "parameter,")):
+        heatmap = tmp_path / f"grid{suffix}"
+        assert main(["sensitivity", trace, "--config", cfg, "--weights", "2",
+                     "--heatmap", str(heatmap)]) == 0
+        assert heatmap.read_text().startswith(first), suffix
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("the sweep ran")
 
@@ -596,6 +606,15 @@ def test_gen_stream_bad_footprint_exits_one(tmp_path, capsys, footprint):
 def test_gen_kernel_names_the_iters_flag_it_rejects(tmp_path, capsys, kernel):
     assert main(["gen-kernel", kernel, "--iters", "0", "--out", str(tmp_path / "k.trace")]) == 1
     assert capsys.readouterr().err == "sensim: error: iters must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_kernel_unknown_name_is_one_error_line(tmp_path, capsys):
+    # corpus alone checks the name: no usage block, and no file is written
+    assert main(["gen-kernel", "nosuch", "--out", str(tmp_path / "k.trace")]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "sensim: error: unknown kernel 'nosuch'; choose from "
+                              "chain, jacobi, portblock, stream\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,7 +5,7 @@ import pytest
 from sensim.corpus import (gen_jacobi_like, gen_latency_chain,
                            gen_port_block, gen_stream, generate)
 from sensim.engine import simulate
-from sensim.machine import accelerable_parameters
+from sensim.machine import accelerable_parameters, dump_config
 from sensim.sensitivity import classify, sweep_single
 from sensim.trace import parse_trace, write_trace
 
@@ -120,3 +120,68 @@ def test_generators_reject_bad_sizes(bad):
         gen_jacobi_like(bad)
     with pytest.raises(ValueError):
         gen_stream(bad)
+
+
+# sha256 of write_trace(trace) + dump_config(config) for each kernel at its defaults
+KERNEL_BYTES = {
+    "chain": "9abac9781888abab2cb60ab66e4b3bd75843732580faeb1397e3b453a4f38989",
+    "jacobi": "61a1062a12356a08c03bc860317157b895d16a99365fa5b5ba3b51113c350f4f",
+    "portblock": "d5aed2dc3a464dd35db1655ab5eb87607b9c411fff2b7ae13cd56ab6f2818287",
+    "stream": "0a523cbc836b752154d58560afe48f764640f3c0a604348cb23571269830daf7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BYTES))
+def test_default_kernel_bytes_are_pinned(name):
+    # the golden CLI digests pass sizes and never print an address, so the
+    # defaults, the addresses and the machines are pinned here
+    trace, config = generate(name)
+    text = write_trace(trace) + dump_config(config)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == KERNEL_BYTES[name]
+
+
+def test_stream_footprint_defaults_to_four_mib():
+    # the default 10,000 loads stay below 1 MiB, so the wrap needs more
+    trace, _ = gen_stream(65537)
+    assert generate("stream", iters=65537)[0] == trace
+    base = trace[0].mem_reads[0].addr
+    assert trace[-2].mem_reads[0].addr == base + 4 * 1024 * 1024 - 64
+    assert trace[-1].mem_reads == trace[0].mem_reads
+
+
+def test_smallest_sizes_generate():
+    for make in (gen_jacobi_like, gen_latency_chain, gen_stream):
+        assert make(1)[0]
+    trace, _ = gen_stream(3, footprint=64)
+    assert len({event.mem_reads for event in trace}) == 1
+    for footprint in (0, 32, 96, 4095):
+        with pytest.raises(ValueError, match="footprint must be a positive multiple of 64 "
+                                             f"bytes, got {footprint}"):
+            gen_stream(3, footprint=footprint)
+
+
+@pytest.mark.parametrize("name,overrides,message", [
+    ("nosuch", {}, "unknown kernel 'nosuch'; choose from chain, jacobi, portblock, stream"),
+    ("portblock", {"iters": 5}, "kernel 'portblock' takes no iters override"),
+    ("chain", {"footprint": 64}, "kernel 'chain' takes no footprint override"),
+])
+def test_generate_names_what_it_rejects(name, overrides, message):
+    with pytest.raises(ValueError) as err:
+        generate(name, **overrides)
+    assert str(err.value) == message
+
+
+def test_jacobi_branch_falls_through_only_on_the_last_body():
+    # the kernel's machine has the branch unit off, so no timing shows this
+    for iters in (1, 2, 3, 700):
+        trace, _ = gen_jacobi_like(iters)
+        assert [e.branch.taken for e in trace[16::17]] == [True] * (iters - 1) + [False]
+
+
+def test_jacobi_repeats_its_bodies_as_the_same_objects():
+    # bodies past the address wrap at 340 reuse the objects of the body they
+    # repeat, all but the last: the writer encodes each distinct object once
+    trace, _ = gen_jacobi_like(700)
+    assert len({id(event) for event in trace}) == 17 * 341
+    assert all(trace[17 * i + j] is trace[17 * (i % 340) + j]
+               for i in range(340, 699) for j in range(17))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import RefTimingModel
+from oracles import RefTage, RefTimingModel
 from randcases import MEMORY_SHAPES, block_case, memory_case, random_config, random_trace
 from sensim.caches import line_accesses
 from sensim.corpus import gen_jacobi_like, gen_latency_chain, gen_port_block, gen_stream
@@ -234,12 +234,17 @@ def test_misprediction_penalty_advances_frontend():
     assert on.event_end_times[1] == off.event_end_times[1] + 15.0
 
 
+def _branch_machine(penalty, enabled=True):
+    return MachineConfig(
+        resources=(Resource("F", 0.25), Resource("p0", 1.0)), window_capacity=8,
+        frontend_resource="F",
+        branch=BranchConfig(enabled=enabled, misprediction_penalty=penalty))
+
+
 def test_a_schedule_stalls_the_frontend_it_was_built_with():
     # three mispredicted records on (F 0.25, p0 1.0): every stall lands on
     # F, whatever frontend the config it runs against names, or none
-    config = MachineConfig(
-        resources=(Resource("F", 0.25), Resource("p0", 1.0)), window_capacity=8,
-        frontend_resource="F", branch=BranchConfig(enabled=True, misprediction_penalty=15.0))
+    config = _branch_machine(15.0)
     trace = [InstructionEvent(pc=4 * k, resources=("p0",), latency=1.0,
                               branch=BranchInfo(kind="conditional", taken=True, target=0))
              for k in range(3)]
@@ -251,6 +256,39 @@ def test_a_schedule_stalls_the_frontend_it_was_built_with():
         result = run_schedule(schedule, other, record_event_times=True)
         assert result.event_end_times == (1.0, 16.25, 31.5)
         assert result.total_cycles == 31.5
+
+
+def test_a_misprediction_is_counted_whatever_the_penalty():
+    # a loop branch taken 49 times, then falling through: two cold misses and the exit
+    loop = [InstructionEvent(pc=0x40, resources=("p0",), latency=1.0,
+                             branch=BranchInfo(kind="conditional", taken=k < 49, target=0x40))
+            for k in range(50)]
+    counts = [build_schedule(loop, _branch_machine(p)).counts for p in (15.0, 0.0)]
+    assert [(c.branch_predicted, c.branch_mispredicted) for c in counts] == [(50, 3)] * 2
+    rng = random.Random(37)
+    for _ in range(20):
+        pcs = [rng.randrange(1 << 12) for _ in range(rng.randint(1, 5))]
+        trace = []
+        for _ in range(rng.randint(1, 300)):
+            kind = rng.choice(("none", "conditional", "direct", "indirect"))
+            taken = kind == "direct" or kind != "none" and rng.random() < 0.6
+            target = rng.choice((0, 0x40, 0x80)) if kind != "none" else 0
+            trace.append(InstructionEvent(pc=rng.choice(pcs), resources=("p0",), latency=1.0,
+                                          branch=BranchInfo(kind, taken, target)))
+        config = _branch_machine(rng.choice((0.0, 15.0)))
+        ref = RefTage(config.branch.btb_sets, config.branch.btb_ways,
+                      config.branch.tage_entries_log2, config.branch.history_lengths)
+        wrong = 0
+        for event in trace:
+            kind, taken, target = event.branch
+            if kind != "none":
+                direction, predicted = ref.predict(event.pc)
+                wrong += direction != taken or taken and predicted != target
+                ref.update(event.pc, taken, target)
+        assert build_schedule(trace, config).counts.branch_mispredicted == wrong
+        if config.branch.misprediction_penalty == 0.0:  # a free misprediction costs no cycle
+            off = simulate(trace, _branch_machine(0.0, enabled=False))
+            assert simulate(trace, config).total_cycles == off.total_cycles
 
 
 def test_resource_spacing_is_exactly_gap():

@@ -464,6 +464,9 @@ def test_a_record_followed_by_a_line_end_is_decoded_without_json_loads(monkeypat
     ('{"pc":0,"kind":"x","branch":{"kind":"direct","taken":true,"target":4,"x":1}}',
      "branch must be {kind, taken, target}"),
     ('{"pc":0,"kind":"x","bogus":1,"alpha":2}', "unknown field 'alpha'"),
+    # null reads as absent in every field but pc, and never makes a key known
+    ('{"pc":null,"kind":"x"}', "pc is required and must be an integer"),
+    ('{"pc":0,"kind":"x","bogus":null}', "unknown field 'bogus'"),
     ('{"pc":0,"kind":"x","reg_reads":5}', "reg_reads must be an array"),
     # a byte not in UTF-8, read with errors="surrogateescape", and any other lone surrogate
     ('{"pc":0,"kind":"\udcff"}', "invalid record: not UTF-8"),
@@ -474,6 +477,15 @@ def test_malformed_record_messages(record, message):
     with pytest.raises(TraceError) as err:
         parse(record)
     assert str(err.value) == f"line 1: {message}"
+
+
+def test_a_null_array_or_branch_is_absent():
+    record = {"pc": 4, "kind": "x", "reg_reads": [1], "reg_writes": [2],
+              "mem_reads": [{"addr": 0, "size": 8}], "mem_writes": [{"addr": 8, "size": 8}],
+              "branch": {"kind": "direct", "taken": True, "target": 64}}
+    for field in ("reg_reads", "reg_writes", "mem_reads", "mem_writes", "branch"):
+        without = {k: v for k, v in record.items() if k != field}
+        assert parse(json.dumps({**without, field: None})) == parse(json.dumps(without)), field
 
 
 def test_non_ascii_text_and_escaped_surrogates_are_records():
